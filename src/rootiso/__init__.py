@@ -44,8 +44,6 @@ from .regions import (
     eps_real_separation,
     numeric_roots,
     obreshkoff_discs,
-    point_in_area,
-    point_in_lens,
 )
 from .solver import (
     ExactRoot,
@@ -87,8 +85,6 @@ __all__ = [
     "mobius_test_poly",
     "numeric_roots",
     "obreshkoff_discs",
-    "point_in_area",
-    "point_in_lens",
     "separation_epsilon",
     "separation_lower_bound",
     "signs_model",

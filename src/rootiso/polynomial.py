@@ -90,12 +90,6 @@ class IntPolynomial:
 
     # -- evaluation -------------------------------------------------------------
 
-    def evaluate_int(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def evaluate_dyadic(self, x: Dyadic) -> Dyadic:
         """Exact value f(x) for a dyadic x.
 
@@ -329,11 +323,8 @@ def square_free_part(f: IntPolynomial) -> IntPolynomial:
     if f.degree == 0:
         return IntPolynomial([1])
     fp = f.primitive_part()
-    if _coprime_with_derivative_mod_p(fp):
-        g = fp
-    else:
-        common = _primitive_gcd(fp, fp.derivative())
-        g = fp if common.degree == 0 else _exact_divide(fp, common)
+    common = repeated_root_part(fp)
+    g = fp if common.degree == 0 else _exact_divide(fp, common)
     if g.leading_coefficient < 0:
         g = g.scale(-1)
     return g.primitive_part()

@@ -201,14 +201,6 @@ def obreshkoff_discs(interval: DyadicInterval, rho: int) -> ObreshkoffDiscs:
     )
 
 
-def point_in_area(z: complex, discs: ObreshkoffDiscs) -> bool:
-    return discs.in_area(z)
-
-
-def point_in_lens(z: complex, discs: ObreshkoffDiscs) -> bool:
-    return discs.in_lens(z)
-
-
 # ---------------------------------------------------------------------------
 # Numeric oracle (Aberth-Ehrlich)
 # ---------------------------------------------------------------------------

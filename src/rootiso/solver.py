@@ -2,6 +2,8 @@
 
 The core routine bisects (-1, 1), pruning and accepting intervals by the
 Descartes sign-variation count, and records the full subdivision tree.
+Every count, the off-zero refinement's included, is read off an integer
+image that a node gets from its parent by homothety and Taylor shift.
 Roots outside [-1, 1] are reached through the reciprocal polynomial and the
 map x -> 1/x; since 1/x is not dyadic in general, those results carry an
 ``inverted`` flag together with the dyadic pre-image.
@@ -13,7 +15,6 @@ distinct polynomials share no state and may proceed concurrently.
 from __future__ import annotations
 
 import math
-import time
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -22,9 +23,7 @@ from .polynomial import (
     IntPolynomial,
     ZeroPolynomialError,
     square_free_part,
-    unit_rescale,
     unit_variations,
-    variations_in_interval,
 )
 
 
@@ -50,7 +49,6 @@ class SubdivisionTrace:
     depth: int
     width_per_depth: list[int]
     var_per_node: list[NodeRecord]
-    wall_time: float
     square_free: IntPolynomial
 
     def max_width(self) -> int:
@@ -132,29 +130,77 @@ class IsolationResult:
 def isolate_unit(f: IntPolynomial, _lifo: bool = False) -> IsolationResult:
     """Isolate the real roots of f in the open interval (-1, 1).
 
-    The input is replaced by its square-free part.  Subdivision keeps, per
-    node, the integer image of f rescaled to [0, 1]; the left child is the
-    coefficient scaling g(X/2) cleared to integers and the right child is
-    its shift by one.  Variation counts read off these images agree with
-    the direct Moebius-transform definition (asserted by the test suite).
+    The input is replaced by its square-free part and subdivided by
+    ``_subdivide``; its variation counts agree with the direct
+    Moebius-transform definition (asserted by the test suite).
 
     ``_lifo`` switches the queue discipline for testing; the returned set
     does not depend on processing order.
     """
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
-    started = time.perf_counter()
-    fsq = square_free_part(f)
+    return _subdivide(square_free_part(f), _lifo)[0]
 
+
+def isolate_all(f: IntPolynomial) -> IsolationResult:
+    """Isolate every real root of f.
+
+    Subdivides (-1, 1) for the square-free part fsq, tests +-1 exactly,
+    and subdivides (-1, 1) for the reciprocal's square-free part, whose
+    roots in (-1, 0) and (0, 1) are the reciprocals of the roots of f
+    outside [-1, 1].  That part is fsq reversed (dropping a root at 0) and
+    sign-normalized, so fsq is computed once.  Reciprocal-phase intervals
+    are bisected from their images until they avoid 0, so every reported
+    pre-image interval maps to a bounded interval under x -> 1/x.
+    """
+    if f.is_zero:
+        raise ZeroPolynomialError("zero polynomial")
+    fsq = square_free_part(f)
+    rsq = fsq.reciprocal()
+    if rsq.leading_coefficient < 0:
+        rsq = rsq.scale(-1)
+
+    unit, _ = _subdivide(fsq)
+    intervals = list(unit.intervals)
+    exact = list(unit.exact_roots)
+
+    for endpoint in (Dyadic(1), Dyadic(-1)):
+        if f.evaluate_dyadic(endpoint).is_zero:
+            exact.append(ExactRoot(endpoint))
+
+    recip, images = _subdivide(rsq)
+    exact.extend(_invert_exact(r.value) for r in recip.exact_roots)
+    for iv, g in zip(recip.intervals, images):
+        found = _refine_off_zero(rsq, iv.interval, g)
+        if isinstance(found, ExactRoot):
+            exact.append(found)
+        else:
+            intervals.append(found)
+
+    return IsolationResult(
+        intervals=intervals,
+        exact_roots=exact,
+        trace=_merge_traces(unit.trace, recip.trace),
+    )
+
+
+def _subdivide(fsq: IntPolynomial, lifo: bool = False):
+    """Descartes subdivision of (-1, 1) for a square-free fsq.
+
+    Each node carries a positive two-power multiple of fsq on its interval
+    rescaled to [0, 1]; the root's is fsq(2X - 1).  Returns the result
+    and the images of its intervals (the var = 1 leaves), in order.
+    """
     root = DyadicInterval(Dyadic(-1), Dyadic(1))
-    queue = deque([(root, unit_rescale(fsq, root), 0)])
+    queue = deque([(root, fsq.taylor_shift(-1).homothety(-1), 0)])
     intervals: list[RootInterval] = []
+    images: list[IntPolynomial] = []
     exact: list[ExactRoot] = []
     width_per_depth: list[int] = []
     nodes: list[NodeRecord] = []
 
     while queue:
-        interval, g, depth = queue.pop() if _lifo else queue.popleft()
+        interval, g, depth = queue.pop() if lifo else queue.popleft()
         if depth == len(width_per_depth):
             width_per_depth.append(0)
         width_per_depth[depth] += 1
@@ -164,64 +210,30 @@ def isolate_unit(f: IntPolynomial, _lifo: bool = False) -> IsolationResult:
             continue
         if v == 1:
             intervals.append(RootInterval(interval))
+            images.append(g)
             continue
         mid = interval.midpoint()
         if fsq.evaluate_dyadic(mid).is_zero:
             exact.append(ExactRoot(mid))
-        left = g.homothety(1).strip_power_of_two()
-        right = left.taylor_shift(1)
+        left = _left_image(g)
         lo_half, hi_half = interval.split()
         queue.append((lo_half, left, depth + 1))
-        queue.append((hi_half, right, depth + 1))
+        queue.append((hi_half, left.taylor_shift(1), depth + 1))
 
     trace = SubdivisionTrace(
         node_count=len(nodes),
         depth=len(width_per_depth) - 1,
         width_per_depth=width_per_depth,
         var_per_node=nodes,
-        wall_time=time.perf_counter() - started,
         square_free=fsq,
     )
-    return IsolationResult(intervals=intervals, exact_roots=exact, trace=trace)
+    return IsolationResult(intervals=intervals, exact_roots=exact, trace=trace), images
 
 
-def isolate_all(f: IntPolynomial) -> IsolationResult:
-    """Isolate every real root of f.
-
-    Combines the unit-interval run, exact evaluations at +-1, and a run on
-    the reciprocal polynomial whose roots in (-1, 0) and (0, 1) are the
-    reciprocals of the roots of f outside [-1, 1].  Reciprocal-phase
-    intervals are bisected (exactly, guided by variation counts) until they
-    avoid 0, so every reported pre-image interval maps to a bounded
-    interval under x -> 1/x.
-    """
-    if f.is_zero:
-        raise ZeroPolynomialError("zero polynomial")
-
-    unit = isolate_unit(f)
-    intervals = list(unit.intervals)
-    exact = list(unit.exact_roots)
-
-    for endpoint in (Dyadic(1), Dyadic(-1)):
-        if f.evaluate_dyadic(endpoint).is_zero:
-            exact.append(ExactRoot(endpoint))
-
-    recip = isolate_unit(f.reciprocal())
-    rsq = recip.trace.square_free
-    for r in recip.exact_roots:
-        exact.append(_invert_exact(r.value))
-    for iv in recip.intervals:
-        kind, payload = _refine_off_zero(rsq, iv.interval)
-        if kind == "root":
-            exact.append(_invert_exact(payload))
-        else:
-            intervals.append(RootInterval(payload, inverted=True))
-
-    return IsolationResult(
-        intervals=intervals,
-        exact_roots=exact,
-        trace=_merge_traces(unit.trace, recip.trace),
-    )
+def _left_image(g: IntPolynomial) -> IntPolynomial:
+    """Left half's image of a node with image g; the right half's is its
+    shift by one."""
+    return g.homothety(1).strip_power_of_two()
 
 
 def _invert_exact(pre_image: Dyadic) -> ExactRoot:
@@ -231,21 +243,27 @@ def _invert_exact(pre_image: Dyadic) -> ExactRoot:
     return ExactRoot(pre_image, inverted=True)
 
 
-def _refine_off_zero(fsq, interval):
-    """Shrink an isolating interval (var = 1) until 0 is outside [lo, hi].
+def _refine_off_zero(fsq, interval, g):
+    """Shrink a reciprocal-phase leaf (var = 1, image g) until 0 is outside
+    [lo, hi]; return its inverted interval, or the exact root if a midpoint
+    lands on it.
 
     Each step bisects at the midpoint; the half keeping the root is the one
     with variation count 1 (the counts of the halves sum to at most 1 and
-    the root half has odd count).  Terminates because the isolated root is
-    nonzero.  May land exactly on the root, in which case it is returned.
+    the root half has odd count), so the left count decides.  Terminates
+    because the isolated root is nonzero.
     """
     while interval.straddles_zero():
         mid = interval.midpoint()
         if fsq.evaluate_dyadic(mid).is_zero:
-            return "root", mid
+            return _invert_exact(mid)
         lo_half, hi_half = interval.split()
-        interval = lo_half if variations_in_interval(fsq, lo_half) == 1 else hi_half
-    return "interval", interval
+        g = _left_image(g)
+        if unit_variations(g) == 1:
+            interval = lo_half
+        else:
+            interval, g = hi_half, g.taylor_shift(1)
+    return RootInterval(interval, inverted=True)
 
 
 def _merge_traces(a: SubdivisionTrace, b: SubdivisionTrace) -> SubdivisionTrace:
@@ -258,6 +276,5 @@ def _merge_traces(a: SubdivisionTrace, b: SubdivisionTrace) -> SubdivisionTrace:
         depth=len(widths) - 1,
         width_per_depth=widths,
         var_per_node=a.var_per_node + b.var_per_node,
-        wall_time=a.wall_time + b.wall_time,
         square_free=a.square_free,
     )

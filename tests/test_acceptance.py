@@ -27,8 +27,6 @@ from rootiso.regions import (
     distance_to_interval,
     numeric_roots,
     obreshkoff_discs,
-    point_in_area,
-    point_in_lens,
 )
 from rootiso.solver import isolate_unit
 
@@ -202,8 +200,8 @@ def test_07_obreshkoff_sandwich():
         ):
             skipped += 1
             continue
-        in_lens = sum(1 for z in roots if point_in_lens(z, discs))
-        in_area = sum(1 for z in roots if point_in_area(z, discs))
+        in_lens = sum(1 for z in roots if discs.in_lens(z))
+        in_area = sum(1 for z in roots if discs.in_area(z))
         v = variations_in_interval(f, interval)
         assert in_lens <= v <= in_area, (f.to_text(), str(interval))
         done += 1

@@ -169,6 +169,15 @@ class TestVariations:
             elif got != 0:
                 assert (got > 0) == (target > 0)
 
+    def test_unit_rescale_on_root_interval_is_shift_and_homothety(self):
+        # the solver builds its root image as f(2X - 1) from these two transforms
+        full = DyadicInterval(Dyadic(-1), Dyadic(1))
+        rng = random.Random(49)
+        cases = [poly(0, 1), poly(0, 0, 0, 5), poly(-1, 0, 4), poly(1, -3, 0, 4)]
+        cases += [make_poly(rng, rng.randint(0, 20), 24) for _ in range(60)]
+        for g in cases:
+            assert unit_rescale(g, full) == g.taylor_shift(-1).homothety(-1)
+
 
 def _fraction_gcd(a, b):
     """Monic gcd over the rationals: the independent reference path."""
@@ -234,6 +243,28 @@ class TestSquareFree:
             quot = _monic_fractions(prod)
             # every root of got is a root of prod: check gcd(got, prod) == monic(got)
             assert _fraction_gcd(got, prod) == _monic_fractions(got)
+
+    def test_reciprocal_part_is_reversed_part(self):
+        # isolate_all derives the reciprocal's square-free part from f's
+        def normalized_reversal(g):
+            r = g.reciprocal()
+            return r.scale(-1) if r.leading_coefficient < 0 else r
+
+        x, x_minus_1, x_plus_1 = poly(0, 1), poly(-1, 1), poly(1, 1)
+        rng = random.Random(50)
+        cases = [poly(0, 1), poly(0, 0, 1), poly(0, 0, 0, -3), poly(7), poly(-7)]
+        for _ in range(40):
+            f = make_poly(rng, rng.randint(1, 5), 8)
+            for factor in (x, _multiply(x, x), _multiply(x, _multiply(x, x))):
+                cases.append(_multiply(f, factor))
+            cases.append(_multiply(f, f))
+            cases.append(_multiply(_multiply(f, x_minus_1), _multiply(x_plus_1, x_plus_1)))
+            cases.append(_multiply(f, poly(-2, 0, 0, -5)))
+            cases.append(_multiply(f, poly(3, 0, -1)))
+        assert any(f.leading_coefficient < 0 for f in cases)
+        assert any(f.coefficient(0) < 0 for f in cases)
+        for f in cases:
+            assert square_free_part(f.reciprocal()) == normalized_reversal(square_free_part(f))
 
 
 def _multiply(a, b):

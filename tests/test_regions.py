@@ -15,8 +15,6 @@ from rootiso.regions import (
     eps_real_separation,
     numeric_roots,
     obreshkoff_discs,
-    point_in_area,
-    point_in_lens,
 )
 
 
@@ -205,10 +203,10 @@ class TestObreshkoff:
         for _ in range(2000):
             z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             for small, big in pairs:
-                if point_in_area(z, small):
-                    assert point_in_area(z, big)
-                if point_in_lens(z, big):
-                    assert point_in_lens(z, small)
+                if small.in_area(z):
+                    assert big.in_area(z)
+                if big.in_lens(z):
+                    assert small.in_lens(z)
 
     def test_negative_rho_rejected(self):
         with pytest.raises(ValueError):
@@ -235,8 +233,8 @@ class TestObreshkoff:
                 for z in roots
             ):
                 continue
-            in_lens = sum(1 for z in roots if point_in_lens(z, discs))
-            in_area = sum(1 for z in roots if point_in_area(z, discs))
+            in_lens = sum(1 for z in roots if discs.in_lens(z))
+            in_area = sum(1 for z in roots if discs.in_area(z))
             v = variations_in_interval(f, interval)
             assert in_lens <= v <= in_area
             done += 1

@@ -1,17 +1,36 @@
+import hashlib
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from conftest import make_poly
+from rootiso.cli import main
 from rootiso.dyadic import Dyadic, DyadicInterval
-from rootiso.polynomial import IntPolynomial, ZeroPolynomialError, variations_in_interval
+from rootiso.polynomial import (
+    IntPolynomial,
+    ZeroPolynomialError,
+    square_free_part,
+    variations_in_interval,
+)
 from rootiso.regions import real_roots_from_oracle
 from rootiso.solver import isolate_all, isolate_unit
 
 
 def poly(*coeffs):
     return IntPolynomial(coeffs)
+
+
+def scaled_chebyshev(n):
+    """4^n T_n(x/4): n simple roots in (-4, 4), most of them outside [-1, 1]."""
+    prev, cur = [1], [0, 1]
+    for _ in range(n - 1):
+        nxt = [0] + [2 * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return IntPolynomial([c * 4 ** (n - k) for k, c in enumerate(cur)])
 
 
 def depth_of(interval):
@@ -222,3 +241,34 @@ class TestAgainstOracle:
                     hits += lo < x < hi
                 hits += sum(1 for r in res.exact_roots if abs(r.approx() - x) <= 1e-8)
                 assert hits >= 1
+
+
+class TestReciprocalRefinement:
+    def test_inverted_intervals_against_reference(self):
+        # every refined pre-image isolates one root of the reciprocal's
+        # square-free part by the direct Moebius count and avoids 0
+        rng = random.Random(31)
+        cases = [make_poly(rng, rng.randint(1, 24), 16) for _ in range(40)]
+        cases += [scaled_chebyshev(n) for n in range(2, 18)]
+        refined = 0
+        for f in cases:
+            rsq = square_free_part(f.reciprocal())
+            refined += sum(leaf.interval.straddles_zero() for leaf in isolate_unit(rsq).intervals)
+            for iv in isolate_all(f).intervals:
+                if not iv.inverted:
+                    continue
+                assert variations_in_interval(rsq, iv.interval) == 1
+                assert iv.interval.lo.sign() > 0 or iv.interval.hi.sign() < 0
+        assert refined > 0
+
+    def test_golden_isolate_output(self, capsys):
+        # `rootiso isolate --input` on a fixed structured corpus, one
+        # polynomial per line: Chebyshev T_n, 4^n T_n(x/4), Mignotte
+        # x^n - 2(ax - 1)^2, products with dyadic and +-1 roots, squares
+        # and a cube, X^k factors, constants, a negated scaled Chebyshev
+        # and a few random inputs.  The output is byte-stable: work on the
+        # subdivision kernel must leave this digest unchanged.
+        corpus = Path(__file__).parent / "data" / "golden_isolate.txt"
+        assert main(["isolate", "--input", str(corpus)]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "7290fb2319ffd25465b676a854b7c12fc394ee337d7d49268929fdd0047deddd"
