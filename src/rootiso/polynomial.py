@@ -12,12 +12,28 @@ The three coefficient transforms used by the subdivision solver are
 
 and sign-variation counts on an interval are read off the image of f under
 the Moebius map that carries (0, oo) onto that interval.
+
+The two O(d^2) kernels keep their per-coefficient loops in C.
+``taylor_shift`` scales by powers of c, shifts by one in rounds of
+Pascal's triangle (each round one ``itertools.accumulate``), and divides
+the powers of c back out.  It does the big-integer additions of
+Ruffini-Horner, with no padding.  No Kronecker-substitution or
+divide-and-conquer shift is offered: both rest on big-integer products,
+and CPython multiplies with Karatsuba, not FFT.  Measured against the
+Pascal rounds, Kronecker wins only at low degree with narrow coefficients
+(d <= 64, 32 bits), and both lose from d = 256 on and with wide
+coefficients.  The square-free certificate runs its Euclid loop modulo
+2^31 - 1 in numpy int64.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
+
+import numpy as np
 
 from .dyadic import Dyadic, DyadicInterval
 
@@ -177,16 +193,30 @@ class IntPolynomial:
         return IntPolynomial([c << (-k * i) for i, c in enumerate(self.coeffs)])
 
     def taylor_shift(self, c: int) -> "IntPolynomial":
-        """Exact coefficients of f(X + c); inverse of the shift by -c."""
+        """Exact coefficients of f(X + c); inverse of the shift by -c.
+
+        With u_i = f_i c^i, f(X + c) = u((X + c) / c) = u(X / c + 1), so
+        coefficient j of the result is coefficient j of u(X + 1) divided
+        (exactly) by c^j.  The shift by one runs in Pascal rounds over the
+        reversed coefficients: each round replaces the remaining list by
+        its prefix sums, and the last sum is the next low coefficient.
+        These are the additions Ruffini-Horner does, with the inner loop
+        inside ``accumulate``.  For c = 1 the scaling is the identity.
+        """
         if self.is_zero or c == 0:
             return self
-        a = list(self.coeffs)
-        d = len(a) - 1
-        # Ruffini-Horner: after pass i, a[i] is the i-th shifted coefficient
-        for i in range(d):
-            for j in range(d - 1, i - 1, -1):
-                a[j] += c * a[j + 1]
-        return IntPolynomial(a)
+        r = list(self.coeffs)
+        if c != 1:
+            powers = list(accumulate([c] * (len(r) - 1), mul, initial=1))
+            r = [f * q for f, q in zip(r, powers)]
+        r.reverse()
+        shifted = []
+        while r:
+            r = list(accumulate(r))
+            shifted.append(r.pop())
+        if c != 1:
+            shifted = [h // q for h, q in zip(shifted, powers)]
+        return IntPolynomial(shifted)
 
     def strip_power_of_two(self) -> "IntPolynomial":
         """Divide out the largest common power of two (positive factor)."""
@@ -311,7 +341,8 @@ def variations_in_interval(f: IntPolynomial, interval: DyadicInterval) -> int:
 
 # Single-prime certificate: if gcd(f mod p, f' mod p) is constant then
 # gcd(f, f') is constant over Q.  Lets random inputs skip the integer PRS.
-_CHECK_PRIME = (1 << 61) - 1
+# Below 2^31, so a product of two residues fits int64 twice over.
+_CHECK_PRIME = (1 << 31) - 1
 
 
 def square_free_part(f: IntPolynomial) -> IntPolynomial:
@@ -343,36 +374,42 @@ def repeated_root_part(f: IntPolynomial) -> IntPolynomial:
 
 
 def _coprime_with_derivative_mod_p(f: IntPolynomial) -> bool:
+    """True when the Euclid sequence of f and f' modulo _CHECK_PRIME ends
+    in a nonzero constant; False when it cannot certify."""
     p = _CHECK_PRIME
     a = [c % p for c in f.coeffs]
     b = [(i * c) % p for i, c in enumerate(f.coeffs)][1:]
     if not a or a[-1] == 0 or not b or b[-1] == 0:
         return False  # leading coefficient collapsed mod p; cannot certify
-    while True:
-        while b and b[-1] == 0:
-            b.pop()
-        if not b:
-            return False
-        if len(b) == 1:
-            return True
-        a, b = b, _mod_p_rem(a, b, p)
-
-
-def _mod_p_rem(a: list, b: list, p: int) -> list:
-    inv = pow(b[-1], p - 2, p)
-    r = list(a)
-    db = len(b) - 1
-    while len(r) - 1 >= db and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
-            break
-        q = (r[-1] * inv) % p
-        off = len(r) - 1 - db
-        for i, c in enumerate(b):
-            r[off + i] = (r[off + i] - q * c) % p
-        r.pop()
-    return r
+    a = np.array(a, dtype=np.int64)
+    b = np.array(b, dtype=np.int64)
+    # residues lie in [0, p), so each q * b_i is below 2^62 and the two
+    # subtractions of one step stay above -2^63
+    while len(b) > 1:
+        inv = pow(int(b[-1]), -1, p)
+        if len(a) == len(b) + 1:
+            # usual case: quotient q1 X + q0, both subtractions in one pass
+            q1 = int(a[-1]) * inv % p
+            q0 = (int(a[-2]) - q1 * int(b[-2])) * inv % p
+            r = a[:-2] - q0 * b[:-1]
+            r[1:] -= q1 * b[:-2]
+            r %= p
+        else:
+            r = a.copy()
+            while len(r) >= len(b):
+                top = int(r[-1])
+                if top:
+                    window = r[-len(b) :]
+                    window -= (top * inv % p) * b
+                    window %= p
+                r = r[:-1]
+        if not r[-1]:
+            nonzero = np.flatnonzero(r)
+            if not len(nonzero):
+                return False
+            r = r[: nonzero[-1] + 1]
+        a, b = b, r
+    return True
 
 
 def _pseudo_remainder(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:

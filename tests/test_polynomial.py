@@ -2,12 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_poly
 from rootiso.dyadic import Dyadic, DyadicInterval
 from rootiso.polynomial import (
+    _CHECK_PRIME,
     IntPolynomial,
     ZeroPolynomialError,
+    _coprime_with_derivative_mod_p,
     mobius_test_poly,
     square_free_part,
     unit_rescale,
@@ -104,6 +108,28 @@ class TestTransforms:
             f = make_poly(rng, rng.randint(0, 10), 16)
             c = rng.randint(-50, 50)
             assert f.taylor_shift(c).taylor_shift(-c) == f
+
+    def test_taylor_matches_ruffini_reference(self):
+        # every degree up to 32 and a spread up to 300; coefficient widths
+        # from 1 to 2000 bits, with zero coefficients and X^k factors
+        rng = random.Random(51)
+        widths = [1, 2, 7, 32, 33, 64, 65, 300, 2000]
+        degrees = list(range(33)) + [47, 63, 64, 65, 100, 128, 200, 255, 256, 300]
+        cases = [(d, widths[n % len(widths)]) for n, d in enumerate(degrees)]
+        for d, width in cases + [(150, 1000), (300, 2000)]:
+            bound = 1 << width
+            coeffs = [rng.randint(-bound, bound) if rng.random() < 0.8 else 0 for _ in range(d + 1)]
+            coeffs[-1] = coeffs[-1] or 1
+            power_of_x = rng.choice([0, 0, 1, 3])
+            f = IntPolynomial([0] * power_of_x + coeffs[: d + 1 - power_of_x])
+            for c in (1, -1, 2, -2, 3, -3, rng.randint(-1000, 1000)):
+                assert f.taylor_shift(c) == _ruffini_shift(f, c), (d, width, c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(), max_size=40), st.integers(-1000, 1000))
+    def test_taylor_shift_property(self, coeffs, c):
+        f = IntPolynomial(coeffs)
+        assert f.taylor_shift(c) == _ruffini_shift(f, c)
 
 
 class TestVariations:
@@ -265,6 +291,116 @@ class TestSquareFree:
         assert any(f.coefficient(0) < 0 for f in cases)
         for f in cases:
             assert square_free_part(f.reciprocal()) == normalized_reversal(square_free_part(f))
+
+
+class TestModPCertificate:
+    P61 = (1 << 61) - 1
+
+    def test_check_prime_is_prime(self):
+        # below 2^31, two products of residues fit int64 side by side
+        assert _CHECK_PRIME < 1 << 31
+        sympy = pytest.importorskip("sympy")
+        assert sympy.isprime(_CHECK_PRIME)
+
+    def test_matches_reference_on_both_primes(self):
+        # generic inputs: square-free ones certify, repeated factors never do
+        rng = random.Random(52)
+        square_free = repeated = 0
+        for _ in range(150):
+            base = make_poly(rng, rng.randint(1, 40), rng.choice([4, 32, 100]))
+            cases = [base, _multiply(base, base)]
+            cases.append(_multiply(cases[1], make_poly(rng, rng.randint(1, 5), 8)))
+            for f in cases:
+                f = f.primitive_part()
+                got = _coprime_with_derivative_mod_p(f)
+                assert got == _reference_coprime_mod_p(f, _CHECK_PRIME)
+                assert got == _reference_coprime_mod_p(f, self.P61)
+                square_free += got
+                repeated += not got
+        assert square_free > 100 and repeated > 200
+
+    def test_edge_cases_match_reference_at_same_prime(self):
+        # the int64 Euclid must reproduce the pure-Python one modulo the
+        # same prime on every input, including those it cannot certify
+        p = _CHECK_PRIME
+        rng = random.Random(53)
+        cases = []
+        for d in (1, 2, 3, 8, 33, 100):
+            # every coefficient congruent to p - 1: the widest residues
+            cases.append(IntPolynomial([p - 1 + p * rng.randint(0, 9) for _ in range(d)] + [p - 1]))
+            cases.append(IntPolynomial([-1 - p * rng.randint(0, 9) for _ in range(d + 1)]))
+            # coefficients beyond int64, of both signs
+            big = [rng.choice((-1, 1)) * rng.randint(1 << 64, 1 << 200) for _ in range(d + 1)]
+            cases.append(IntPolynomial(big))
+            cases.append(IntPolynomial([-c for c in big]))
+            cases.append(_multiply(IntPolynomial(big[:3]), IntPolynomial(big[:3])))
+            # sparse inputs, whose remainder sequences drop several degrees
+            cases.append(IntPolynomial([1, 0, 1] + [0] * d + [1]))
+            cases.append(IntPolynomial([0, 1] + [0] * d + [rng.randint(1, 7)]))
+            # leading coefficient collapsing mod p
+            cases.append(IntPolynomial([rng.randint(-9, 9) for _ in range(d)] + [p * rng.randint(1, 5)]))
+        for f in cases:
+            assert _coprime_with_derivative_mod_p(f) == _reference_coprime_mod_p(f, p), f
+
+    def test_leading_coefficient_divisible_by_p(self):
+        # the certificate declines; the exact PRS fallback must still give
+        # the square-free part the fraction-gcd oracle gives
+        p = _CHECK_PRIME
+        rng = random.Random(54)
+        for _ in range(12):
+            base = make_poly(rng, rng.randint(1, 4), 6)
+            lead = IntPolynomial([rng.randint(-5, 5), p * rng.choice((1, -1, 3))])
+            for f in (_multiply(base, lead), _multiply(_multiply(base, base), lead)):
+                assert f.leading_coefficient % p == 0
+                assert not _coprime_with_derivative_mod_p(f.primitive_part())
+                got = square_free_part(f)
+                gcd = _fraction_gcd(f, f.derivative())
+                assert got.degree == f.degree - (len(gcd) - 1)
+                assert got.leading_coefficient > 0 and got.content() == 1
+                assert _fraction_gcd(got, f) == _monic_fractions(got)
+
+
+def _ruffini_shift(f, c):
+    """f(X + c) by the Ruffini-Horner double loop: the reference shift."""
+    a = list(f.coeffs)
+    d = len(a) - 1
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            a[j] += c * a[j + 1]
+    return IntPolynomial(a)
+
+
+def _reference_coprime_mod_p(f, p):
+    """The pure-Python Euclid certificate for gcd(f, f') = 1 modulo p."""
+    a = [c % p for c in f.coeffs]
+    b = [(i * c) % p for i, c in enumerate(f.coeffs)][1:]
+    if not a or a[-1] == 0 or not b or b[-1] == 0:
+        return False
+    while True:
+        while b and b[-1] == 0:
+            b.pop()
+        if not b:
+            return False
+        if len(b) == 1:
+            return True
+        a, b = b, _reference_rem_mod_p(a, b, p)
+
+
+def _reference_rem_mod_p(a, b, p):
+    inv = pow(b[-1], p - 2, p)
+    r = list(a)
+    db = len(b) - 1
+    while len(r) - 1 >= db and any(r):
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) - 1 < db:
+            break
+        q = (r[-1] * inv) % p
+        off = len(r) - 1 - db
+        for i, c in enumerate(b):
+            r[off + i] = (r[off + i] - q * c) % p
+        r.pop()
+    return r
 
 
 def _multiply(a, b):

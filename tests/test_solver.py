@@ -1,9 +1,15 @@
 import hashlib
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+try:
+    import sympy
+except ImportError:  # only the exact total count needs it
+    sympy = None
 
 from conftest import make_poly
 from rootiso.cli import main
@@ -22,15 +28,36 @@ def poly(*coeffs):
     return IntPolynomial(coeffs)
 
 
-def scaled_chebyshev(n):
-    """4^n T_n(x/4): n simple roots in (-4, 4), most of them outside [-1, 1]."""
+def chebyshev(n):
+    """T_n: n simple roots in (-1, 1), crowding towards +-1."""
     prev, cur = [1], [0, 1]
     for _ in range(n - 1):
         nxt = [0] + [2 * c for c in cur]
         for i, c in enumerate(prev):
             nxt[i] -= c
         prev, cur = cur, nxt
-    return IntPolynomial([c * 4 ** (n - k) for k, c in enumerate(cur)])
+    return IntPolynomial(cur if n else prev)
+
+
+def scaled_chebyshev(n):
+    """4^n T_n(x/4): n simple roots in (-4, 4), most of them outside [-1, 1]."""
+    return IntPolynomial([c * 4 ** (n - k) for k, c in enumerate(chebyshev(n).coeffs)])
+
+
+def mignotte(n, a):
+    """x^n - 2(ax - 1)^2: a pair of real roots very close to 1/a."""
+    return IntPolynomial([-2, 4 * a, -2 * a * a] + [0] * (n - 3) + [1])
+
+
+def product(*factors):
+    out = [1]
+    for f in factors:
+        nxt = [0] * (len(out) + f.degree)
+        for i, x in enumerate(out):
+            for j, y in enumerate(f.coeffs):
+                nxt[i + j] += x * y
+        out = nxt
+    return IntPolynomial(out)
 
 
 def depth_of(interval):
@@ -272,3 +299,85 @@ class TestReciprocalRefinement:
         assert main(["isolate", "--input", str(corpus)]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "7290fb2319ffd25465b676a854b7c12fc394ee337d7d49268929fdd0047deddd"
+
+
+class TestExactCertification:
+    """isolate_all certified by exact rational arithmetic alone.
+
+    Each interval must carry a sign change of the square-free part (the
+    reciprocal's part, on the pre-image, for inverted ones), so it holds an
+    odd number of roots; the intervals are disjoint and free of the exact
+    roots; and the total equals sympy's exact count of distinct real roots.
+    Together these say every interval holds exactly one root and none is
+    missed.
+    """
+
+    def _inputs(self):
+        rng = random.Random(55)
+        corpus = Path(__file__).parent / "data" / "golden_isolate.txt"
+        cases = [IntPolynomial.from_text(line) for line in corpus.read_text().splitlines()]
+        cases += [make_poly(rng, rng.randint(1, 30), 16) for _ in range(25)]
+        cases += [chebyshev(n) for n in (1, 2, 5, 8, 13, 21)]
+        cases += [scaled_chebyshev(n) for n in (3, 7, 12, 19)]
+        cases += [mignotte(n, a) for n, a in ((5, 3), (8, 10), (12, 4), (16, 7))]
+        x, x_minus_1, x_plus_1 = poly(0, 1), poly(-1, 1), poly(1, 1)
+        for _ in range(12):
+            # dyadic roots inside and outside [-1, 1], +-1 and 0, some repeated
+            roots = [poly(-rng.randint(-40, 40), 1 << rng.randint(0, 4)) for _ in range(rng.randint(1, 6))]
+            extra = rng.sample([x, x, x_minus_1, x_plus_1, x_plus_1], rng.randint(0, 3))
+            cases.append(product(*roots, *extra, make_poly(rng, rng.randint(0, 6), 8)))
+        return cases
+
+    def test_intervals_certified_exactly(self):
+        for f in self._inputs():
+            if f.degree < 1:
+                continue
+            res = isolate_all(f)
+            exact = {_actual(r.value.to_fraction(), r.inverted) for r in res.exact_roots}
+            fsq = square_free_part(f)
+            rsq = square_free_part(f.reciprocal())
+            for root in exact:
+                assert f.evaluate_fraction(root) == 0
+            for inverted in (False, True):
+                part = rsq if inverted else fsq
+                spans = sorted((iv.interval for iv in res.intervals if iv.inverted == inverted), key=lambda j: j.lo)
+                for a, b in zip(spans, spans[1:]):
+                    assert a.hi <= b.lo
+                for span in spans:
+                    lo, hi = span.lo.to_fraction(), span.hi.to_fraction()
+                    if inverted:
+                        assert lo > 0 or hi < 0
+                    ends = (_actual(lo, inverted), _actual(hi, inverted))
+                    assert not any(min(ends) < root < max(ends) for root in exact)
+                    coeffs = [Fraction(c) for c in part.coeffs]
+                    for end in (lo, hi):
+                        if _horner(coeffs, end) == 0:
+                            assert _actual(end, inverted) in exact
+                            coeffs = _deflate(coeffs, end)
+                    assert _horner(coeffs, lo) * _horner(coeffs, hi) < 0, (f, span)
+            if sympy is not None:
+                # exact isolation by continued fractions; count_roots, a
+                # Sturm sequence, gives the same counts 50x slower here
+                count = len(sympy.Poly(f.coeffs[::-1], sympy.Symbol("x")).intervals())
+                assert res.root_count() == count, f
+
+
+def _actual(pre_image, inverted):
+    return 1 / pre_image if inverted else pre_image
+
+
+def _horner(coeffs, x):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _deflate(coeffs, root):
+    """Quotient by (X - root) of a polynomial vanishing at root."""
+    acc, quotient = Fraction(0), []
+    for c in reversed(coeffs):
+        acc = acc * root + c
+        quotient.append(acc)
+    assert quotient.pop() == 0
+    return quotient[::-1]
