@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul
+from operator import mul, ne
 
 import numpy as np
 
@@ -197,11 +197,10 @@ class IntPolynomial:
 
         With u_i = f_i c^i, f(X + c) = u((X + c) / c) = u(X / c + 1), so
         coefficient j of the result is coefficient j of u(X + 1) divided
-        (exactly) by c^j.  The shift by one runs in Pascal rounds over the
-        reversed coefficients: each round replaces the remaining list by
-        its prefix sums, and the last sum is the next low coefficient.
-        These are the additions Ruffini-Horner does, with the inner loop
-        inside ``accumulate``.  For c = 1 the scaling is the identity.
+        (exactly) by c^j.  The shift by one is ``pascal_rounds`` over the
+        reversed coefficients: the additions Ruffini-Horner does, with the
+        inner loop inside ``accumulate``.  For c = 1 the scaling is the
+        identity.
         """
         if self.is_zero or c == 0:
             return self
@@ -210,22 +209,10 @@ class IntPolynomial:
             powers = list(accumulate([c] * (len(r) - 1), mul, initial=1))
             r = [f * q for f, q in zip(r, powers)]
         r.reverse()
-        shifted = []
-        while r:
-            r = list(accumulate(r))
-            shifted.append(r.pop())
+        shifted = pascal_rounds(r)
         if c != 1:
             shifted = [h // q for h, q in zip(shifted, powers)]
         return IntPolynomial(shifted)
-
-    def strip_power_of_two(self) -> "IntPolynomial":
-        """Divide out the largest common power of two (positive factor)."""
-        if self.is_zero:
-            return self
-        shift = min((c & -c).bit_length() - 1 for c in self.coeffs if c)
-        if shift == 0:
-            return self
-        return IntPolynomial([c >> shift for c in self.coeffs])
 
     # -- sign variations ----------------------------------------------------------
 
@@ -235,16 +222,7 @@ class IntPolynomial:
         Bounds the number of positive real roots from above and matches
         their parity (Descartes' rule of signs).
         """
-        count = 0
-        prev = 0
-        for c in self.coeffs:
-            if c == 0:
-                continue
-            s = 1 if c > 0 else -1
-            if prev and s != prev:
-                count += 1
-            prev = s
-        return count
+        return sign_variations(self.coeffs)
 
     # -- text and JSON formats -------------------------------------------------------
 
@@ -271,6 +249,28 @@ class IntPolynomial:
     @classmethod
     def from_json(cls, obj: dict) -> "IntPolynomial":
         return cls(int(c) for c in obj["coeffs"])
+
+
+def sign_variations(values) -> int:
+    """Number of sign changes in a sequence of integers, zeros skipped."""
+    signs = [v > 0 for v in values if v]
+    return sum(map(ne, signs, signs[1:]))
+
+
+def pascal_rounds(values: list) -> list:
+    """Coefficients, low first, of sum_i values[i] (X + 1)^(n - 1 - i).
+
+    n = len(values) rounds of Pascal's triangle: each round replaces the
+    list by its prefix sums, and the last sum is the next coefficient.
+    Fed the reversed coefficients of f it yields f(X + 1), fed those of f
+    itself the Moebius image (X + 1)^d f(1 / (X + 1)); zeros are kept, so
+    the result has length n.
+    """
+    out = []
+    while values:
+        values = list(accumulate(values))
+        out.append(values.pop())
+    return out
 
 
 def _is_int_token(tok: str) -> bool:

@@ -2,8 +2,13 @@
 
 The core routine bisects (-1, 1), pruning and accepting intervals by the
 Descartes sign-variation count, and records the full subdivision tree.
-Every count, the off-zero refinement's included, is read off an integer
-image that a node gets from its parent by homothety and Taylor shift.
+Each node holds the Bernstein coefficients of the square-free part on its
+interval, scaled to integers by a positive factor.  The Descartes count
+of a node is the sign-variation count of that vector (Rouillier &
+Zimmermann, 2004), so a test costs O(d).  A split costs one integer de
+Casteljau pass, which also yields the sign of the midpoint value; the
+off-zero refinement bisects the same way.  Only the root vector of each
+phase needs a Taylor shift.
 Roots outside [-1, 1] are reached through the reciprocal polynomial and the
 map x -> 1/x; since 1/x is not dyadic in general, those results carry an
 ``inverted`` flag together with the dyadic pre-image.
@@ -17,13 +22,17 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add, lshift, or_, rshift
 
 from .dyadic import Dyadic, DyadicInterval
 from .polynomial import (
     IntPolynomial,
     ZeroPolynomialError,
+    pascal_rounds,
+    sign_variations,
     square_free_part,
-    unit_variations,
 )
 
 
@@ -150,7 +159,7 @@ def isolate_all(f: IntPolynomial) -> IsolationResult:
     roots in (-1, 0) and (0, 1) are the reciprocals of the roots of f
     outside [-1, 1].  That part is fsq reversed (dropping a root at 0) and
     sign-normalized, so fsq is computed once.  Reciprocal-phase intervals
-    are bisected from their images until they avoid 0, so every reported
+    are bisected from their vectors until they avoid 0, so every reported
     pre-image interval maps to a bounded interval under x -> 1/x.
     """
     if f.is_zero:
@@ -168,10 +177,10 @@ def isolate_all(f: IntPolynomial) -> IsolationResult:
         if f.evaluate_dyadic(endpoint).is_zero:
             exact.append(ExactRoot(endpoint))
 
-    recip, images = _subdivide(rsq)
+    recip, vectors = _subdivide(rsq)
     exact.extend(_invert_exact(r.value) for r in recip.exact_roots)
-    for iv, g in zip(recip.intervals, images):
-        found = _refine_off_zero(rsq, iv.interval, g)
+    for iv, b in zip(recip.intervals, vectors):
+        found = _refine_off_zero(iv.interval, b)
         if isinstance(found, ExactRoot):
             exact.append(found)
         else:
@@ -187,38 +196,38 @@ def isolate_all(f: IntPolynomial) -> IsolationResult:
 def _subdivide(fsq: IntPolynomial, lifo: bool = False):
     """Descartes subdivision of (-1, 1) for a square-free fsq.
 
-    Each node carries a positive two-power multiple of fsq on its interval
-    rescaled to [0, 1]; the root's is fsq(2X - 1).  Returns the result
-    and the images of its intervals (the var = 1 leaves), in order.
+    Each node carries a positive multiple of the Bernstein coefficients of
+    fsq on its interval; its Descartes count is their sign variations, and
+    one de Casteljau pass gives both children.  Returns the result and the
+    vectors of its intervals (the var = 1 leaves), in order.
     """
     root = DyadicInterval(Dyadic(-1), Dyadic(1))
-    queue = deque([(root, fsq.taylor_shift(-1).homothety(-1), 0)])
+    queue = deque([(root, _root_vector(fsq), 0)])
     intervals: list[RootInterval] = []
-    images: list[IntPolynomial] = []
+    vectors: list[list[int]] = []
     exact: list[ExactRoot] = []
     width_per_depth: list[int] = []
     nodes: list[NodeRecord] = []
 
     while queue:
-        interval, g, depth = queue.pop() if lifo else queue.popleft()
+        interval, b, depth = queue.pop() if lifo else queue.popleft()
         if depth == len(width_per_depth):
             width_per_depth.append(0)
         width_per_depth[depth] += 1
-        v = unit_variations(g)
+        v = sign_variations(b)
         nodes.append(NodeRecord(interval, v))
         if v == 0:
             continue
         if v == 1:
             intervals.append(RootInterval(interval))
-            images.append(g)
+            vectors.append(b)
             continue
-        mid = interval.midpoint()
-        if fsq.evaluate_dyadic(mid).is_zero:
-            exact.append(ExactRoot(mid))
-        left = _left_image(g)
+        left, right, apex = _bisect(b)
+        if apex == 0:
+            exact.append(ExactRoot(interval.midpoint()))
         lo_half, hi_half = interval.split()
         queue.append((lo_half, left, depth + 1))
-        queue.append((hi_half, left.taylor_shift(1), depth + 1))
+        queue.append((hi_half, right, depth + 1))
 
     trace = SubdivisionTrace(
         node_count=len(nodes),
@@ -227,13 +236,48 @@ def _subdivide(fsq: IntPolynomial, lifo: bool = False):
         var_per_node=nodes,
         square_free=fsq,
     )
-    return IsolationResult(intervals=intervals, exact_roots=exact, trace=trace), images
+    return IsolationResult(intervals=intervals, exact_roots=exact, trace=trace), vectors
 
 
-def _left_image(g: IntPolynomial) -> IntPolynomial:
-    """Left half's image of a node with image g; the right half's is its
-    shift by one."""
-    return g.homothety(1).strip_power_of_two()
+def _root_vector(fsq: IntPolynomial) -> list[int]:
+    """Bernstein coefficients of fsq on [-1, 1], made integer and primitive.
+
+    The Moebius image T of the root image fsq(2X - 1) has T_(d-i) =
+    C(d, i) b_i, so b_i is scaled by K = lcm_i C(d, i) and the content
+    divided out.
+    """
+    test = pascal_rounds(list(fsq.taylor_shift(-1).homothety(-1).coeffs))
+    d = len(test) - 1
+    binomials = list(accumulate(range(d), lambda c, i: c * (d - i) // (i + 1), initial=1))
+    lcm = math.lcm(*binomials)
+    b = [t * (lcm // c) for t, c in zip(reversed(test), binomials)]
+    content = math.gcd(*b)
+    return [x // content for x in b]
+
+
+def _bisect(b: list[int]):
+    """Vectors of the two halves and the apex, by one de Casteljau pass.
+
+    Each round replaces the row by its pairwise sums, without halving;
+    round k's first and last entries are 2^k times the left half's k-th
+    and the right half's (d - k)-th Bernstein coefficient.  The apex is a
+    positive multiple of the value at the midpoint.
+    """
+    left, right = [b[0]], [b[-1]]
+    row = b
+    while len(row) > 1:
+        row = list(map(add, row, row[1:]))
+        left.append(row[0])
+        right.append(row[-1])
+    return _unscale(left), _unscale(right)[::-1], row[0]
+
+
+def _unscale(edge: list[int]) -> list[int]:
+    """edge[k] * 2^(d - k), with the largest common power of two divided out."""
+    scaled = list(map(lshift, edge, range(len(edge) - 1, -1, -1)))
+    low = reduce(or_, scaled)  # its lowest set bit is the lowest of any entry
+    s = (low & -low).bit_length() - 1
+    return list(map(rshift, scaled, repeat(s))) if s else scaled
 
 
 def _invert_exact(pre_image: Dyadic) -> ExactRoot:
@@ -243,8 +287,8 @@ def _invert_exact(pre_image: Dyadic) -> ExactRoot:
     return ExactRoot(pre_image, inverted=True)
 
 
-def _refine_off_zero(fsq, interval, g):
-    """Shrink a reciprocal-phase leaf (var = 1, image g) until 0 is outside
+def _refine_off_zero(interval, b):
+    """Shrink a reciprocal-phase leaf (var = 1, vector b) until 0 is outside
     [lo, hi]; return its inverted interval, or the exact root if a midpoint
     lands on it.
 
@@ -254,15 +298,14 @@ def _refine_off_zero(fsq, interval, g):
     because the isolated root is nonzero.
     """
     while interval.straddles_zero():
-        mid = interval.midpoint()
-        if fsq.evaluate_dyadic(mid).is_zero:
-            return _invert_exact(mid)
+        left, right, apex = _bisect(b)
+        if apex == 0:
+            return _invert_exact(interval.midpoint())
         lo_half, hi_half = interval.split()
-        g = _left_image(g)
-        if unit_variations(g) == 1:
-            interval = lo_half
+        if sign_variations(left) == 1:
+            interval, b = lo_half, left
         else:
-            interval, g = hi_half, g.taylor_shift(1)
+            interval, b = hi_half, right
     return RootInterval(interval, inverted=True)
 
 

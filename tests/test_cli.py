@@ -1,10 +1,13 @@
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import rootiso
 from rootiso.cli import main
 
 
@@ -162,10 +165,15 @@ def test_bad_subcommand_exits_one(capsys):
 
 
 def test_module_entry_point():
+    # the package's src directory reaches the subprocess too, so this runs
+    # from a fresh checkout without an install
+    src = str(Path(rootiso.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "rootiso", "isolate", "--coeffs", "0 1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["trace"]["node_count"] == 2

@@ -12,16 +12,21 @@ except ImportError:  # only the exact total count needs it
     sympy = None
 
 from conftest import make_poly
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from rootiso import polynomial, solver
 from rootiso.cli import main
 from rootiso.dyadic import Dyadic, DyadicInterval
 from rootiso.polynomial import (
     IntPolynomial,
     ZeroPolynomialError,
     square_free_part,
+    unit_rescale,
+    unit_variations,
     variations_in_interval,
 )
 from rootiso.regions import real_roots_from_oracle
-from rootiso.solver import isolate_all, isolate_unit
+from rootiso.solver import _bisect, _root_vector, isolate_all, isolate_unit
 
 
 def poly(*coeffs):
@@ -170,14 +175,30 @@ class TestTraceInvariants:
             assert trace.depth == len(trace.width_per_depth) - 1
 
     def test_var_records_match_direct_definition(self):
-        # incremental child transforms must agree with the Moebius formula
+        # the Bernstein sign counts carried from node to node must agree with
+        # the Moebius formula, also where the vectors hold zeros: a zero apex
+        # at a dyadic-midpoint root, a zero end coefficient at a root on 0 or
+        # +-1, degrees 0 and 1, and the close root pairs of Mignotte
         rng = random.Random(23)
-        for _ in range(100):
-            f = make_poly(rng, rng.randint(1, 16), 16)
-            res = isolate_unit(f)
-            fsq = res.trace.square_free
-            for node in res.trace.var_per_node:
-                assert node.variations == variations_in_interval(fsq, node.interval)
+        cases = [make_poly(rng, rng.randint(1, 16), 16) for _ in range(100)]
+        x, x_minus_1, x_plus_1 = poly(0, 1), poly(-1, 1), poly(1, 1)
+        cases += [poly(5), poly(-3), poly(0, 1), poly(-1, 2), poly(3, -4), poly(7, 1)]
+        for _ in range(12):
+            roots = [poly(-rng.randint(-15, 15), 1 << rng.randint(1, 4)) for _ in range(rng.randint(2, 6))]
+            cases.append(product(*roots, make_poly(rng, rng.randint(0, 4), 8)))
+        cases += [product(x, x_minus_1, x_plus_1), product(x, x, x_plus_1, poly(-1, 0, 4))]
+        cases += [product(x_minus_1, make_poly(rng, 6, 8)), product(x_plus_1, poly(1, 4))]
+        cases += [mignotte(n, a) for n, a in ((3, 2), (5, 3), (8, 10), (12, 4))]
+        midpoint_roots = 0
+        for f in cases:
+            rev = f.reciprocal()
+            for g in (f, rev if rev.leading_coefficient > 0 else rev.scale(-1)):
+                res = isolate_unit(g)
+                fsq = res.trace.square_free
+                midpoint_roots += len(res.exact_roots)
+                for node in res.trace.var_per_node:
+                    assert node.variations == variations_in_interval(fsq, node.interval)
+        assert midpoint_roots > 0
 
     def test_width_bounded_by_root_variations(self):
         rng = random.Random(24)
@@ -203,6 +224,73 @@ class TestTraceInvariants:
                 left, right = interval.split()
                 assert left in vars_at and right in vars_at
                 assert vars_at[left] + vars_at[right] <= v
+
+
+class TestBernsteinVectors:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-(1 << 40), 1 << 40), min_size=1, max_size=14).filter(lambda c: c[-1]),
+        st.lists(st.booleans(), max_size=5),
+    )
+    def test_split_children_are_bernstein_multiples(self, coeffs, path):
+        # the root vector and each child of a split are positive multiples
+        # of the exact Bernstein coefficients on their intervals, and the
+        # apex has the sign of f at the midpoint
+        f = IntPolynomial(coeffs)
+        interval = DyadicInterval(Dyadic(-1), Dyadic(1))
+        b = _root_vector(f)
+        assert _positive_multiple(b, _bernstein(f, interval))
+        for go_right in path:
+            left, right, apex = _bisect(b)
+            lo_half, hi_half = interval.split()
+            value = f.evaluate_fraction(interval.midpoint().to_fraction())
+            assert (apex > 0) - (apex < 0) == (value > 0) - (value < 0)
+            assert _positive_multiple(left, _bernstein(f, lo_half))
+            assert _positive_multiple(right, _bernstein(f, hi_half))
+            interval, b = (hi_half, right) if go_right else (lo_half, left)
+
+    def test_isolate_all_work_counts(self, monkeypatch):
+        # one Taylor shift per phase builds its root vector; node tests and
+        # splits need none, and no node runs the Moebius-image count
+        calls = {"taylor_shift": 0, "unit_variations": 0}
+        taylor_shift = IntPolynomial.taylor_shift
+
+        def counting_shift(self, c):
+            calls["taylor_shift"] += 1
+            return taylor_shift(self, c)
+
+        def counting_variations(g):
+            calls["unit_variations"] += 1
+            return unit_variations(g)
+
+        monkeypatch.setattr(IntPolynomial, "taylor_shift", counting_shift)
+        monkeypatch.setattr(polynomial, "unit_variations", counting_variations)
+        monkeypatch.setattr(solver, "unit_variations", counting_variations, raising=False)
+        rng = random.Random(56)
+        cases = [chebyshev(14), scaled_chebyshev(11), mignotte(10, 6), poly(-7, 0, 3)]
+        cases += [product(poly(0, 1), poly(-1, 2), poly(3, 4), poly(-5, 1)), poly(0, 0, 1)]
+        cases += [make_poly(rng, rng.randint(1, 40), 32) for _ in range(10)]
+        nodes = 0
+        for f in cases:
+            before = calls["taylor_shift"]
+            nodes += isolate_all(f).trace.node_count
+            assert calls["taylor_shift"] - before <= 2, f
+        assert calls["unit_variations"] == 0
+        assert nodes > 10 * len(cases)
+
+
+def _bernstein(f, interval):
+    """Exact Bernstein coefficients of f on interval, up to a power of two:
+    b_k = sum_(i <= k) C(k, i) / C(d, i) g_i for g the unit rescale."""
+    d = f.degree
+    g = list(unit_rescale(f, interval).coeffs) + [0] * d
+    return [sum(Fraction(math.comb(k, i), math.comb(d, i)) * g[i] for i in range(k + 1)) for k in range(d + 1)]
+
+
+def _positive_multiple(vector, reference):
+    j = next(k for k, r in enumerate(reference) if r)
+    ratio = Fraction(vector[j]) / reference[j]
+    return ratio > 0 and len(vector) == len(reference) and all(v == ratio * r for v, r in zip(vector, reference))
 
 
 class TestResultInvariants:
