@@ -36,7 +36,15 @@ from .models import (
     uniform_model,
 )
 from .polynomial import IntPolynomial, ZeroPolynomialError
-from .regions import NoConvergenceError, count_roots_in_cover, cover_root_count_bound, eps_real_separation
+from .regions import (
+    NoConvergenceError,
+    cover_root_count_bound,
+    disk_cover,
+    numeric_roots,
+    repeated_root_near,
+    root_set_separation,
+    roots_in_cover,
+)
 from .solver import isolate_all, isolate_unit
 
 DEFAULT_SEED = 20240811
@@ -207,16 +215,20 @@ def _cmd_analyze(args) -> int:
         raise ZeroPolynomialError("zero polynomial")
     bracket = global_condition_bracket(f, rel_tol=args.rel_tol, max_grid=args.max_grid)
     doc = {"degree": f.degree, "cond": bracket.to_json()}
-    if math.isfinite(bracket.upper) and f.degree >= 1:
+    separate = math.isfinite(bracket.upper) and f.degree >= 1
+    # one oracle pass serves both the separation and the cover count
+    roots = numeric_roots(f, tol=args.oracle_tol) if separate or f.degree >= 2 else None
+    if separate:
         doc["separation_bound"] = separation_lower_bound(f, cond_upper=bracket.upper)
         eps = separation_epsilon(f, bracket.upper)
-        doc["separation"] = _finite_or_none(eps_real_separation(f, eps, tol=args.oracle_tol))
+        near_repeat = repeated_root_near(f, eps, tol=args.oracle_tol)
+        doc["separation"] = 0.0 if near_repeat else _finite_or_none(root_set_separation(roots, eps))
     else:
         doc["separation_bound"] = None
         doc["separation"] = None
     if f.degree >= 2:
         doc["rho_bound"] = _finite_or_none(cover_root_count_bound(f))
-        doc["rho_count"] = count_roots_in_cover(f, tol=args.oracle_tol).to_json()
+        doc["rho_count"] = roots_in_cover(roots, disk_cover(f.degree)).to_json()
     else:
         doc["rho_bound"] = None
         doc["rho_count"] = None

@@ -12,8 +12,12 @@ Numerics policy: condition values only matter on a log scale downstream,
 so each value is the float quotient of exactly computed integer/dyadic
 quantities (relative error below 2^-40).  Grid scans run in vectorized
 floating point with a rigorous error budget; only the few points that
-could attain the grid maximum are re-evaluated exactly, so the reported
+could attain the grid maximum are evaluated exactly, so the reported
 bracket is the same one a fully exact scan of the grid would produce.
+The scan visits each grid point once: a level is the sorted merge of the
+previous level's active points and their odd neighbours, the points
+carried over keep their scanned values, and no dyadic is evaluated
+exactly twice.
 """
 
 from __future__ import annotations
@@ -98,8 +102,9 @@ class ConditionBracket:
         }
 
 
-# Levels up to this many grid points are scanned exhaustively; beyond it
-# the scan keeps an active cell set (Lipschitz pruning, see below).
+# Levels up to this many grid points keep every point for the next
+# level; beyond it the scan keeps an active cell set (Lipschitz pruning,
+# see below).
 _FULL_SCAN_POINTS = 1 << 15
 
 
@@ -110,24 +115,31 @@ def global_condition_bracket(
 ) -> ConditionBracket:
     """Bracket the maximum condition over [-1, 1].
 
-    Scans dyadic grids x = -1 + k 2^-level, starting at spacing at most
-    1/(4 d) and halving until upper/lower <= 1 + rel_tol or the grid would
-    exceed ``max_grid`` points (the initial grid is always evaluated).
+    Scans dyadic grids x = k 2^-level, |k| <= 2^level, starting at
+    spacing at most 1/(4 d) and halving until upper/lower <= 1 + rel_tol
+    or the grid would exceed ``max_grid`` points (the initial grid is
+    always evaluated).
 
     The reported lower bound is the exact maximum of the condition over
-    the final grid.  Two devices keep that affordable without changing
+    the final grid.  Three devices keep that affordable without changing
     the result:
 
     * the float scan carries the rigorous error budget E below, and only
-      points whose scanned 1/cond is within 2E of the batch minimum are
-      re-evaluated exactly; no other point can attain the grid minimum
-      of 1/cond;
+      points whose scanned 1/cond is within 2E of the level minimum are
+      evaluated exactly; no other point can attain the grid minimum of
+      1/cond, and a point evaluated at a coarser level is not evaluated
+      again, since its value is already in the maximum;
+    * each level is the refinement of an active set of the previous one
+      (``_children``): the even child 2a of a point a is that point
+      itself, so it keeps the scanned 1/cond, and only the odd children
+      are scanned in float;
     * past ``_FULL_SCAN_POINTS``, a grid cell (radius delta/2 around an
-      evaluated point x) is dropped once hf(x) - d delta/2 exceeds the
-      running minimum by 2E: the Lipschitz property of 1/cond then puts
-      every finer grid point inside that cell strictly above the exactly
-      evaluated minimum, so dropped cells cannot change the maximum at
-      any later level.
+      evaluated point x) leaves the active set once hf(x) - d delta/2
+      exceeds the running minimum by 2E: the Lipschitz property of
+      1/cond then puts every finer grid point inside that cell strictly
+      above the exactly evaluated minimum, so dropped cells cannot change
+      the maximum at any later level.  Below that size no point is
+      dropped, which makes the refinement the whole next grid.
     """
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
@@ -144,36 +156,28 @@ def global_condition_bracket(
     # coefficient rounding, and the divisions by d and ||f||_1
     err = (4.0 * d + 16.0) * 2.0**-53
 
+    def scan(ks: np.ndarray, level: int) -> np.ndarray:
+        xs = ks.astype(float) * 2.0**-level
+        return np.maximum(np.abs(_horner(coeffs_desc, xs)), np.abs(_horner(deriv_desc, xs)) / d) / norm
+
     level = max(2, (4 * d - 1).bit_length())
+    ks = np.arange(-(1 << level), (1 << level) + 1, dtype=np.int64)
+    inv_cond = scan(ks, level)
+    evaluated = set()  # points already passed to local_condition
     best_cond = 0.0
     hf_min_running = math.inf
     last_finite_upper = math.inf
-    active = None  # None while in exhaustive mode
-    first = True
-    delta = 0.0
 
     while True:
         grid_size = (1 << (level + 1)) + 1
-        if not first and grid_size > max_grid:
-            # report the last evaluated grid; delta still holds its spacing
-            return ConditionBracket(best_cond, last_finite_upper, (1 << level) + 1, delta, False)
         delta = 2.0**-level
-        if active is None:
-            ks = np.arange(-(1 << level), (1 << level) + 1, dtype=np.int64)
-        else:
-            ks = np.unique(np.concatenate((2 * active - 1, 2 * active, 2 * active + 1)))
-            ks = ks[(ks >= -(1 << level)) & (ks <= (1 << level))]
-        xs = ks.astype(float) * delta
-        inv_cond = np.maximum(
-            np.abs(_horner(coeffs_desc, xs)),
-            np.abs(_horner(deriv_desc, xs)) / d,
-        ) / norm
-        batch_min = float(inv_cond.min())
-        hf_min_running = min(hf_min_running, batch_min)
-        for idx in np.nonzero(inv_cond <= batch_min + 2.0 * err)[0]:
-            c = local_condition(f, Dyadic(int(ks[idx]), level))
-            if c > best_cond:
-                best_cond = c
+        level_min = float(inv_cond.min())
+        hf_min_running = min(hf_min_running, level_min)
+        for idx in np.nonzero(inv_cond <= level_min + 2.0 * err)[0]:
+            x = Dyadic(int(ks[idx]), level)
+            if x not in evaluated:
+                evaluated.add(x)
+                best_cond = max(best_cond, local_condition(f, x))
 
         lower = best_cond
         inv_m = 1.0 / (lower * _SAFETY)
@@ -182,12 +186,42 @@ def global_condition_bracket(
             last_finite_upper = upper
             if upper <= (1.0 + rel_tol) * lower:
                 return ConditionBracket(lower, upper, grid_size, delta, True)
+        if (1 << (level + 2)) + 1 > max_grid:
+            # report the last evaluated grid
+            return ConditionBracket(lower, last_finite_upper, grid_size, delta, False)
 
-        if active is not None or grid_size >= _FULL_SCAN_POINTS:
+        if grid_size >= _FULL_SCAN_POINTS:
             keep = inv_cond <= hf_min_running + 2.0 * err + d * (delta / 2.0)
-            active = ks[keep]
-        first = False
+            ks, inv_cond = ks[keep], inv_cond[keep]
         level += 1
+        ks, odd = _children(ks, level)
+        parent_inv, inv_cond = inv_cond, np.empty(ks.size)
+        inv_cond[odd] = scan(ks[odd], level)
+        inv_cond[~odd] = parent_inv
+
+
+def _children(ks: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid indices at ``level`` of the cells around the sorted, distinct
+    indices ``ks`` of level - 1, in increasing order, and the mask of the
+    odd ones.
+
+    Point a has the children 2a - 1, 2a, 2a + 1.  Laid out row by row they
+    are sorted, and the only repeats are 2a_i + 1 = 2a_(i+1) - 1 where
+    a_(i+1) - a_i = 1; the left one of each pair is dropped, and so are
+    the two children past -1 and 1.  The even child 2a is the point a
+    itself, and every parent keeps it, so the even entries follow ``ks``.
+    """
+    half = 1 << (level - 1)
+    children = np.empty((ks.size, 3), dtype=np.int64)
+    children[:, 1] = 2 * ks
+    children[:, 0] = children[:, 1] - 1
+    children[:, 2] = children[:, 1] + 1
+    kept = np.ones((ks.size, 3), dtype=bool)
+    kept[1:, 0] = np.diff(ks) != 1
+    kept[0, 0] = ks[0] > -half
+    kept[-1, 2] = ks[-1] < half
+    out = children[kept]
+    return out, (out & 1) == 1
 
 
 def _horner(coeffs_desc: np.ndarray, xs: np.ndarray) -> np.ndarray:

@@ -32,7 +32,25 @@ from .polynomial import (
 
 
 class NoConvergenceError(RuntimeError):
-    """The root iteration did not meet the residual target."""
+    """The root iteration did not meet the residual target.
+
+    ``degree`` is the degree of the square-free part the iteration ran
+    on, ``sweeps`` the number of sweeps run, ``residual`` the backward
+    error after the last one and ``tol`` the target it missed.
+    """
+
+    def __init__(self, degree: int, sweeps: int, residual: float, tol: float):
+        super().__init__(degree, sweeps, residual, tol)
+        self.degree = degree
+        self.sweeps = sweeps
+        self.residual = residual
+        self.tol = tol
+
+    def __str__(self) -> str:
+        return (
+            f"no convergence: degree {self.degree}, {self.sweeps} sweeps, "
+            f"last residual {self.residual:.3g} (tol {self.tol:.3g})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +155,15 @@ def count_roots_in_cover(
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
     cover = disk_cover(f.degree)
+    return roots_in_cover(numeric_roots(f, tol=tol), cover, margin)
+
+
+def roots_in_cover(roots: ComplexRootSet, cover: DiskCover, margin: float = 1e-9) -> RootCountRange:
+    """``count_roots_in_cover`` for a root set the caller already holds:
+    ``numeric_roots(f, tol)`` and ``disk_cover(f.degree)``."""
     sure = 0
     ambiguous = 0
-    for z in numeric_roots(f, tol=tol).roots:
+    for z in roots.roots:
         if cover.contains(z, margin):
             sure += 1
         elif cover.contains(z, -margin):
@@ -265,7 +289,7 @@ def numeric_roots(f: IntPolynomial, tol: float = 1e-10) -> ComplexRootSet:
         step = np.where(np.isfinite(step), step, newton)
         z = z - step
     else:
-        raise NoConvergenceError("no convergence")
+        raise NoConvergenceError(g.degree, _MAX_SWEEPS, residual, tol)
 
     # Newton polish (roots are simple after square-freeing); keep the
     # polished points only if they do not degrade the residual
@@ -368,25 +392,40 @@ def eps_real_separation(f: IntPolynomial, eps: float, tol: float = 1e-10) -> flo
     fewer than two roots are that close, and 0 when f has a repeated root
     there (detected exactly through gcd(f, f'), below oracle resolution).
     """
+    if repeated_root_near(f, eps, tol=tol):
+        return 0.0
+    if f.degree == 0:
+        return math.inf
+    return root_set_separation(numeric_roots(f, tol=tol), eps)
+
+
+def repeated_root_near(f: IntPolynomial, eps: float, tol: float = 1e-10) -> bool:
+    """Whether f has a repeated root within eps of [-1, 1].
+
+    The repeated part gcd(f, f') is exact; the oracle runs on it only
+    when it has a root.  Validates f and eps for ``eps_real_separation``.
+    """
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
     d = max(f.degree, 1)
     if not 0.0 <= eps < 1.0 / d:
         raise ValueError("eps must lie in [0, 1/d)")
     if f.degree == 0:
-        return math.inf
+        return False
     multiple = repeated_root_part(f)
-    if multiple.degree >= 1:
-        for z in numeric_roots(multiple, tol=tol).roots:
-            if distance_to_interval(z) <= eps:
-                return 0.0
-    roots = [
-        z
-        for z in numeric_roots(f, tol=tol).roots
-        if distance_to_interval(z) <= eps
-    ]
-    if len(roots) < 2:
-        return math.inf
-    return min(
-        abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1 :]
+    return multiple.degree >= 1 and any(
+        distance_to_interval(z) <= eps for z in numeric_roots(multiple, tol=tol).roots
     )
+
+
+def root_set_separation(roots: ComplexRootSet, eps: float) -> float:
+    """Minimum distance between the roots of the set lying within eps of
+    [-1, 1]; +inf when fewer than two are that close.
+
+    With ``roots = numeric_roots(f, tol)`` this is ``eps_real_separation``
+    for an f without a repeated root near the interval.
+    """
+    near = [z for z in roots.roots if distance_to_interval(z) <= eps]
+    if len(near) < 2:
+        return math.inf
+    return min(abs(a - b) for i, a in enumerate(near) for b in near[i + 1 :])

@@ -92,6 +92,31 @@ class TestAnalyze:
         doc = json.loads(out)
         assert code == 0 and doc["rho_bound"] is None and doc["rho_count"] is None
 
+    def test_one_oracle_pass(self, capsys, monkeypatch):
+        # the separation and the cover count share one root set
+        calls = []
+        oracle = rootiso.regions.numeric_roots
+
+        def counting_oracle(f, tol=1e-10):
+            calls.append(f.degree)
+            return oracle(f, tol=tol)
+
+        monkeypatch.setattr(rootiso.cli, "numeric_roots", counting_oracle)
+        monkeypatch.setattr(rootiso.regions, "numeric_roots", counting_oracle)
+        for coeffs, degree in (("-1 0 4", 2), ("3 -1 -7 2 5 1", 5), ("1 2", 1)):
+            calls.clear()
+            code, out, _ = run_cli(capsys, "analyze", "--coeffs", coeffs, "--max-grid", "65536")
+            assert code == 0 and json.loads(out)["separation_bound"] is not None
+            assert calls == [degree]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_convergence_diagnostics_on_stderr(self, capsys):
+        f = rootiso.uniform_model(256, 32).sample(1, 6)
+        code, out, err = run_cli(capsys, "analyze", "--coeffs", " ".join(map(str, f.coeffs)))
+        assert code == 2 and out == ""
+        assert "rootiso: computational error: no convergence: degree 256, 500 sweeps" in err
+        assert "last residual" in err and "tol 1e-10" in err
+
 
 class TestGen:
     def test_deterministic(self, capsys):

@@ -14,6 +14,7 @@ from rootiso.condition import (
     separation_lower_bound,
 )
 from rootiso.dyadic import Dyadic
+from rootiso.models import uniform_model
 from rootiso.polynomial import IntPolynomial, ZeroPolynomialError
 from rootiso.regions import numeric_roots
 
@@ -146,6 +147,155 @@ class TestBracket:
             b.delta,
             b.achieved,
         )
+
+
+def _reference_bracket(f, rel_tol=0.5, max_grid=1 << 22):
+    """The scan as it stood before the refinement merge: each level is
+    ``np.unique`` over the three children of every active point, every
+    point is scanned in float afresh, and every candidate is evaluated
+    exactly, repeats included."""
+    d = f.degree
+    if d == 0:
+        return condition_mod.ConditionBracket(1.0, 1.0, 1, 2.0, True)
+    norm = float(f.one_norm())
+    coeffs_desc = np.array(f.coeffs[::-1], dtype=float)
+    deriv_desc = np.array(f.derivative().coeffs[::-1], dtype=float)
+    err = (4.0 * d + 16.0) * 2.0**-53
+    level = max(2, (4 * d - 1).bit_length())
+    best_cond = 0.0
+    hf_min_running = math.inf
+    last_finite_upper = math.inf
+    active = None
+    first = True
+    delta = 0.0
+    while True:
+        grid_size = (1 << (level + 1)) + 1
+        if not first and grid_size > max_grid:
+            return condition_mod.ConditionBracket(best_cond, last_finite_upper, (1 << level) + 1, delta, False)
+        delta = 2.0**-level
+        if active is None:
+            ks = np.arange(-(1 << level), (1 << level) + 1, dtype=np.int64)
+        else:
+            ks = np.unique(np.concatenate((2 * active - 1, 2 * active, 2 * active + 1)))
+            ks = ks[(ks >= -(1 << level)) & (ks <= (1 << level))]
+        xs = ks.astype(float) * delta
+        inv_cond = np.maximum(
+            np.abs(_float_horner(coeffs_desc, xs)), np.abs(_float_horner(deriv_desc, xs)) / d
+        ) / norm
+        batch_min = float(inv_cond.min())
+        hf_min_running = min(hf_min_running, batch_min)
+        for idx in np.nonzero(inv_cond <= batch_min + 2.0 * err)[0]:
+            best_cond = max(best_cond, local_condition(f, Dyadic(int(ks[idx]), level)))
+        lower = best_cond
+        inv_m = 1.0 / (lower * condition_mod._SAFETY)
+        upper = 1.0 / (inv_m - d * delta) if inv_m > d * delta else math.inf
+        if math.isfinite(upper):
+            last_finite_upper = upper
+            if upper <= (1.0 + rel_tol) * lower:
+                return condition_mod.ConditionBracket(lower, upper, grid_size, delta, True)
+        if active is not None or grid_size >= condition_mod._FULL_SCAN_POINTS:
+            active = ks[inv_cond <= hf_min_running + 2.0 * err + d * (delta / 2.0)]
+        first = False
+        level += 1
+
+
+def _float_horner(coeffs_desc, xs):
+    acc = np.full(xs.shape, coeffs_desc[0])
+    for c in coeffs_desc[1:]:
+        acc = acc * xs + c
+    return acc
+
+
+def _times(f, g):
+    out = [0] * (f.degree + g.degree + 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] += a * b
+    return IntPolynomial(out)
+
+
+def _bracket_fields(br):
+    return (br.lower, br.upper, br.grid_size, br.delta, br.achieved)
+
+
+class TestScan:
+    """The merged, carried scan against the reference scan above."""
+
+    def test_matches_reference_random(self):
+        cases = [(uniform_model(16, 32).sample(5, i), 1 << 26) for i in range(12)]
+        cases += [(uniform_model(64, 32).sample(5, i), 1 << 26) for i in range(6)]
+        cases += [(uniform_model(256, 32).sample(5, i), 1 << 20) for i in range(3)]
+        cases += [(uniform_model(256, 32).sample(5, 3), 1 << 26)]
+        achieved = set()
+        for f, max_grid in cases:
+            br = global_condition_bracket(f, max_grid=max_grid)
+            assert _bracket_fields(br) == _bracket_fields(_reference_bracket(f, max_grid=max_grid))
+            achieved.add(br.achieved)
+        assert achieved == {True, False}
+
+    def test_matches_reference_across_budgets(self):
+        rng = random.Random(37)
+        polys = [make_poly(rng, rng.randint(2, 48), 24) for _ in range(4)]
+        polys += [uniform_model(32, 32).sample(6, i) for i in range(2)]
+        outcomes = set()
+        for k in range(8, 27, 3):
+            for f in polys:
+                br = global_condition_bracket(f, max_grid=1 << k)
+                assert _bracket_fields(br) == _bracket_fields(_reference_bracket(f, max_grid=1 << k))
+                outcomes.add(br.achieved)
+        assert outcomes == {True, False}
+
+    def test_matches_reference_tight_tolerance(self):
+        rng = random.Random(38)
+        for _ in range(6):
+            f = make_poly(rng, rng.randint(2, 40), 20)
+            br = global_condition_bracket(f, rel_tol=0.01, max_grid=1 << 24)
+            ref = _reference_bracket(f, rel_tol=0.01, max_grid=1 << 24)
+            assert _bracket_fields(br) == _bracket_fields(ref)
+
+    def test_matches_reference_double_roots(self):
+        rng = random.Random(39)
+        on_grid = poly(1, -4, 4)  # (2x - 1)^2, singular at the grid point 1/2
+        off_grid = poly(1, -6, 9)  # (3x - 1)^2, singular at 1/3
+        cases = [on_grid, off_grid, _times(on_grid, make_poly(rng, 9, 8)), _times(off_grid, make_poly(rng, 13, 8))]
+        for f in cases:
+            for max_grid in (1 << 8, 1 << 14, 1 << 20):
+                br = global_condition_bracket(f, max_grid=max_grid)
+                assert _bracket_fields(br) == _bracket_fields(_reference_bracket(f, max_grid=max_grid))
+
+    def test_each_point_scanned_and_evaluated_once(self, monkeypatch):
+        scanned = []  # (coefficient count, x) per float evaluation
+        evaluated = []  # exact points
+        horner = condition_mod._horner
+        exact = condition_mod.local_condition
+
+        def counting_horner(coeffs_desc, xs):
+            scanned.extend((len(coeffs_desc), x) for x in xs.tolist())
+            return horner(coeffs_desc, xs)
+
+        def counting_local(f, x):
+            evaluated.append(x.to_fraction())
+            return exact(f, x)
+
+        monkeypatch.setattr(condition_mod, "_horner", counting_horner)
+        monkeypatch.setattr(condition_mod, "local_condition", counting_local)
+        rng = random.Random(40)
+        cases = [
+            (uniform_model(64, 32).sample(1, 0), 0.5, 1 << 26),
+            (make_poly(rng, 16, 20), 0.01, 1 << 26),
+            (poly(1, -6, 9), 0.5, 1 << 20),
+            (poly(-1, 0, 1), 0.01, 1 << 18),
+        ]
+        levels = 0
+        for f, rel_tol, max_grid in cases:
+            scanned.clear()
+            evaluated.clear()
+            br = global_condition_bracket(f, rel_tol=rel_tol, max_grid=max_grid)
+            assert len(set(scanned)) == len(scanned), f
+            assert len(set(evaluated)) == len(evaluated), f
+            assert _bracket_fields(br) == _bracket_fields(_reference_bracket(f, rel_tol, max_grid))
+            levels += br.grid_size.bit_length() - max(2, (4 * f.degree - 1).bit_length())
+        assert levels > 4 * len(cases)
 
 
 class TestLipschitz:

@@ -4,10 +4,13 @@ import random
 import numpy as np
 import pytest
 
+import rootiso.regions as regions
 from conftest import make_poly
 from rootiso.dyadic import Dyadic, DyadicInterval
+from rootiso.models import uniform_model
 from rootiso.polynomial import IntPolynomial, ZeroPolynomialError, variations_in_interval
 from rootiso.regions import (
+    NoConvergenceError,
     count_roots_in_cover,
     cover_root_count_bound,
     disk_cover,
@@ -15,7 +18,13 @@ from rootiso.regions import (
     eps_real_separation,
     numeric_roots,
     obreshkoff_discs,
+    repeated_root_near,
+    root_set_separation,
+    roots_in_cover,
 )
+
+# uniform tau = 32 sample on which the oracle is known not to converge
+NON_CONVERGENT = uniform_model(256, 32).sample(1, 6)
 
 
 def poly(*coeffs):
@@ -156,6 +165,17 @@ class TestNumericRoots:
                 if abs(z) <= 1.0:
                     assert abs(np.polyval(cs, z)) <= rs.residual_bound * norm * (1 + 1e-9)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_convergence_diagnostics(self):
+        with pytest.raises(NoConvergenceError) as info:
+            numeric_roots(NON_CONVERGENT, tol=1e-10)
+        exc = info.value
+        assert (exc.degree, exc.sweeps, exc.tol) == (256, regions._MAX_SWEEPS, 1e-10)
+        assert not exc.residual <= exc.tol
+        message = str(exc)
+        assert "degree 256" in message and f"{regions._MAX_SWEEPS} sweeps" in message
+        assert f"last residual {exc.residual:.3g}" in message and "tol 1e-10" in message
+
     def test_validation(self):
         with pytest.raises(ValueError):
             numeric_roots(poly(5))
@@ -265,3 +285,29 @@ class TestSeparationNearInterval:
 
     def test_constant_has_no_roots(self):
         assert eps_real_separation(poly(7), 0.5) == math.inf
+
+    def test_repeated_root_near(self):
+        assert repeated_root_near(poly(1, -4, 4), 0.3)
+        assert not repeated_root_near(_mul(poly(-3, 1), poly(-3, 1)), 0.2)
+        assert not repeated_root_near(poly(-1, 0, 4), 0.3)
+        with pytest.raises(ValueError):
+            repeated_root_near(poly(-1, 0, 4), 0.5)
+
+
+class TestRootSetFunctions:
+    """The oracle-free halves of the separation and the cover count give
+    the same answers as the functions that run the oracle themselves."""
+
+    def test_agree_with_oracle_functions(self):
+        rng = random.Random(47)
+        for _ in range(40):
+            f = make_poly(rng, rng.randint(2, 24), 16)
+            roots = numeric_roots(f)
+            assert roots_in_cover(roots, disk_cover(f.degree)) == count_roots_in_cover(f)
+            for eps in (0.0, 0.25 / f.degree, 0.99 / f.degree):
+                if not repeated_root_near(f, eps):
+                    assert root_set_separation(roots, eps) == eps_real_separation(f, eps)
+
+    def test_root_set_separation_examples(self):
+        assert root_set_separation(numeric_roots(poly(-1, 0, 4)), 0.3) == pytest.approx(1.0, abs=1e-10)
+        assert root_set_separation(numeric_roots(poly(1, 0, 1)), 0.1) == math.inf
