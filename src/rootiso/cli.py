@@ -88,21 +88,33 @@ def _build_parser() -> _Parser:
     gen.add_argument("--out", help="write polynomial lines here instead of stdout")
 
     exp = sub.add_parser("experiment", help="run a Monte Carlo experiment")
-    exp.add_argument(
-        "kind", choices=["steps", "cond-tail", "cond-tail-local", "rho-check", "instance-bound"]
-    )
+    exp.add_argument("kind", choices=list(_EXPERIMENTS))
     _add_model_flags(exp)
-    exp.add_argument("--d-list", default=None, help="comma-separated degrees (steps only)")
+    exp.add_argument("--d-list", type=_comma_list(int), help="comma-separated degrees (steps only)")
     exp.add_argument("--trials", type=int, default=100)
     exp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     exp.add_argument("--threads", type=int, default=1, help="worker processes for trials")
-    exp.add_argument("--t-grid", default=None, help="comma-separated tail thresholds")
+    exp.add_argument("--t-grid", type=_comma_list(float), help="comma-separated tail thresholds")
     exp.add_argument("--rel-tol", type=float, default=0.5)
     exp.add_argument("--max-grid", type=int, default=1 << 18)
     exp.add_argument("--constant", type=float, default=64.0, help="instance-bound pass constant")
     exp.add_argument("--out-dir", default=".")
     exp.add_argument("--format", choices=["csv", "json", "both"], default="csv")
     return parser
+
+
+def _comma_list(convert):
+    """argparse type: a comma-separated list of ``convert`` values."""
+
+    def parse(text: str) -> list:
+        try:
+            return [convert(tok) for tok in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {convert.__name__} values, got {text!r}"
+            ) from None
+
+    return parse
 
 
 def _add_poly_input(cmd) -> None:
@@ -119,7 +131,7 @@ def _add_model_flags(cmd) -> None:
     )
     cmd.add_argument("--degree", type=int, default=16)
     cmd.add_argument("--bitsize", type=int, default=32)
-    cmd.add_argument("--support", help='support indices, e.g. "0,1,5,9,10"')
+    cmd.add_argument("--support", type=_comma_list(int), help='support indices, e.g. "0,1,5,9,10"')
     cmd.add_argument("--signs", help='sign pattern, e.g. "+-++-"')
     cmd.add_argument("--sigma", type=int, default=1, help="smoothed perturbation scale")
     cmd.add_argument(
@@ -165,11 +177,7 @@ def _model_from_args(args, degree: int | None = None) -> RandomModel:
         if args.model == "support":
             if not args.support:
                 raise UsageError("--support is required for the support model")
-            try:
-                indices = [int(tok) for tok in args.support.split(",")]
-            except ValueError:
-                raise UsageError("--support must be comma-separated integers") from None
-            return support_model(d, tau, indices)
+            return support_model(d, tau, args.support)
         if args.model == "signs":
             if not args.signs:
                 raise UsageError("--signs is required for the signs model")
@@ -250,55 +258,50 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _bracket_options(args, workers) -> dict:
+    """Keyword arguments of the experiments that measure condition brackets."""
+    return {"workers": workers, "rel_tol": args.rel_tol, "max_grid": args.max_grid}
+
+
+# experiment kind -> (parsed args, worker count) -> report
+_EXPERIMENTS = {
+    "steps": lambda args, workers: run_steps_scaling(
+        lambda d: _model_from_args(args, degree=d),
+        args.d_list or [args.degree],
+        args.trials,
+        args.seed,
+        **_bracket_options(args, workers),
+    ),
+    "cond-tail": lambda args, workers: run_cond_tail(
+        _model_from_args(args),
+        args.trials,
+        args.t_grid,
+        args.seed,
+        **_bracket_options(args, workers),
+    ),
+    "cond-tail-local": lambda args, workers: run_cond_tail(
+        _model_from_args(args),
+        args.trials,
+        args.t_grid,
+        args.seed,
+        local_point=(0, 0),
+        **_bracket_options(args, workers),
+    ),
+    "rho-check": lambda args, workers: run_rho_check(
+        _model_from_args(args), args.trials, args.seed, t_grid=args.t_grid, workers=workers
+    ),
+    "instance-bound": lambda args, workers: run_instance_bound(
+        _model_from_args(args),
+        args.trials,
+        args.seed,
+        constant=args.constant,
+        **_bracket_options(args, workers),
+    ),
+}
+
+
 def _cmd_experiment(args) -> int:
-    workers = max(1, args.threads)
-    t_grid = None
-    if args.t_grid:
-        t_grid = [float(tok) for tok in args.t_grid.split(",")]
-
-    if args.kind == "steps":
-        d_list = (
-            [int(tok) for tok in args.d_list.split(",")] if args.d_list else [args.degree]
-        )
-        report = run_steps_scaling(
-            lambda d: _model_from_args(args, degree=d),
-            d_list,
-            args.trials,
-            args.seed,
-            workers=workers,
-            rel_tol=args.rel_tol,
-            max_grid=args.max_grid,
-        )
-    elif args.kind in ("cond-tail", "cond-tail-local"):
-        model = _model_from_args(args)
-        if t_grid is None:
-            top = min(model.tau_bound() + 1, 40)
-            t_grid = [float(2**k) for k in range(1, top + 1, 2)]
-        report = run_cond_tail(
-            model,
-            args.trials,
-            t_grid,
-            args.seed,
-            local_point=(0, 0) if args.kind == "cond-tail-local" else None,
-            workers=workers,
-            rel_tol=args.rel_tol,
-            max_grid=args.max_grid,
-        )
-    elif args.kind == "rho-check":
-        report = run_rho_check(
-            _model_from_args(args), args.trials, args.seed, t_grid=t_grid, workers=workers
-        )
-    else:
-        report = run_instance_bound(
-            _model_from_args(args),
-            args.trials,
-            args.seed,
-            constant=args.constant,
-            workers=workers,
-            rel_tol=args.rel_tol,
-            max_grid=args.max_grid,
-        )
-
+    report = _EXPERIMENTS[args.kind](args, max(1, args.threads))
     paths = report.write(args.out_dir, fmt=args.format)
     summary = report.json_summary()
     summary["files"] = paths

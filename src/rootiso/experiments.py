@@ -78,7 +78,6 @@ class MeasureOptions:
     with_rho: bool = False
     rel_tol: float = 0.5
     max_grid: int = 1 << 20
-    oracle_tol: float = 1e-10
     local_point: tuple[int, int] | None = None  # (num, exp) of a dyadic in [-1, 1]
 
 
@@ -88,14 +87,35 @@ class ExperimentReport:
 
     ``aggregates`` and ``extras`` are pure functions of (config, seed);
     ``timing`` is not and is therefore excluded from every serialization.
+    Both ``aggregates`` and ``timing`` are derived from the rows.
     """
 
     kind: str
     config: dict
     rows: list[TrialRecord]
-    aggregates: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
-    timing: dict = field(default_factory=dict)
+
+    @property
+    def aggregates(self) -> dict:
+        """Per-degree column statistics, keyed by str(d) in ascending d."""
+        by_d: dict = {}
+        for row in self.rows:
+            by_d.setdefault(row.d, []).append(row)
+        return {
+            str(d): {col: _stats([getattr(r, col) for r in group]) for col in _AGG_COLUMNS}
+            for d, group in sorted(by_d.items())
+        }
+
+    @property
+    def timing(self) -> dict:
+        times = [r.wall_time for r in self.rows]
+        if not times:
+            return {}
+        return {
+            "total_seconds": float(sum(times)),
+            "mean_seconds": float(sum(times) / len(times)),
+            "max_seconds": float(max(times)),
+        }
 
     def csv_text(self) -> str:
         lines = [",".join(CSV_COLUMNS)]
@@ -185,7 +205,7 @@ def measure_trial(model: RandomModel, seed: int, index: int, opt: MeasureOptions
             row.cond_upper = bracket.upper
     if opt.with_rho:
         row.rho_bound = cover_root_count_bound(f)
-        counts = count_roots_in_cover(f, tol=opt.oracle_tol)
+        counts = count_roots_in_cover(f)
         row.rho_count_min = counts.min
         row.rho_count_max = counts.max
     row.wall_time = time.perf_counter() - started
@@ -197,6 +217,8 @@ def _measure_star(args) -> TrialRecord:
 
 
 def _collect(model, trials, seed, opt, workers) -> list[TrialRecord]:
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     tasks = [(model, seed, i, opt) for i in range(trials)]
     if workers <= 1:
         rows = [measure_trial(*t) for t in tasks]
@@ -251,25 +273,23 @@ _AGG_COLUMNS = (
 )
 
 
-def _aggregate_by_d(rows) -> dict:
-    by_d: dict = {}
-    for row in rows:
-        by_d.setdefault(row.d, []).append(row)
-    return {
-        str(d): {col: _stats([getattr(r, col) for r in group]) for col in _AGG_COLUMNS}
-        for d, group in sorted(by_d.items())
-    }
+def _survival(values, t_grid, theoretical) -> tuple[list[dict], bool]:
+    """Empirical P(value >= t) beside ``theoretical(t)`` at each t of the grid.
+
+    The check is one-sided: it passes when no empirical point exceeds its
+    curve value.
+    """
+    values = np.array(values, dtype=float)
+    curve = [
+        {"t": t, "empirical": float(np.mean(values >= t)), "theoretical": theoretical(t)}
+        for t in t_grid
+    ]
+    return curve, all(p["empirical"] <= p["theoretical"] for p in curve)
 
 
-def _timing(rows) -> dict:
-    times = [r.wall_time for r in rows]
-    if not times:
-        return {}
-    return {
-        "total_seconds": float(sum(times)),
-        "mean_seconds": float(sum(times) / len(times)),
-        "max_seconds": float(max(times)),
-    }
+def _config(model: RandomModel, trials: int, seed: int, **extra) -> dict:
+    """Config keys shared by the single-model experiments."""
+    return {"model": model.describe(), "trials": trials, "seed": seed, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +315,6 @@ def run_steps_scaling(
     brackets are enabled, each trial's certified upper bound feeds the
     depth check ceil(lg(12 d U)) + 2.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     opt = MeasureOptions(with_condition=with_condition, rel_tol=rel_tol, max_grid=max_grid)
     rows = []
     models = {}
@@ -339,9 +357,7 @@ def run_steps_scaling(
             "with_condition": with_condition,
         },
         rows=rows,
-        aggregates=_aggregate_by_d(rows),
         extras={"per_d": per_d},
-        timing=_timing(rows),
     )
 
 
@@ -370,9 +386,14 @@ def run_cond_tail(
     even an underestimate of the condition exceeds the curve, the bound
     genuinely fails.  With ``local_point`` the trial records the local
     condition at that dyadic point and the curve is min(1, 16 d^3 e^{2u}/t^2).
+
+    Thresholds must lie in (1, L] with L = 2^(tau+1), or L = 2^tau for the
+    local variant; ``t_grid=None`` takes 2^k for odd k <= min(lg L, 40).
     """
-    tau = model.tau_bound()
-    limit = 2.0 ** (tau + (1 if local_point is None else 0))
+    lg_limit = model.tau_bound() + (1 if local_point is None else 0)
+    limit = 2.0**lg_limit
+    if t_grid is None:
+        t_grid = [2**k for k in range(1, min(lg_limit, 40) + 1, 2)]
     t_grid = [float(t) for t in t_grid]
     if not t_grid or any(not 1.0 < t <= limit for t in t_grid):
         raise ValueError(f"t_grid must lie within (1, {limit}]")
@@ -383,33 +404,27 @@ def run_cond_tail(
 
     d = model.degree
     u = model.uniformity()
-    values = np.array([r.cond_lower for r in rows], dtype=float)
-    curve = []
-    ok = True
-    for t in t_grid:
-        empirical = float(np.mean(values >= t))
+
+    def tail(t):
         if local_point is None:
-            theoretical = min(1.0, 32.0 * d**4 * math.exp(2.0 * u) / t)
-        else:
-            theoretical = min(1.0, 16.0 * d**3 * math.exp(2.0 * u) / t**2)
-        curve.append({"t": t, "empirical": empirical, "theoretical": theoretical})
-        ok = ok and empirical <= theoretical
+            return min(1.0, 32.0 * d**4 * math.exp(2.0 * u) / t)
+        return min(1.0, 16.0 * d**3 * math.exp(2.0 * u) / t**2)
+
+    curve, ok = _survival([r.cond_lower for r in rows], t_grid, tail)
 
     return ExperimentReport(
         kind="cond_tail" if local_point is None else "cond_tail_local",
-        config={
-            "model": model.describe(),
-            "trials": trials,
-            "seed": seed,
-            "t_grid": t_grid,
-            "local_point": list(local_point) if local_point else None,
-            "uniformity": u,
-            "uniformity_is_bound": model.uniformity_is_bound,
-        },
+        config=_config(
+            model,
+            trials,
+            seed,
+            t_grid=t_grid,
+            local_point=list(local_point) if local_point else None,
+            uniformity=u,
+            uniformity_is_bound=model.uniformity_is_bound,
+        ),
         rows=rows,
-        aggregates=_aggregate_by_d(rows),
         extras={"curve": curve, "pass": ok},
-        timing=_timing(rows),
     )
 
 
@@ -420,7 +435,6 @@ def run_rho_check(
     *,
     t_grid=None,
     workers: int = 1,
-    oracle_tol: float = 1e-10,
 ) -> ExperimentReport:
     """Near-interval root-count tail and moments.
 
@@ -444,20 +458,15 @@ def run_rho_check(
     if any(t > tau * lg_blocks for t in t_grid):
         raise ValueError(f"t_grid must stay within (0, {tau * lg_blocks}]")
 
-    opt = MeasureOptions(with_rho=True, oracle_tol=oracle_tol)
-    rows = _collect(model, trials, seed, opt, workers)
+    rows = _collect(model, trials, seed, MeasureOptions(with_rho=True), workers)
 
     counts = np.array([r.rho_count_max for r in rows], dtype=float)
     bounds = np.array([r.rho_bound for r in rows], dtype=float)
-    curve = []
-    ok = True
-    for t in t_grid:
-        empirical = float(np.mean(counts >= t))
-        theoretical = min(
-            1.0, 44.0 * d**2 * lg_blocks * math.exp(u) * math.exp(-t / lg_blocks)
-        )
-        curve.append({"t": t, "empirical": empirical, "theoretical": theoretical})
-        ok = ok and empirical <= theoretical
+    curve, ok = _survival(
+        counts,
+        t_grid,
+        lambda t: min(1.0, 44.0 * d**2 * lg_blocks * math.exp(u) * math.exp(-t / lg_blocks)),
+    )
 
     scale = math.log(math.e * d) * (math.log(math.e * d) + u)
     mean_count = float(np.mean(counts))
@@ -470,16 +479,15 @@ def run_rho_check(
 
     return ExperimentReport(
         kind="rho_check",
-        config={
-            "model": model.describe(),
-            "trials": trials,
-            "seed": seed,
-            "t_grid": t_grid,
-            "uniformity": u,
-            "uniformity_is_bound": model.uniformity_is_bound,
-        },
+        config=_config(
+            model,
+            trials,
+            seed,
+            t_grid=t_grid,
+            uniformity=u,
+            uniformity_is_bound=model.uniformity_is_bound,
+        ),
         rows=rows,
-        aggregates=_aggregate_by_d(rows),
         extras={
             "curve": curve,
             "pass": ok,
@@ -489,7 +497,6 @@ def run_rho_check(
             "mean_bound": mean_bound,
             "mean_count_below_mean_bound": mean_count <= mean_bound,
         },
-        timing=_timing(rows),
     )
 
 
@@ -502,7 +509,6 @@ def run_instance_bound(
     workers: int = 1,
     rel_tol: float = 0.5,
     max_grid: int = 1 << 20,
-    oracle_tol: float = 1e-10,
 ) -> ExperimentReport:
     """Per-instance step count against its predicted budget.
 
@@ -512,15 +518,7 @@ def run_instance_bound(
     percentile stays below ``constant``.  Trials without a finite U are
     excluded from the distribution and reported.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    opt = MeasureOptions(
-        with_condition=True,
-        with_rho=True,
-        rel_tol=rel_tol,
-        max_grid=max_grid,
-        oracle_tol=oracle_tol,
-    )
+    opt = MeasureOptions(with_condition=True, with_rho=True, rel_tol=rel_tol, max_grid=max_grid)
     rows = _collect(model, trials, seed, opt, workers)
 
     d = model.degree
@@ -542,14 +540,8 @@ def run_instance_bound(
 
     return ExperimentReport(
         kind="instance_bound",
-        config={
-            "model": model.describe(),
-            "trials": trials,
-            "seed": seed,
-            "constant": constant,
-        },
+        config=_config(model, trials, seed, constant=constant),
         rows=rows,
-        aggregates=_aggregate_by_d(rows),
         extras={
             "ratio_mean": float(np.mean(arr)) if arr.size else math.inf,
             "ratio_p99": p99,
@@ -558,5 +550,4 @@ def run_instance_bound(
             "constant": constant,
             "pass": p99 < constant,
         },
-        timing=_timing(rows),
     )

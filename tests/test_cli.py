@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -183,6 +184,72 @@ class TestExperimentCommand:
     def test_usage_error_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "experiment", "unknown-kind")
         assert code == 1
+
+    def test_cond_tail_local_default_grid_at_even_bitsize(self, capsys, tmp_path):
+        # the local variant's thresholds stop at 2^tau, the global one's at
+        # 2^(tau+1), so each default grid is built from its own limit
+        code, out, err = run_cli(
+            capsys, "experiment", "cond-tail-local", "--degree", "24", "--bitsize", "16",
+            "--trials", "6", "--seed", "5", "--out-dir", str(tmp_path),
+        )
+        assert code == 0, err
+        assert json.loads(out)["config"]["t_grid"] == [float(2**k) for k in range(1, 16, 2)]
+
+    # `--format both` files of one small run per kind, all with --seed 5.
+    # Experiment CSV and JSON are byte-stable: work on the harness must
+    # leave these digests unchanged.
+    GOLDEN = {
+        ("steps", "--d-list", "4,8", "--trials", "6", "--bitsize", "12", "--max-grid", "4096"): {
+            "steps_scaling.csv": "33da68314077be26fa015d80f3854b13e8b475b6bbbc128e6053a801202123c3",
+            "steps_scaling.json": "ac149a8b0e50f4fcdee2f04a146ab0356da470ee8a46310b4987df52ac55f4f1",
+        },
+        ("cond-tail", "--degree", "8", "--bitsize", "16", "--trials", "8", "--max-grid", "4096"): {
+            "cond_tail.csv": "14977e8db693aec41fe877e7469b8b871d55444c7e91267136d93c5b8ec01241",
+            "cond_tail.json": "e1217e4c07efca22f0bbcd0c618c6f6bdbe8a7dc2e0aafa934cad1382537d031",
+        },
+        ("cond-tail-local", "--degree", "8", "--bitsize", "15", "--trials", "8"): {
+            "cond_tail_local.csv": "870805c1225fe98855da6fb54ade0ce0e30f8d2b4888a3eeb0c31750d058e75c",
+            "cond_tail_local.json": "9bfa2aa56ffa1443a4bd1bd71e76c7aabe839d88af29f674ec01813bfed3b12b",
+        },
+        ("rho-check", "--degree", "8", "--bitsize", "48", "--trials", "8"): {
+            "rho_check.csv": "d76fa190d13e7d2247e2c2876acea9119d9f5ae202622bf65afacfe8fe3b957f",
+            "rho_check.json": "5d3823685122eca03783aab672732912117ad03cd4e42dd70e8de7679c059971",
+        },
+        (
+            "instance-bound", "--degree", "8", "--bitsize", "16", "--trials", "8",
+            "--max-grid", "16384",
+        ): {
+            "instance_bound.csv": "22272279dfc90651b890ecece7b68380a517d29fa7caa21d00b016066c426eed",
+            "instance_bound.json": "2a51656337b41dac803a99eb7b17ec48611562c4e22bdd7fa17369d657bbaadf",
+        },
+    }
+
+    @pytest.mark.parametrize("argv", list(GOLDEN), ids=[argv[0] for argv in GOLDEN])
+    def test_golden_outputs(self, capsys, tmp_path, argv):
+        code, _, err = run_cli(
+            capsys, "experiment", *argv, "--seed", "5", "--format", "both",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 0, err
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert digests == self.GOLDEN[argv]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("experiment", "steps", "--trials", "1", "--d-list", "4,x"),
+        ("experiment", "cond-tail", "--trials", "1", "--t-grid", "4,x"),
+        ("gen", "--model", "support", "--support", "0,x"),
+    ],
+    ids=["d-list", "t-grid", "support"],
+)
+def test_malformed_list_is_usage_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"argument {argv[-2]}: expected comma-separated" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_subcommand_exits_one(capsys):

@@ -75,6 +75,21 @@ def test_cond_tail_degenerate_thresholds_pass_trivially():
     assert report.extras["pass"]
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: run_steps_scaling(lambda d: uniform_model(d, 16), [8], 0, seed=1),
+        lambda: run_cond_tail(uniform_model(8, 16), 0, [4.0], seed=1),
+        lambda: run_rho_check(uniform_model(8, 48), 0, seed=1),
+        lambda: run_instance_bound(uniform_model(8, 16), 0, seed=1),
+    ],
+    ids=["steps", "cond_tail", "rho_check", "instance_bound"],
+)
+def test_trials_must_be_positive(run):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        run()
+
+
 def test_cond_tail_validates_grid():
     model = uniform_model(8, 16)
     with pytest.raises(ValueError):
