@@ -102,12 +102,6 @@ class ConditionBracket:
         }
 
 
-# Levels up to this many grid points keep every point for the next
-# level; beyond it the scan keeps an active cell set (Lipschitz pruning,
-# see below).
-_FULL_SCAN_POINTS = 1 << 15
-
-
 def global_condition_bracket(
     f: IntPolynomial,
     rel_tol: float = 0.5,
@@ -133,13 +127,13 @@ def global_condition_bracket(
       (``_children``): the even child 2a of a point a is that point
       itself, so it keeps the scanned 1/cond, and only the odd children
       are scanned in float;
-    * past ``_FULL_SCAN_POINTS``, a grid cell (radius delta/2 around an
-      evaluated point x) leaves the active set once hf(x) - d delta/2
-      exceeds the running minimum by 2E: the Lipschitz property of
-      1/cond then puts every finer grid point inside that cell strictly
-      above the exactly evaluated minimum, so dropped cells cannot change
-      the maximum at any later level.  Below that size no point is
-      dropped, which makes the refinement the whole next grid.
+    * a grid cell (radius delta/2 around an evaluated point x) leaves
+      the active set once hf(x) - d delta/2 exceeds the level minimum
+      by 2E: the Lipschitz property of 1/cond then puts every finer grid
+      point inside that cell strictly above the exactly evaluated
+      minimum, so dropped cells cannot change the maximum at any later
+      level.  The point attaining the minimum stays and carries its
+      value, so the level minimum never rises.
     """
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
@@ -165,14 +159,12 @@ def global_condition_bracket(
     inv_cond = scan(ks, level)
     evaluated = set()  # points already passed to local_condition
     best_cond = 0.0
-    hf_min_running = math.inf
     last_finite_upper = math.inf
 
     while True:
         grid_size = (1 << (level + 1)) + 1
         delta = 2.0**-level
         level_min = float(inv_cond.min())
-        hf_min_running = min(hf_min_running, level_min)
         for idx in np.nonzero(inv_cond <= level_min + 2.0 * err)[0]:
             x = Dyadic(int(ks[idx]), level)
             if x not in evaluated:
@@ -190,9 +182,8 @@ def global_condition_bracket(
             # report the last evaluated grid
             return ConditionBracket(lower, last_finite_upper, grid_size, delta, False)
 
-        if grid_size >= _FULL_SCAN_POINTS:
-            keep = inv_cond <= hf_min_running + 2.0 * err + d * (delta / 2.0)
-            ks, inv_cond = ks[keep], inv_cond[keep]
+        keep = inv_cond <= level_min + 2.0 * err + d * (delta / 2.0)
+        ks, inv_cond = ks[keep], inv_cond[keep]
         level += 1
         ks, odd = _children(ks, level)
         parent_inv, inv_cond = inv_cond, np.empty(ks.size)
@@ -232,7 +223,7 @@ def _horner(coeffs_desc: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return acc
 
 
-def separation_lower_bound(f: IntPolynomial, cond_upper: float | None = None, **bracket_kwargs) -> float:
+def separation_lower_bound(f: IntPolynomial, cond_upper: float) -> float:
     """Certified lower bound 1/(12 d U) on the distance between roots near
     the real interval, where U bounds the global condition from above.
 
@@ -245,8 +236,6 @@ def separation_lower_bound(f: IntPolynomial, cond_upper: float | None = None, **
     d = f.degree
     if d < 1:
         raise ValueError("degree must be at least 1")
-    if cond_upper is None:
-        cond_upper = global_condition_bracket(f, **bracket_kwargs).upper
     if not math.isfinite(cond_upper):
         raise UnboundedConditionError("unbounded condition")
     return 1.0 / (12.0 * d * cond_upper)

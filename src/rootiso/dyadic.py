@@ -145,10 +145,6 @@ def _coerce(x: "Dyadic | int") -> Dyadic:
     raise TypeError(f"cannot interpret {x!r} as a dyadic rational")
 
 
-ZERO = Dyadic(0)
-ONE = Dyadic(1)
-
-
 class DyadicInterval:
     """An open interval (lo, hi) with dyadic endpoints, lo < hi strictly."""
 

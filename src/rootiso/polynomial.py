@@ -141,9 +141,6 @@ class IntPolynomial:
             out[i] += c
         return IntPolynomial(out)
 
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + other.scale(-1)
-
     def scale(self, k: int) -> "IntPolynomial":
         if k == 0:
             return IntPolynomial([])

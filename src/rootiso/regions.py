@@ -76,13 +76,16 @@ class DiskCover:
         for i, (c, r) in enumerate(zip(self.centers, self.radii)):
             yield i - self.N, c, r
 
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
+    def contains(self, z, margin: float = 0.0):
         """Open-union membership with a symmetric margin: positive margin
-        shrinks every disk, negative margin grows it."""
-        return any(
-            abs(z - complex(float(c), 0.0)) < float(r) - margin
-            for _, c, r in self.disks()
-        )
+        shrinks every disk, negative margin grows it.  ``z`` is a point or
+        an array of points, and the answer has its shape."""
+        z = np.asarray(z, dtype=complex)[..., None]
+        centers = np.array([float(c) for c in self.centers])
+        radii = np.array([float(r) for r in self.radii])
+        # np.hypot is the libm hypot behind abs() of a Python complex;
+        # numpy's complex abs can differ from it in the last bit
+        return np.any(np.hypot(z.real - centers, z.imag) < radii - margin, axis=-1)
 
 
 def disk_cover(d: int) -> DiskCover:
@@ -161,14 +164,9 @@ def count_roots_in_cover(
 def roots_in_cover(roots: ComplexRootSet, cover: DiskCover, margin: float = 1e-9) -> RootCountRange:
     """``count_roots_in_cover`` for a root set the caller already holds:
     ``numeric_roots(f, tol)`` and ``disk_cover(f.degree)``."""
-    sure = 0
-    ambiguous = 0
-    for z in roots.roots:
-        if cover.contains(z, margin):
-            sure += 1
-        elif cover.contains(z, -margin):
-            ambiguous += 1
-    return RootCountRange(min=sure, max=sure + ambiguous)
+    sure = cover.contains(roots.roots, margin)
+    near = cover.contains(roots.roots, -margin)
+    return RootCountRange(min=int(sure.sum()), max=int((sure | near).sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -48,17 +48,23 @@ class NodeRecord:
 class SubdivisionTrace:
     """Per-run tree statistics.
 
-    ``node_count`` equals the number of intervals popped off the queue,
-    which is the sum of ``width_per_depth``; ``depth`` is
-    ``len(width_per_depth) - 1``.  ``square_free`` records the square-free
-    part the solver actually ran on.
+    ``width_per_depth[k]`` counts the intervals of depth k popped off the
+    queue.  ``square_free`` records the square-free part the solver
+    actually ran on.
     """
 
-    node_count: int
-    depth: int
     width_per_depth: list[int]
     var_per_node: list[NodeRecord]
     square_free: IntPolynomial
+
+    @property
+    def node_count(self) -> int:
+        """The number of intervals popped off the queue."""
+        return sum(self.width_per_depth)
+
+    @property
+    def depth(self) -> int:
+        return len(self.width_per_depth) - 1
 
     def max_width(self) -> int:
         return max(self.width_per_depth) if self.width_per_depth else 0
@@ -230,8 +236,6 @@ def _subdivide(fsq: IntPolynomial, lifo: bool = False):
         queue.append((hi_half, right, depth + 1))
 
     trace = SubdivisionTrace(
-        node_count=len(nodes),
-        depth=len(width_per_depth) - 1,
         width_per_depth=width_per_depth,
         var_per_node=nodes,
         square_free=fsq,
@@ -315,8 +319,6 @@ def _merge_traces(a: SubdivisionTrace, b: SubdivisionTrace) -> SubdivisionTrace:
         for i, w in enumerate(src.width_per_depth):
             widths[i] += w
     return SubdivisionTrace(
-        node_count=a.node_count + b.node_count,
-        depth=len(widths) - 1,
         width_per_depth=widths,
         var_per_node=a.var_per_node + b.var_per_node,
         square_free=a.square_free,

@@ -18,6 +18,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _uniform_64(index):
+    """Coefficients of ``uniform_model(64, 32).sample(1, index)`` as text."""
+    return " ".join(map(str, rootiso.uniform_model(64, 32).sample(1, index).coeffs))
+
+
 class TestIsolate:
     def test_example(self, capsys):
         code, out, _ = run_cli(capsys, "isolate", "--coeffs", "-1 0 4")
@@ -109,6 +114,35 @@ class TestAnalyze:
             code, out, _ = run_cli(capsys, "analyze", "--coeffs", coeffs, "--max-grid", "65536")
             assert code == 0 and json.loads(out)["separation_bound"] is not None
             assert calls == [degree]
+
+    # sha256 of the stdout of `rootiso analyze --coeffs ...`.  The bracket
+    # and the disk-cover count are byte-stable: work on either must leave
+    # these digests unchanged.
+    GOLDEN = {
+        "quadratic": (("-1 0 4",), "75740fdd4aedf6c091f6b384c585eb3defc366fca8cf4ff2229fda26c38ce901"),
+        "degree-one": (("0 1",), "74bba2adda6948453159c72a75c45c6c7f67fa3f2daa56942d89c96bfd1816a9"),
+        "double-root": (("1 -4 4",), "ff5f241b30e17b2b4a8845d160085f2fc3e88881d5fa4757bedac301d2f78542"),
+        # roots 1/2, -3/4, 5/8, -1 and 0, all dyadic grid points
+        "dyadic-roots": (("0 15 -19 -58 40 64",), "b90cdee5e978fa91bc05143da5bd4919f4f7253e5b9a3a7656988b6295b13c11"),
+        "uniform-0": ((_uniform_64(0),), "eb8ba7589e0988bc613acfa424ad4df91226f37cda3bba432119aedd9c33efc8"),
+        "uniform-1": ((_uniform_64(1),), "36a50c228468c347a0170aea28c5e820c50b70354b726361e055017ab18989dd"),
+        "uniform-2": ((_uniform_64(2),), "3e62c7ba727053e444beae3b20c09798c5c9cc535fbbe166e13285a11288afb7"),
+        "uniform-3": ((_uniform_64(3),), "e6aad00b80a806e7070115870bfa792c6adec52f3d0eb833ce6981917980bc7e"),
+        "uniform-4": ((_uniform_64(4),), "bd71d5c348b1fb5cb93375c0c78422c51c7da1bdba5ade15faa334d9b8637cfc"),
+        "uniform-5": ((_uniform_64(5),), "1e877c1505123077d5027f436a395b2189008df12c11abb37cdc57b4e9336d63"),
+        # the grid budget runs out: achieved is false
+        "uniform-0-small-grid": (
+            (_uniform_64(0), "--max-grid", "4096"),
+            "85f7ca9f14f2b327f5fd1764bab4f6f3bd455c44709ddd0ad71fef9118a612f8",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_golden_outputs(self, capsys, name):
+        argv, digest = self.GOLDEN[name]
+        code, out, err = run_cli(capsys, "analyze", "--coeffs", *argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_convergence_diagnostics_on_stderr(self, capsys):

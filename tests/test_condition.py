@@ -120,21 +120,38 @@ class TestBracket:
             assert br.lower <= scan_max * bias + 1e-9
 
     def test_pruned_scan_equals_exhaustive(self):
+        # the library prunes from its first grid; the reference with an
+        # infinite threshold scans every point of every grid
         rng = random.Random(33)
-        original = condition_mod._FULL_SCAN_POINTS
-        try:
-            for _ in range(30):
-                f = make_poly(rng, rng.randint(2, 24), 24)
-                condition_mod._FULL_SCAN_POINTS = 1 << 15
-                pruned = global_condition_bracket(f, max_grid=1 << 17)
-                condition_mod._FULL_SCAN_POINTS = 1 << 60
-                full = global_condition_bracket(f, max_grid=1 << 17)
-                assert pruned.lower == full.lower
-                assert pruned.upper == full.upper
-                assert pruned.grid_size == full.grid_size
-                assert pruned.achieved == full.achieved
-        finally:
-            condition_mod._FULL_SCAN_POINTS = original
+        cases = [make_poly(rng, rng.randint(2, 24), 24) for _ in range(30)]
+        # double roots at 1/3 and 3/7, both off every dyadic grid: the grid
+        # point nearest either one can hold the level minimum of 1/cond, so
+        # a prune that drops the cell of the other changes the maximum
+        cases.append(_times(poly(1, -6, 9), poly(9, -42, 49)))
+        for f in cases:
+            pruned = global_condition_bracket(f, max_grid=1 << 17)
+            full = _reference_bracket(f, max_grid=1 << 17, full_scan_points=math.inf)
+            assert pruned.lower == full.lower
+            assert pruned.upper == full.upper
+            assert pruned.grid_size == full.grid_size
+            assert pruned.achieved == full.achieved
+
+    def test_pruning_scans_fewer_points(self, monkeypatch):
+        # float points scanned on one d = 64 input; the scan that kept
+        # every point of grids below 2^15 points scanned 33785
+        points = []
+        horner = condition_mod._horner
+
+        def counting_horner(coeffs_desc, xs):
+            points.append(xs.size)
+            return horner(coeffs_desc, xs)
+
+        monkeypatch.setattr(condition_mod, "_horner", counting_horner)
+        f = uniform_model(64, 32).sample(1, 0)
+        br = global_condition_bracket(f)
+        assert _bracket_fields(br) == _bracket_fields(_reference_bracket(f))
+        # each point is scanned once for f and once for f'
+        assert sum(points) // 2 < 33785
 
     def test_deterministic(self):
         f = make_poly(random.Random(34), 20, 20)
@@ -149,11 +166,13 @@ class TestBracket:
         )
 
 
-def _reference_bracket(f, rel_tol=0.5, max_grid=1 << 22):
+def _reference_bracket(f, rel_tol=0.5, max_grid=1 << 22, full_scan_points=1 << 15):
     """The scan as it stood before the refinement merge: each level is
     ``np.unique`` over the three children of every active point, every
     point is scanned in float afresh, and every candidate is evaluated
-    exactly, repeats included."""
+    exactly, repeats included.  Grids below ``full_scan_points`` points
+    keep every point for the next level; with ``math.inf`` no point is
+    ever dropped, which is the exhaustive scan."""
     d = f.degree
     if d == 0:
         return condition_mod.ConditionBracket(1.0, 1.0, 1, 2.0, True)
@@ -193,7 +212,7 @@ def _reference_bracket(f, rel_tol=0.5, max_grid=1 << 22):
             last_finite_upper = upper
             if upper <= (1.0 + rel_tol) * lower:
                 return condition_mod.ConditionBracket(lower, upper, grid_size, delta, True)
-        if active is not None or grid_size >= condition_mod._FULL_SCAN_POINTS:
+        if active is not None or grid_size >= full_scan_points:
             active = ks[inv_cond <= hf_min_running + 2.0 * err + d * (delta / 2.0)]
         first = False
         level += 1
@@ -325,8 +344,10 @@ class TestSeparation:
         assert 0.0 < eps < 1.0 / f.degree
 
     def test_unbounded_condition(self):
+        f = poly(1, -4, 4)
+        upper = global_condition_bracket(f, max_grid=1 << 10).upper
         with pytest.raises(UnboundedConditionError, match="unbounded condition"):
-            separation_lower_bound(poly(1, -4, 4), max_grid=1 << 10)
+            separation_lower_bound(f, upper)
 
     def test_random_suite_bound_holds(self):
         rng = random.Random(36)

@@ -296,18 +296,64 @@ class TestSeparationNearInterval:
 
 class TestRootSetFunctions:
     """The oracle-free halves of the separation and the cover count give
-    the same answers as the functions that run the oracle themselves."""
+    the same answers as the functions that run the oracle themselves, and
+    the cover count the same as the per-root loop it replaced."""
 
     def test_agree_with_oracle_functions(self):
         rng = random.Random(47)
         for _ in range(40):
             f = make_poly(rng, rng.randint(2, 24), 16)
-            roots = numeric_roots(f)
-            assert roots_in_cover(roots, disk_cover(f.degree)) == count_roots_in_cover(f)
+            roots, cover = numeric_roots(f), disk_cover(f.degree)
+            assert roots_in_cover(roots, cover) == count_roots_in_cover(f)
+            assert roots_in_cover(roots, cover) == _reference_roots_in_cover(roots, cover)
             for eps in (0.0, 0.25 / f.degree, 0.99 / f.degree):
                 if not repeated_root_near(f, eps):
                     assert root_set_separation(roots, eps) == eps_real_separation(f, eps)
 
+    def test_cover_count_matches_at_disk_boundaries(self):
+        # points at distance r +- margin from each centre, and one ulp to
+        # either side of it, along the real axis, the imaginary axis and
+        # two oblique directions
+        for d in (2, 5, 16, 64):
+            cover = disk_cover(d)
+            for margin in (0.0, 1e-9, 1e-3):
+                points = []
+                for c, r in zip(cover.centers, cover.radii):
+                    for dist in (float(r) - margin, float(r) + margin):
+                        for t in (np.nextafter(dist, 0.0), dist, np.nextafter(dist, 2.0)):
+                            for angle in (0.0, math.pi / 2, math.pi, 0.7, -2.3):
+                                points.append(float(c) + float(t) * complex(math.cos(angle), math.sin(angle)))
+                roots = regions.ComplexRootSet(roots=tuple(points), residual_bound=0.0)
+                expect = _reference_roots_in_cover(roots, cover, margin)
+                assert roots_in_cover(roots, cover, margin) == expect
+                for m in (margin, -margin):
+                    inside = [_reference_contains(cover, z, m) for z in points]
+                    assert cover.contains(points, m).tolist() == inside
+                    assert [bool(cover.contains(z, m)) for z in points] == inside
+
+    def test_cover_count_of_empty_set(self):
+        empty = regions.ComplexRootSet(roots=(), residual_bound=0.0)
+        assert roots_in_cover(empty, disk_cover(8)) == regions.RootCountRange(min=0, max=0)
+
     def test_root_set_separation_examples(self):
         assert root_set_separation(numeric_roots(poly(-1, 0, 4)), 0.3) == pytest.approx(1.0, abs=1e-10)
         assert root_set_separation(numeric_roots(poly(1, 0, 1)), 0.1) == math.inf
+
+
+def _reference_contains(cover, z, margin):
+    return any(
+        abs(z - complex(float(c), 0.0)) < float(r) - margin
+        for c, r in zip(cover.centers, cover.radii)
+    )
+
+
+def _reference_roots_in_cover(roots, cover, margin=1e-9):
+    """The per-root, per-disk loop that ``roots_in_cover`` replaced."""
+    sure = 0
+    ambiguous = 0
+    for z in roots.roots:
+        if _reference_contains(cover, z, margin):
+            sure += 1
+        elif _reference_contains(cover, z, -margin):
+            ambiguous += 1
+    return regions.RootCountRange(min=sure, max=sure + ambiguous)
