@@ -16,6 +16,7 @@ identical stdout bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -64,6 +65,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rootiso", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -77,7 +79,6 @@ def _build_parser() -> _Parser:
     _add_poly_input(ana)
     ana.add_argument("--rel-tol", type=float, default=0.5, help="bracket relative tolerance")
     ana.add_argument("--max-grid", type=int, default=1 << 22, help="grid point budget")
-    ana.add_argument("--oracle-tol", type=float, default=1e-10)
     ana.add_argument("--out", help="write JSON here instead of stdout")
 
     gen = sub.add_parser("gen", help="sample polynomials from a random model")
@@ -225,11 +226,11 @@ def _cmd_analyze(args) -> int:
     doc = {"degree": f.degree, "cond": bracket.to_json()}
     separate = math.isfinite(bracket.upper) and f.degree >= 1
     # one oracle pass serves both the separation and the cover count
-    roots = numeric_roots(f, tol=args.oracle_tol) if separate or f.degree >= 2 else None
+    roots = numeric_roots(f) if separate or f.degree >= 2 else None
     if separate:
         doc["separation_bound"] = separation_lower_bound(f, cond_upper=bracket.upper)
         eps = separation_epsilon(f, bracket.upper)
-        near_repeat = repeated_root_near(f, eps, tol=args.oracle_tol)
+        near_repeat = repeated_root_near(f, eps)
         doc["separation"] = 0.0 if near_repeat else _finite_or_none(root_set_separation(roots, eps))
     else:
         doc["separation_bound"] = None

@@ -196,20 +196,14 @@ class IntPolynomial:
         coefficient j of the result is coefficient j of u(X + 1) divided
         (exactly) by c^j.  The shift by one is ``pascal_rounds`` over the
         reversed coefficients: the additions Ruffini-Horner does, with the
-        inner loop inside ``accumulate``.  For c = 1 the scaling is the
-        identity.
+        inner loop inside ``accumulate``.
         """
         if self.is_zero or c == 0:
             return self
-        r = list(self.coeffs)
-        if c != 1:
-            powers = list(accumulate([c] * (len(r) - 1), mul, initial=1))
-            r = [f * q for f, q in zip(r, powers)]
-        r.reverse()
-        shifted = pascal_rounds(r)
-        if c != 1:
-            shifted = [h // q for h, q in zip(shifted, powers)]
-        return IntPolynomial(shifted)
+        powers = list(accumulate([c] * self.degree, mul, initial=1))
+        u = [f * q for f, q in zip(self.coeffs, powers)]
+        shifted = pascal_rounds(u[::-1])
+        return IntPolynomial([h // q for h, q in zip(shifted, powers)])
 
     # -- sign variations ----------------------------------------------------------
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, repeat
 from operator import add, lshift, or_, rshift
@@ -38,43 +38,48 @@ from .polynomial import (
 
 @dataclass(frozen=True)
 class NodeRecord:
-    """One processed subdivision node: its interval and variation count."""
+    """One processed subdivision node: its interval, variation count and
+    depth (the root interval (-1, 1) has depth 0)."""
 
     interval: DyadicInterval
     variations: int
+    depth: int
 
 
 @dataclass
 class SubdivisionTrace:
-    """Per-run tree statistics.
+    """The subdivision tree of a run, as the nodes popped off the queue.
 
-    ``width_per_depth[k]`` counts the intervals of depth k popped off the
-    queue.  ``square_free`` records the square-free part the solver
-    actually ran on.
+    Every tree statistic derives from ``var_per_node``.  ``square_free``
+    records the square-free part the solver actually ran on.
     """
 
-    width_per_depth: list[int]
     var_per_node: list[NodeRecord]
     square_free: IntPolynomial
 
     @property
+    def width_per_depth(self) -> list[int]:
+        """``width_per_depth[k]`` counts the nodes of depth k."""
+        widths = [0] * (self.depth + 1)
+        for node in self.var_per_node:
+            widths[node.depth] += 1
+        return widths
+
+    @property
     def node_count(self) -> int:
         """The number of intervals popped off the queue."""
-        return sum(self.width_per_depth)
+        return len(self.var_per_node)
 
     @property
     def depth(self) -> int:
-        return len(self.width_per_depth) - 1
+        return max((n.depth for n in self.var_per_node), default=-1)
 
     def max_width(self) -> int:
-        return max(self.width_per_depth) if self.width_per_depth else 0
+        return max(self.width_per_depth, default=0)
 
     def to_json(self) -> dict:
-        return {
-            "node_count": self.node_count,
-            "depth": self.depth,
-            "width_per_depth": list(self.width_per_depth),
-        }
+        widths = self.width_per_depth
+        return {"node_count": sum(widths), "depth": len(widths) - 1, "width_per_depth": widths}
 
 
 @dataclass(frozen=True)
@@ -127,9 +132,9 @@ class IsolationResult:
     The intervals are pairwise disjoint, each contains exactly one real
     root of the input, and no exact root lies inside any interval."""
 
-    intervals: list[RootInterval] = field(default_factory=list)
-    exact_roots: list[ExactRoot] = field(default_factory=list)
-    trace: SubdivisionTrace | None = None
+    intervals: list[RootInterval]
+    exact_roots: list[ExactRoot]
+    trace: SubdivisionTrace
 
     def root_count(self) -> int:
         return len(self.intervals) + len(self.exact_roots)
@@ -138,23 +143,20 @@ class IsolationResult:
         return {
             "intervals": [iv.to_json() for iv in self.intervals],
             "exact_roots": [r.to_json() for r in self.exact_roots],
-            "trace": self.trace.to_json() if self.trace else None,
+            "trace": self.trace.to_json(),
         }
 
 
-def isolate_unit(f: IntPolynomial, _lifo: bool = False) -> IsolationResult:
+def isolate_unit(f: IntPolynomial) -> IsolationResult:
     """Isolate the real roots of f in the open interval (-1, 1).
 
     The input is replaced by its square-free part and subdivided by
     ``_subdivide``; its variation counts agree with the direct
     Moebius-transform definition (asserted by the test suite).
-
-    ``_lifo`` switches the queue discipline for testing; the returned set
-    does not depend on processing order.
     """
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
-    return _subdivide(square_free_part(f), _lifo)[0]
+    return _subdivide(square_free_part(f))[0]
 
 
 def isolate_all(f: IntPolynomial) -> IsolationResult:
@@ -195,11 +197,11 @@ def isolate_all(f: IntPolynomial) -> IsolationResult:
     return IsolationResult(
         intervals=intervals,
         exact_roots=exact,
-        trace=_merge_traces(unit.trace, recip.trace),
+        trace=SubdivisionTrace(unit.trace.var_per_node + recip.trace.var_per_node, fsq),
     )
 
 
-def _subdivide(fsq: IntPolynomial, lifo: bool = False):
+def _subdivide(fsq: IntPolynomial):
     """Descartes subdivision of (-1, 1) for a square-free fsq.
 
     Each node carries a positive multiple of the Bernstein coefficients of
@@ -212,16 +214,12 @@ def _subdivide(fsq: IntPolynomial, lifo: bool = False):
     intervals: list[RootInterval] = []
     vectors: list[list[int]] = []
     exact: list[ExactRoot] = []
-    width_per_depth: list[int] = []
     nodes: list[NodeRecord] = []
 
     while queue:
-        interval, b, depth = queue.pop() if lifo else queue.popleft()
-        if depth == len(width_per_depth):
-            width_per_depth.append(0)
-        width_per_depth[depth] += 1
+        interval, b, depth = queue.popleft()
         v = sign_variations(b)
-        nodes.append(NodeRecord(interval, v))
+        nodes.append(NodeRecord(interval, v, depth))
         if v == 0:
             continue
         if v == 1:
@@ -235,11 +233,7 @@ def _subdivide(fsq: IntPolynomial, lifo: bool = False):
         queue.append((lo_half, left, depth + 1))
         queue.append((hi_half, right, depth + 1))
 
-    trace = SubdivisionTrace(
-        width_per_depth=width_per_depth,
-        var_per_node=nodes,
-        square_free=fsq,
-    )
+    trace = SubdivisionTrace(var_per_node=nodes, square_free=fsq)
     return IsolationResult(intervals=intervals, exact_roots=exact, trace=trace), vectors
 
 
@@ -312,14 +306,3 @@ def _refine_off_zero(interval, b):
             interval, b = hi_half, right
     return RootInterval(interval, inverted=True)
 
-
-def _merge_traces(a: SubdivisionTrace, b: SubdivisionTrace) -> SubdivisionTrace:
-    widths = [0] * max(len(a.width_per_depth), len(b.width_per_depth))
-    for src in (a, b):
-        for i, w in enumerate(src.width_per_depth):
-            widths[i] += w
-    return SubdivisionTrace(
-        width_per_depth=widths,
-        var_per_node=a.var_per_node + b.var_per_node,
-        square_free=a.square_free,
-    )

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import rootiso
+from rootiso import cli
 from rootiso.cli import main
 
 
@@ -288,6 +289,23 @@ def test_malformed_list_is_usage_error(capsys, tmp_path, monkeypatch, argv):
 
 def test_bad_subcommand_exits_one(capsys):
     assert run_cli(capsys, "not-a-command")[0] == 1
+    # a removed flag is a usage error too; the oracle tolerance is fixed
+    code, out, err = run_cli(capsys, "analyze", "--coeffs", "-1 0 4", "--oracle-tol", "1e-8")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --oracle-tol" in err
+
+
+def test_parser_built_once_per_process(capsys):
+    # main reuses one argparse tree; a usage error in between leaves no
+    # state in it that changes the next run
+    cli._build_parser.cache_clear()
+    argv = ("analyze", "--coeffs", "3 -1 -7 2 5 1", "--max-grid", "65536")
+    first = run_cli(capsys, *argv)
+    assert run_cli(capsys, "analyze", "--coeffs", "1 2", "--no-such-flag")[0] == 1
+    second = run_cli(capsys, *argv)
+    assert first[0] == 0 and first == second
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_module_entry_point():

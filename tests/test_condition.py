@@ -176,9 +176,6 @@ def _reference_bracket(f, rel_tol=0.5, max_grid=1 << 22, full_scan_points=1 << 1
     d = f.degree
     if d == 0:
         return condition_mod.ConditionBracket(1.0, 1.0, 1, 2.0, True)
-    norm = float(f.one_norm())
-    coeffs_desc = np.array(f.coeffs[::-1], dtype=float)
-    deriv_desc = np.array(f.derivative().coeffs[::-1], dtype=float)
     err = (4.0 * d + 16.0) * 2.0**-53
     level = max(2, (4 * d - 1).bit_length())
     best_cond = 0.0
@@ -197,10 +194,7 @@ def _reference_bracket(f, rel_tol=0.5, max_grid=1 << 22, full_scan_points=1 << 1
         else:
             ks = np.unique(np.concatenate((2 * active - 1, 2 * active, 2 * active + 1)))
             ks = ks[(ks >= -(1 << level)) & (ks <= (1 << level))]
-        xs = ks.astype(float) * delta
-        inv_cond = np.maximum(
-            np.abs(_float_horner(coeffs_desc, xs)), np.abs(_float_horner(deriv_desc, xs)) / d
-        ) / norm
+        inv_cond = _scan(f, ks, level)
         batch_min = float(inv_cond.min())
         hf_min_running = min(hf_min_running, batch_min)
         for idx in np.nonzero(inv_cond <= batch_min + 2.0 * err)[0]:
@@ -216,6 +210,14 @@ def _reference_bracket(f, rel_tol=0.5, max_grid=1 << 22, full_scan_points=1 << 1
             active = ks[inv_cond <= hf_min_running + 2.0 * err + d * (delta / 2.0)]
         first = False
         level += 1
+
+
+def _scan(f, ks, level):
+    """The float 1/cond, max(|f(x)|, |f'(x)|/d) / ||f||_1, at x = k 2^-level."""
+    xs = ks.astype(float) * 2.0**-level
+    values = np.abs(_float_horner(np.array(f.coeffs[::-1], dtype=float), xs))
+    slopes = np.abs(_float_horner(np.array(f.derivative().coeffs[::-1], dtype=float), xs))
+    return np.maximum(values, slopes / f.degree) / float(f.one_norm())
 
 
 def _float_horner(coeffs_desc, xs):
@@ -281,6 +283,43 @@ class TestScan:
             for max_grid in (1 << 8, 1 << 14, 1 << 20):
                 br = global_condition_bracket(f, max_grid=max_grid)
                 assert _bracket_fields(br) == _bracket_fields(_reference_bracket(f, max_grid=max_grid))
+
+    def test_dropped_cells_clear_the_lipschitz_margin(self, monkeypatch):
+        # a cell (radius delta/2 around a scanned point x) may leave the
+        # active set only when hf(x) - d delta/2 exceeds the level minimum
+        # by the error budget 2E, hf being the scanned 1/cond; each level's
+        # active set is rebuilt here from the kept parents and rescanned
+        kept = []  # (level, indices kept for the next level)
+        children = condition_mod._children
+
+        def recording_children(ks, level):
+            kept.append((level - 1, set(ks.tolist())))
+            return children(ks, level)
+
+        monkeypatch.setattr(condition_mod, "_children", recording_children)
+        rng = random.Random(41)
+        cases = [make_poly(rng, rng.randint(2, 32), 20) for _ in range(8)]
+        cases += [uniform_model(64, 32).sample(1, i) for i in range(3)]
+        dropped = 0
+        for f in cases:
+            kept.clear()
+            global_condition_bracket(f, rel_tol=0.01, max_grid=1 << 20)
+            d = f.degree
+            err = (4.0 * d + 16.0) * 2.0**-53
+            level = max(2, (4 * d - 1).bit_length())
+            active = range(-(1 << level), (1 << level) + 1)
+            for kept_level, survivors in kept:
+                assert kept_level == level and survivors <= set(active)
+                ks = np.array(sorted(active), dtype=np.int64)
+                hf = _scan(f, ks, level)
+                margin = float(hf.min()) + 2.0 * err + d * 2.0**-level / 2.0
+                for k, h in zip(ks.tolist(), hf.tolist()):
+                    if k not in survivors:
+                        dropped += 1
+                        assert h > margin, (f, level, k)
+                level += 1
+                active = {c for a in survivors for c in (2 * a - 1, 2 * a, 2 * a + 1) if abs(c) <= 1 << level}
+        assert dropped > 1000
 
     def test_each_point_scanned_and_evaluated_once(self, monkeypatch):
         scanned = []  # (coefficient count, x) per float evaluation

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -63,12 +64,6 @@ def product(*factors):
                 nxt[i + j] += x * y
         out = nxt
     return IntPolynomial(out)
-
-
-def depth_of(interval):
-    # unit-solver intervals have width 2^(1-depth)
-    w = interval.width()
-    return 0 if w.num == 2 else w.exp + 1
 
 
 class TestUnitExamples:
@@ -174,6 +169,21 @@ class TestTraceInvariants:
             assert trace.node_count == sum(trace.width_per_depth)
             assert trace.depth == len(trace.width_per_depth) - 1
 
+    def test_node_records_on_golden_corpus(self):
+        # each record's depth matches its interval (width 2^(1 - depth) in
+        # both phases), and the per-depth widths count the records
+        corpus = Path(__file__).parent / "data" / "golden_isolate.txt"
+        nodes = 0
+        for line in corpus.read_text().splitlines():
+            f = IntPolynomial.from_text(line)
+            for trace in (isolate_unit(f).trace, isolate_all(f).trace):
+                counts = Counter(node.depth for node in trace.var_per_node)
+                assert trace.width_per_depth == [counts[k] for k in range(max(counts) + 1)]
+                for node in trace.var_per_node:
+                    assert node.interval.width() == Dyadic(1, node.depth - 1)
+                nodes += trace.node_count
+        assert nodes > 500
+
     def test_var_records_match_direct_definition(self):
         # the Bernstein sign counts carried from node to node must agree with
         # the Moebius formula, also where the vectors hold zeros: a zero apex
@@ -207,7 +217,7 @@ class TestTraceInvariants:
             res = isolate_unit(f)
             by_depth = {}
             for node in res.trace.var_per_node:
-                by_depth.setdefault(depth_of(node.interval), []).append(node.variations)
+                by_depth.setdefault(node.depth, []).append(node.variations)
             root_var = by_depth[0][0]
             for vs in by_depth.values():
                 assert sum(vs) <= root_var
@@ -314,18 +324,6 @@ class TestResultInvariants:
             for iv in res.intervals:
                 assert variations_in_interval(fsq, iv.interval) == 1
 
-    def test_order_independence(self):
-        rng = random.Random(28)
-        for _ in range(40):
-            f = make_poly(rng, rng.randint(1, 16), 16)
-            fifo = isolate_unit(f)
-            lifo = isolate_unit(f, _lifo=True)
-            assert {iv.interval for iv in fifo.intervals} == {iv.interval for iv in lifo.intervals}
-            assert sorted(r.value for r in fifo.exact_roots) == sorted(
-                r.value for r in lifo.exact_roots
-            )
-            assert fifo.trace.node_count == lifo.trace.node_count
-
 
 class TestAgainstOracle:
     def test_unit_roots_match(self):
@@ -387,6 +385,14 @@ class TestReciprocalRefinement:
         assert main(["isolate", "--input", str(corpus)]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "7290fb2319ffd25465b676a854b7c12fc394ee337d7d49268929fdd0047deddd"
+
+    def test_golden_isolate_unit_only_output(self, capsys):
+        # the same corpus through `rootiso isolate --unit-only`: the roots in
+        # (-1, 1) and the trace of that phase alone
+        corpus = Path(__file__).parent / "data" / "golden_isolate.txt"
+        assert main(["isolate", "--unit-only", "--input", str(corpus)]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "49cec39b69f70947a75a01e0fa0570ec496730bc7d184c5059a9bce9e520206c"
 
 
 class TestExactCertification:
