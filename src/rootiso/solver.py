@@ -2,13 +2,23 @@
 
 The core routine bisects (-1, 1), pruning and accepting intervals by the
 Descartes sign-variation count, and records the full subdivision tree.
-Each node holds the Bernstein coefficients of the square-free part on its
-interval, scaled to integers by a positive factor.  The Descartes count
-of a node is the sign-variation count of that vector (Rouillier &
-Zimmermann, 2004), so a test costs O(d).  A split costs one integer de
-Casteljau pass, which also yields the sign of the midpoint value; the
-off-zero refinement bisects the same way.  Only the root vector of each
-phase needs a Taylor shift.
+The Descartes count of a node is the sign-variation count of the
+Bernstein coefficients of the square-free part on its interval
+(Rouillier & Zimmermann, 2004), so a test costs O(d).
+
+A split is a float pass with exact fallback, after the bitstream Descartes
+method (Eigenwillig, Kettner, Krandick, Mehlhorn, Schmitt & Wolpert, 2005;
+Johnson & Krandick, 1997).  Each node carries its Bernstein vector in
+float64 with a rigorous absolute error bound, and one float de Casteljau
+pass gives both children.  An entry whose magnitude exceeds the bound has
+a certified sign, which is the exact sign.  A node with an uncertain sign
+reads its count from its exact integer vector instead, built from its
+parent's by one integer de Casteljau pass that both children share.  The
+sign at a midpoint comes from the float apex when certified and otherwise
+from one exact evaluation, which also finds a dyadic root there.  So the
+tree and every output are those of exact arithmetic.  The off-zero
+refinement splits the same way, and only the root vector of each phase
+needs a Taylor shift.
 Roots outside [-1, 1] are reached through the reciprocal polynomial and the
 map x -> 1/x; since 1/x is not dyadic in general, those results carry an
 ``inverted`` flag together with the dyadic pre-image.
@@ -26,6 +36,8 @@ from functools import reduce
 from itertools import accumulate, repeat
 from operator import add, lshift, or_, rshift
 
+import numpy as np
+
 from .dyadic import Dyadic, DyadicInterval
 from .polynomial import (
     IntPolynomial,
@@ -39,19 +51,32 @@ from .polynomial import (
 @dataclass(frozen=True)
 class NodeRecord:
     """One processed subdivision node: its interval, variation count and
-    depth (the root interval (-1, 1) has depth 0)."""
+    depth (the root interval (-1, 1) has depth 0).
+
+    The work fields: ``exact`` when the count was read from the node's
+    exact integer vector (a phase root, or a node whose float signs were
+    uncertain); ``exact_splits``, the integer de Casteljau passes that
+    building that vector took (a pass shared with an earlier node counts
+    there); ``evaluated_midpoint`` when the node was split and the sign at
+    its midpoint came from an exact evaluation.
+    """
 
     interval: DyadicInterval
     variations: int
     depth: int
+    exact: bool = False
+    exact_splits: int = 0
+    evaluated_midpoint: bool = False
 
 
 @dataclass
 class SubdivisionTrace:
     """The subdivision tree of a run, as the nodes popped off the queue.
 
-    Every tree statistic derives from ``var_per_node``.  ``square_free``
-    records the square-free part the solver actually ran on.
+    Every tree statistic and work count derives from ``var_per_node``;
+    the splits of the reciprocal phase's off-zero refinement are not
+    nodes of the tree and are not counted.  ``square_free`` records the
+    square-free part the solver actually ran on.
     """
 
     var_per_node: list[NodeRecord]
@@ -73,6 +98,23 @@ class SubdivisionTrace:
     @property
     def depth(self) -> int:
         return max((n.depth for n in self.var_per_node), default=-1)
+
+    @property
+    def splits(self) -> int:
+        """Nodes split in two, each by one float de Casteljau pass."""
+        return sum(n.variations >= 2 for n in self.var_per_node)
+
+    @property
+    def exact_nodes(self) -> int:
+        return sum(n.exact for n in self.var_per_node)
+
+    @property
+    def exact_splits(self) -> int:
+        return sum(n.exact_splits for n in self.var_per_node)
+
+    @property
+    def midpoint_evaluations(self) -> int:
+        return sum(n.evaluated_midpoint for n in self.var_per_node)
 
     def max_width(self) -> int:
         return max(self.width_per_depth, default=0)
@@ -185,10 +227,10 @@ def isolate_all(f: IntPolynomial) -> IsolationResult:
         if f.evaluate_dyadic(endpoint).is_zero:
             exact.append(ExactRoot(endpoint))
 
-    recip, vectors = _subdivide(rsq)
+    recip, leaves = _subdivide(rsq)
     exact.extend(_invert_exact(r.value) for r in recip.exact_roots)
-    for iv, b in zip(recip.intervals, vectors):
-        found = _refine_off_zero(iv.interval, b)
+    for leaf in leaves:
+        found = _refine_off_zero(leaf, rsq)
         if isinstance(found, ExactRoot):
             exact.append(found)
         else:
@@ -204,37 +246,210 @@ def isolate_all(f: IntPolynomial) -> IsolationResult:
 def _subdivide(fsq: IntPolynomial):
     """Descartes subdivision of (-1, 1) for a square-free fsq.
 
-    Each node carries a positive multiple of the Bernstein coefficients of
-    fsq on its interval; its Descartes count is their sign variations, and
-    one de Casteljau pass gives both children.  Returns the result and the
-    vectors of its intervals (the var = 1 leaves), in order.
+    A node's Descartes count is the sign variations of its Bernstein
+    vector.  A split is a float pass with exact fallback (``_split``): the
+    children's counts come from their float images where these certify
+    every sign, and from their exact vectors otherwise (``_read_exact``).
+    Returns the result and the nodes of its intervals (the var = 1
+    leaves), in order.
     """
-    root = DyadicInterval(Dyadic(-1), Dyadic(1))
-    queue = deque([(root, _root_vector(fsq), 0)])
+    root = _Node(DyadicInterval(Dyadic(-1), Dyadic(1)), 0, None, 0)
+    root.exact = _root_vector(fsq)
+    _read_exact(root)
+    queue = deque([root])
     intervals: list[RootInterval] = []
-    vectors: list[list[int]] = []
+    leaves: list[_Node] = []
     exact: list[ExactRoot] = []
     nodes: list[NodeRecord] = []
 
     while queue:
-        interval, b, depth = queue.popleft()
-        v = sign_variations(b)
-        nodes.append(NodeRecord(interval, v, depth))
-        if v == 0:
-            continue
+        node = queue.popleft()
+        exact_splits = 0 if node.variations is not None else _read_exact(node)
+        v = node.variations
+        evaluated = False
         if v == 1:
-            intervals.append(RootInterval(interval))
-            vectors.append(b)
-            continue
-        left, right, apex = _bisect(b)
-        if apex == 0:
-            exact.append(ExactRoot(interval.midpoint()))
-        lo_half, hi_half = interval.split()
-        queue.append((lo_half, left, depth + 1))
-        queue.append((hi_half, right, depth + 1))
+            intervals.append(RootInterval(node.interval))
+            leaves.append(node)
+        elif v:
+            children, mid, evaluated = _split(node, fsq)
+            if mid == 0:
+                exact.append(ExactRoot(node.interval.midpoint()))
+            queue.extend(children)
+        nodes.append(NodeRecord(node.interval, v, node.depth, node.exact is not None, exact_splits, evaluated))
 
     trace = SubdivisionTrace(var_per_node=nodes, square_free=fsq)
-    return IsolationResult(intervals=intervals, exact_roots=exact, trace=trace), vectors
+    return IsolationResult(intervals=intervals, exact_roots=exact, trace=trace), leaves
+
+
+class _Node:
+    """A subdivision node: a float image of its Bernstein vector, with the
+    exact integer vector built only on demand.
+
+    ``f`` holds a positive multiple of the node's Bernstein coefficients to
+    within ``err`` in every entry, and ``peak`` is max |f_i|.  ``lo`` and
+    ``hi`` are the exact signs of the phase polynomial at the interval's
+    ends.  ``variations`` is the Descartes count when ``f`` certifies it,
+    else None.  ``exact`` is the exact vector (a positive multiple of the
+    same coefficients), when built; ``halves`` holds the node's one exact
+    split until each child claims its half (``side`` 0 is the left).
+    """
+
+    __slots__ = ("interval", "depth", "parent", "side", "f", "err", "peak", "lo", "hi", "variations", "exact", "halves")
+
+    def __init__(self, interval, depth, parent, side, f=None, err=0.0, peak=0.0, lo=0, hi=0, variations=None):
+        self.interval = interval
+        self.depth = depth
+        self.parent = parent
+        self.side = side
+        self.f = f
+        self.err = err
+        self.peak = peak
+        self.lo = lo
+        self.hi = hi
+        self.variations = variations
+        self.exact = self.halves = None
+
+
+def _read_exact(node: _Node) -> int:
+    """Count node's variations on its exact vector and reseed the float
+    image from it.  Returns the number of exact splits it took.
+
+    A node without its vector takes it from the parent's ``halves``, split
+    from the parent's own exact vector, built the same way, the first
+    time a child asks.  Each vector is held in one place: a node drops its
+    exact vector once split exactly and its link to the parent once it
+    holds its own, so a parent and an unclaimed half live only as long as
+    the sibling that may still claim it.
+    """
+    splits = 0
+    if node.exact is None:
+        chain = [node]
+        while chain[-1].parent.halves is None and chain[-1].parent.exact is None:
+            chain.append(chain[-1].parent)
+        for down in reversed(chain):
+            parent = down.parent
+            if parent.halves is None:
+                parent.halves = list(_bisect(parent.exact)[:2])
+                parent.exact = None
+                splits += 1
+            down.exact, parent.halves[down.side] = parent.halves[down.side], None
+            down.parent = None
+    b = node.exact
+    node.variations = sign_variations(b)
+    node.lo, node.hi = _sign(b[0]), _sign(b[-1])
+    # scaled by a power of two into [-1, 1]: each entry is rounded once,
+    # after truncation below 2^-1000 when it is wider than 1000 bits, and
+    # the scaling is exact, since nonzero results are at least 2^-1000
+    top = max(max(b), -min(b)).bit_length()
+    s = max(top - 1000, 0)
+    node.f = np.array([x >> s for x in b] if s else b, dtype=np.float64)
+    node.f *= math.ldexp(1.0, s - top)
+    node.err, node.peak = _U * _ROUND_UP, 1.0
+    return splits
+
+
+_U = 2.0**-53  # unit roundoff of float64
+_SUBNORMAL = 2.0**-1073  # twice the smallest subnormal
+_ROUND_UP = 1.0 + 2.0**-50  # covers the rounding of the bound's own few operations
+
+
+def _split(node: _Node, g: IntPolynomial):
+    """Both halves of a node by one float de Casteljau pass, the exact sign
+    of g at the midpoint, and whether that sign took an exact evaluation.
+
+    The halves are L f and J L J f, for J the reversal and L[k, j] =
+    C(k, j) / 2^k (``_halving_matrix``), whose rows are nonnegative and
+    sum to 1 and whose entries are correctly rounded.  Let p >= max |f_j|
+    be the node's ``peak`` (p <= 1: a reseeded image lies in [-1, 1] and
+    no half's entries exceed its parent's by more than rounding).  For a
+    child entry y = sum_j L[k, j] f_j the computed value differs from the
+    exact one by at most
+      err             the inputs' error, times a row sum of 1,
+      + u p           from rounding L (u = 2^-53),
+      + gamma_n p     from the n-term dot product in any order, with
+                      gamma_n = n u / (1 - n u) <= (n + 1) u for n <= 2^26,
+      + 2 n 2^-1075   for products, and for entries of L (once d >= 1023),
+                      that fall below the normal range,
+    so by err + (n + 2) u p + n 2^-1073, which the new bound takes,
+    rounded up.  An entry with |y| > err then has the sign of the exact
+    entry.
+
+    The ends of each half are exact multiples of g's values at the ends
+    of its interval, so their signs are carried exactly.  The midpoint's
+    sign is the apex's when |apex| > err; otherwise g is evaluated there
+    exactly, which also finds a dyadic root.  A half whose interior
+    entries all clear the bound gets its count; otherwise its count is
+    left to ``_read_exact``.
+    """
+    f = node.f
+    n = len(f)
+    err = (node.err + (n + 2) * _U * node.peak + n * _SUBNORMAL) * _ROUND_UP
+    halving = _halving_matrix(n)
+    out = np.empty((2, n))
+    np.matmul(halving, f, out=out[0])
+    out[1] = (halving @ f[::-1].copy())[::-1]
+
+    apex = float(out[0, -1])
+    evaluated = abs(apex) <= err
+    if evaluated:
+        mid = g.evaluate_dyadic(node.interval.midpoint()).sign()
+    else:
+        mid = 1 if apex > 0 else -1
+
+    magnitude = np.abs(out)
+    peaks = magnitude.max(axis=1).tolist()
+    floors = np.minimum.reduce(magnitude[:, 1:-1], axis=1, initial=math.inf).tolist()
+    signs = np.sign(out)
+    signs[0, 0], signs[0, -1], signs[1, 0], signs[1, -1] = node.lo, mid, mid, node.hi
+    # read as one row; a zero end adds no variation, nor does the meeting
+    # of the halves at mid, mid
+    signs = signs.ravel()
+    changes = signs[1:] * signs[:-1] < 0
+    counts = int(np.count_nonzero(changes[: n - 1])), int(np.count_nonzero(changes[n:]))
+
+    ends = ((node.lo, mid), (mid, node.hi))
+    children = [
+        _Node(interval, node.depth + 1, node, side, out[side], err, peaks[side], *ends[side],
+              counts[side] if floors[side] > err else None)
+        for side, interval in enumerate(node.interval.split())
+    ]
+    return children, mid, evaluated
+
+
+_halving = None  # L of the largest size built so far
+
+
+def _halving_matrix(n: int):
+    """L of size n, L[k, j] = C(k, j) / 2^k correctly rounded.
+
+    L of size n is the leading block of any larger L, so one matrix serves
+    every smaller size as a view.  It is built on first use, at the size
+    asked for, and grows by at least a quarter when a larger size comes,
+    so rising sizes rebuild it O(log n) times.  It is read-only; a
+    concurrent caller at worst builds it twice.
+    """
+    global _halving
+    built = _halving
+    if built is None or len(built) < n:
+        size = max(n, 0 if built is None else len(built) * 5 // 4)
+        built = np.zeros((size, size))
+        row = [1]
+        for k in range(size):
+            # C(k, j) < 2^1023 converts with one rounding and 2^-k scales
+            # it exactly while the results stay normal (k < 1023); beyond,
+            # int division rounds correctly, subnormals included
+            if k < 1023:
+                built[k, : k + 1] = np.ldexp(np.array(row, dtype=np.float64), -k)
+            else:
+                built[k, : k + 1] = [c / (1 << k) for c in row]
+            row = [1, *map(add, row, row[1:]), 1]
+        built.flags.writeable = False
+        _halving = built
+    return built[:n, :n]
+
+
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
 
 
 def _root_vector(fsq: IntPolynomial) -> list[int]:
@@ -285,24 +500,22 @@ def _invert_exact(pre_image: Dyadic) -> ExactRoot:
     return ExactRoot(pre_image, inverted=True)
 
 
-def _refine_off_zero(interval, b):
-    """Shrink a reciprocal-phase leaf (var = 1, vector b) until 0 is outside
+def _refine_off_zero(node: _Node, g: IntPolynomial):
+    """Shrink a reciprocal-phase leaf (var = 1) until 0 is outside
     [lo, hi]; return its inverted interval, or the exact root if a midpoint
     lands on it.
 
-    Each step bisects at the midpoint; the half keeping the root is the one
+    Each step splits at the midpoint (``_split``, the subdivision's own
+    float pass with exact fallback); the half keeping the root is the one
     with variation count 1 (the counts of the halves sum to at most 1 and
     the root half has odd count), so the left count decides.  Terminates
     because the isolated root is nonzero.
     """
-    while interval.straddles_zero():
-        left, right, apex = _bisect(b)
-        if apex == 0:
-            return _invert_exact(interval.midpoint())
-        lo_half, hi_half = interval.split()
-        if sign_variations(left) == 1:
-            interval, b = lo_half, left
-        else:
-            interval, b = hi_half, right
-    return RootInterval(interval, inverted=True)
-
+    while node.interval.straddles_zero():
+        (left, right), mid, _ = _split(node, g)
+        if mid == 0:
+            return _invert_exact(node.interval.midpoint())
+        if left.variations is None:
+            _read_exact(left)
+        node = left if left.variations == 1 else right
+    return RootInterval(node.interval, inverted=True)

@@ -1,10 +1,11 @@
 import hashlib
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 try:
@@ -21,13 +22,25 @@ from rootiso.dyadic import Dyadic, DyadicInterval
 from rootiso.polynomial import (
     IntPolynomial,
     ZeroPolynomialError,
+    sign_variations,
     square_free_part,
     unit_rescale,
     unit_variations,
     variations_in_interval,
 )
 from rootiso.regions import real_roots_from_oracle
-from rootiso.solver import _bisect, _root_vector, isolate_all, isolate_unit
+from rootiso.solver import (
+    ExactRoot,
+    IsolationResult,
+    NodeRecord,
+    RootInterval,
+    SubdivisionTrace,
+    _bisect,
+    _invert_exact,
+    _root_vector,
+    isolate_all,
+    isolate_unit,
+)
 
 
 def poly(*coeffs):
@@ -475,3 +488,268 @@ def _deflate(coeffs, root):
         quotient.append(acc)
     assert quotient.pop() == 0
     return quotient[::-1]
+
+
+def _reference_subdivide(fsq: IntPolynomial):
+    """Descartes subdivision of (-1, 1) for a square-free fsq.
+
+    Each node carries a positive multiple of the Bernstein coefficients of
+    fsq on its interval; its Descartes count is their sign variations, and
+    one de Casteljau pass gives both children.  Returns the result and the
+    vectors of its intervals (the var = 1 leaves), in order.
+    """
+    root = DyadicInterval(Dyadic(-1), Dyadic(1))
+    queue = deque([(root, _root_vector(fsq), 0)])
+    intervals: list[RootInterval] = []
+    vectors: list[list[int]] = []
+    exact: list[ExactRoot] = []
+    nodes: list[NodeRecord] = []
+
+    while queue:
+        interval, b, depth = queue.popleft()
+        v = sign_variations(b)
+        nodes.append(NodeRecord(interval, v, depth))
+        if v == 0:
+            continue
+        if v == 1:
+            intervals.append(RootInterval(interval))
+            vectors.append(b)
+            continue
+        left, right, apex = _bisect(b)
+        if apex == 0:
+            exact.append(ExactRoot(interval.midpoint()))
+        lo_half, hi_half = interval.split()
+        queue.append((lo_half, left, depth + 1))
+        queue.append((hi_half, right, depth + 1))
+
+    trace = SubdivisionTrace(var_per_node=nodes, square_free=fsq)
+    return IsolationResult(intervals=intervals, exact_roots=exact, trace=trace), vectors
+
+
+def _reference_refine(interval, b):
+    """Shrink a reciprocal-phase leaf (var = 1, vector b) until 0 is outside
+    [lo, hi]; return its inverted interval, or the exact root if a midpoint
+    lands on it.
+
+    Each step bisects at the midpoint; the half keeping the root is the one
+    with variation count 1 (the counts of the halves sum to at most 1 and
+    the root half has odd count), so the left count decides.  Terminates
+    because the isolated root is nonzero.
+    """
+    while interval.straddles_zero():
+        left, right, apex = _bisect(b)
+        if apex == 0:
+            return _invert_exact(interval.midpoint())
+        lo_half, hi_half = interval.split()
+        if sign_variations(left) == 1:
+            interval, b = lo_half, left
+        else:
+            interval, b = hi_half, right
+    return RootInterval(interval, inverted=True)
+
+
+def _reference_isolate(f: IntPolynomial):
+    """``isolate_unit`` and ``isolate_all`` of f on exact integer vectors
+    alone: every split an integer de Casteljau pass, as before the float
+    filter."""
+    fsq = square_free_part(f)
+    rsq = fsq.reciprocal()
+    if rsq.leading_coefficient < 0:
+        rsq = rsq.scale(-1)
+    unit, _ = _reference_subdivide(fsq)
+    intervals = list(unit.intervals)
+    exact = list(unit.exact_roots)
+    for endpoint in (Dyadic(1), Dyadic(-1)):
+        if f.evaluate_dyadic(endpoint).is_zero:
+            exact.append(ExactRoot(endpoint))
+    recip, vectors = _reference_subdivide(rsq)
+    exact.extend(_invert_exact(r.value) for r in recip.exact_roots)
+    for iv, b in zip(recip.intervals, vectors):
+        found = _reference_refine(iv.interval, b)
+        if isinstance(found, ExactRoot):
+            exact.append(found)
+        else:
+            intervals.append(found)
+    trace = SubdivisionTrace(unit.trace.var_per_node + recip.trace.var_per_node, fsq)
+    return unit, IsolationResult(intervals=intervals, exact_roots=exact, trace=trace)
+
+
+def _same_as_reference(f: IntPolynomial):
+    """Assert that both entry points match the exact reference on f, node
+    for node, and return the ``isolate_all`` result."""
+    results = (isolate_unit(f), isolate_all(f))
+    for got, want in zip(results, _reference_isolate(f)):
+        assert [(n.interval, n.variations, n.depth) for n in got.trace.var_per_node] == [
+            (n.interval, n.variations, n.depth) for n in want.trace.var_per_node
+        ], f
+        assert got.intervals == want.intervals, f
+        assert got.exact_roots == want.exact_roots, f
+    return results[1]
+
+
+def close_pair(k):
+    """(3 2^k x - a)(3 2^k x - a - 3) for a = 2^k + 1: two real roots near
+    1/3, 2^-k apart, neither dyadic."""
+    a = (1 << k) + 1
+    return product(poly(-a, 3 << k), poly(-a - 3, 3 << k))
+
+
+def adversarial_inputs():
+    """Inputs on which the float filter meets exact zeros, huge widths,
+    deep trees and subnormal entries of the halving matrix."""
+    rng = random.Random(91)
+    x, x_minus_1, x_plus_1 = poly(0, 1), poly(-1, 1), poly(1, 1)
+    dyadic = [poly(-1, 2), poly(3, 4), poly(-5, 8), poly(7, 2), poly(1, 16), poly(-3, 1)]
+    cases = [product(*dyadic), product(*dyadic[:4], x, x_minus_1, x_plus_1)]
+    cases += [product(*(poly(-k, 64) for k in range(27, 38)), poly(-3, 1))]  # a run of midpoints
+    cases += [product(x, x_plus_1, poly(-1, 0, 4), poly(9, 0, -4)), product(x, x, x_minus_1)]
+    cases += [product(chebyshev(9), chebyshev(9)), product(mignotte(12, 5), mignotte(12, 5))]
+    cases += [mignotte(60, 1000), close_pair(80)]
+    cases += [IntPolynomial([rng.randint(-(1 << 5000), 1 << 5000) for _ in range(64)])]
+    cases += [IntPolynomial([1, -3] + [0] * 1098 + [1]), chebyshev(120)]
+    cases += [poly(5), poly(-3), poly(0, 1), poly(-1, 2), poly(3, -4), poly(7, 1)]
+    return cases
+
+
+class TestFloatFilter:
+    """Splits run in float64 with an exact fallback; the tree and every
+    output must equal those of the exact integer loop kept above."""
+
+    def test_golden_corpus_matches_exact_reference(self):
+        corpus = Path(__file__).parent / "data" / "golden_isolate.txt"
+        for line in corpus.read_text().splitlines():
+            _same_as_reference(IntPolynomial.from_text(line))
+
+    def test_adversarial_inputs_match_exact_reference(self):
+        midpoint_roots = evaluations = 0
+        for f in adversarial_inputs():
+            res = _same_as_reference(f)
+            midpoint_roots += sum(r.value.exp > 0 for r in res.exact_roots)
+            evaluations += res.trace.midpoint_evaluations
+        assert midpoint_roots >= 6 and evaluations >= midpoint_roots
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["dyadic", "square", "mignotte", "pair", "huge", "chebyshev", "low"]),
+        st.integers(0, 1 << 30),
+    )
+    def test_families_match_exact_reference(self, family, seed):
+        rng = random.Random(seed)
+        if family == "dyadic":
+            # dyadic roots inside and outside [-1, 1], at +-1 and 0, some repeated
+            roots = [poly(-rng.randint(-40, 40), 1 << rng.randint(0, 5)) for _ in range(rng.randint(1, 7))]
+            f = product(*roots, make_poly(rng, rng.randint(0, 5), 8))
+        elif family == "square":
+            g = make_poly(rng, rng.randint(1, 10), 12)
+            f = product(g, g, poly(-rng.randint(-8, 8), 1 << rng.randint(0, 4)))
+        elif family == "mignotte":
+            f = mignotte(rng.randint(3, 30), rng.randint(2, 200))
+        elif family == "pair":
+            f = product(close_pair(rng.randint(4, 70)), make_poly(rng, rng.randint(0, 4), 8))
+        elif family == "huge":
+            f = make_poly(rng, rng.randint(1, 24), rng.randint(200, 3000))
+        elif family == "chebyshev":
+            f = chebyshev(rng.randint(1, 40))
+        else:
+            f = make_poly(rng, rng.randint(0, 1), 20)
+        _same_as_reference(f)
+
+    def test_no_exact_splits_on_uniform_samples(self, monkeypatch):
+        # well-conditioned inputs: every sign certified in float64
+        from rootiso.models import uniform_model
+
+        calls = []
+        monkeypatch.setattr(solver, "_bisect", lambda b: calls.append(len(b)) or _bisect(b))
+        nodes = 0
+        for d in (64, 128, 256):
+            for index in range(3):
+                trace = isolate_all(uniform_model(d, 32).sample(1, index)).trace
+                nodes += trace.node_count
+                assert trace.exact_nodes == 2  # the two phase roots
+                assert trace.exact_splits == 0 and trace.midpoint_evaluations == 0
+        assert calls == [] and nodes > 18
+
+    def test_exact_splits_at_most_tree_splits(self, monkeypatch):
+        # each node is split exactly at most once, however many of its
+        # descendants need their exact vectors
+        calls = {"bisect": 0, "split": 0}
+        split = solver._split
+
+        def counting_bisect(b):
+            calls["bisect"] += 1
+            return _bisect(b)
+
+        def counting_split(node, g):
+            calls["split"] += 1
+            return split(node, g)
+
+        monkeypatch.setattr(solver, "_bisect", counting_bisect)
+        monkeypatch.setattr(solver, "_split", counting_split)
+        exact_splits = 0
+        for f in adversarial_inputs():
+            for isolate in (isolate_unit, isolate_all):
+                calls.update(bisect=0, split=0)
+                trace = isolate(f).trace
+                assert calls["bisect"] <= calls["split"], f
+                assert trace.exact_splits <= trace.splits == sum(n.variations >= 2 for n in trace.var_per_node)
+                if isolate is isolate_unit:
+                    assert calls["bisect"] == trace.exact_splits and calls["split"] == trace.splits
+                exact_splits += trace.exact_splits
+        assert exact_splits > 100
+
+    def test_each_node_split_exactly_once(self, monkeypatch):
+        # grandchildren whose float signs are worthless build their exact
+        # vectors through their parents: the root and each child are split
+        # once, siblings share the split, and each vector is held once
+        calls = []
+        monkeypatch.setattr(solver, "_bisect", lambda b: calls.append(len(b)) or _bisect(b))
+        g = chebyshev(6)
+        root = solver._Node(DyadicInterval(Dyadic(-1), Dyadic(1)), 0, None, 0)
+        root.exact = _root_vector(g)
+        solver._read_exact(root)
+        children, _, _ = solver._split(root, g)
+        assert [child.variations for child in children] == [3, 3]
+        for child in children:
+            child.err = 1.0
+        grandchildren = [node for child in children for node in solver._split(child, g)[0]]
+        assert all(node.variations is None for node in grandchildren)
+        assert [solver._read_exact(node) for node in grandchildren] == [2, 0, 1, 0]
+        assert len(calls) == 3
+        halves = [half for b in _bisect(_root_vector(g))[:2] for half in _bisect(b)[:2]]
+        assert [node.exact for node in grandchildren] == halves
+        assert [node.variations for node in grandchildren] == list(map(sign_variations, halves))
+        assert root.exact is None and root.halves == [None, None]
+        assert all(child.exact is None and child.halves == [None, None] for child in children)
+
+    def test_work_counts_on_a_cluster(self, monkeypatch):
+        # mignotte(60, 1000): a deep tree down to a close pair, where the
+        # float signs run out and the exact vectors take over
+        evaluations = []
+        evaluate = IntPolynomial.evaluate_dyadic
+        monkeypatch.setattr(IntPolynomial, "evaluate_dyadic", lambda g, x: evaluations.append(x) or evaluate(g, x))
+        trace = isolate_unit(mignotte(60, 1000)).trace
+        assert trace.midpoint_evaluations == len(evaluations)
+        assert 0 < trace.exact_nodes < trace.node_count
+        assert 0 < trace.exact_splits <= trace.splits
+        assert all(n.exact for n in trace.var_per_node if n.depth == 0)
+
+    def test_bound_is_strict(self):
+        # a child entry exactly at its error bound is uncertain, and so is
+        # an apex there: its sign comes from evaluating g at the midpoint
+        interval = DyadicInterval(Dyadic(-1), Dyadic(1))
+        g = poly(-1, 0, 4)
+
+        def split(f, err):
+            node = solver._Node(interval, 0, None, 0, np.array(f), err, 1.0, 1, 1)
+            return solver._split(node, g)
+
+        (probe, _), _, _ = split([1.0, 0.5, 1.0], 2.0**-40)
+        bound = probe.err
+        (left, right), mid, evaluated = split([0.0, 2 * bound, 0.0], 2.0**-40)
+        assert left.err == right.err == bound
+        assert left.f[1] == right.f[1] == left.f[-1] == bound
+        assert left.variations is None and right.variations is None
+        assert evaluated and mid == g.evaluate_dyadic(Dyadic(0)).sign() == -1
+        (left, right), mid, evaluated = split([0.0, 2 * bound, 4 * bound], 2.0**-40)
+        assert left.variations is None and right.variations == 0
+        assert not evaluated and mid == 1
