@@ -230,7 +230,9 @@ def _cmd_analyze(args) -> int:
     if separate:
         doc["separation_bound"] = separation_lower_bound(f, cond_upper=bracket.upper)
         eps = separation_epsilon(f, bracket.upper)
-        near_repeat = repeated_root_near(f, eps)
+        # the oracle ran on the square-free part, so it returned fewer than
+        # f.degree roots exactly when f has a repeated root
+        near_repeat = len(roots.roots) < f.degree and repeated_root_near(f, eps)
         doc["separation"] = 0.0 if near_repeat else _finite_or_none(root_set_separation(roots, eps))
     else:
         doc["separation_bound"] = None

@@ -247,19 +247,19 @@ def _stats(values) -> dict:
         return {"count": 0}
     arr = np.array(vals, dtype=float)
     finite = arr[np.isfinite(arr)]
-    out = {
+    if finite.size == arr.size:
+        median, p90, p99 = np.quantile(arr, (0.5, 0.9, 0.99)).tolist()
+        tail = {"p90": p90, "p99": p99}
+    else:
+        median, tail = float("inf"), {"finite_count": int(finite.size)}
+    return {
         "count": len(vals),
         "mean": float(np.mean(arr)),
-        "median": float(np.quantile(arr, 0.5)) if finite.size == arr.size else float("inf"),
+        "median": median,
         "min": float(np.min(arr)),
         "max": float(np.max(arr)),
+        **tail,
     }
-    if finite.size == arr.size:
-        out["p90"] = float(np.quantile(arr, 0.9))
-        out["p99"] = float(np.quantile(arr, 0.99))
-    else:
-        out["finite_count"] = int(finite.size)
-    return out
 
 
 _AGG_COLUMNS = (

@@ -280,26 +280,18 @@ def unit_rescale(f: IntPolynomial, interval: DyadicInterval) -> IntPolynomial:
     Returns 2^(L d) * f(a + w X) where a, w = lo, hi - lo share the
     denominator 2^L.  The scaling factor is a positive power of two, so
     signs, sign variations and root locations (up to the affine map) are
-    those of f restricted to the interval.
+    those of f restricted to the interval.  With a = an / 2^L and
+    w = wn / 2^L it is h(an + wn X) for h = 2^(L d) f(X / 2^L): the
+    homothety, the shift by an, and coefficient i times wn^i.
     """
-    if f.is_zero:
-        return f
     a = interval.lo
     w = interval.width()
     level = max(a.exp, w.exp)
     an = a.num << (level - a.exp)
     wn = w.num << (level - w.exp)
-    d = f.degree
-    # Horner in the linear form (an + wn X), rescaling each constant term
-    acc = [f.coeffs[d]]
-    for i in range(d - 1, -1, -1):
-        nxt = [0] * (len(acc) + 1)
-        for j, c in enumerate(acc):
-            nxt[j] += c * an
-            nxt[j + 1] += c * wn
-        nxt[0] += f.coeffs[i] << (level * (d - i))
-        acc = nxt
-    return IntPolynomial(acc)
+    shifted = f.homothety(level).taylor_shift(an)
+    powers = accumulate([wn] * shifted.degree, mul, initial=1)
+    return IntPolynomial([c * q for c, q in zip(shifted.coeffs, powers)])
 
 
 def unit_variations(g: IntPolynomial) -> int:

@@ -53,6 +53,13 @@ class NoConvergenceError(RuntimeError):
         )
 
 
+# The oracle's one configuration: every root it returns has backward error
+# at most _TOL, and a root closer than _COVER_MARGIN to a disk boundary is
+# counted as ambiguous by the cover count.
+_TOL = 1e-10
+_COVER_MARGIN = 1e-9
+
+
 # ---------------------------------------------------------------------------
 # Disk cover of [-1, 1]
 # ---------------------------------------------------------------------------
@@ -139,7 +146,7 @@ def _lg(n: int) -> float:
 class RootCountRange:
     """Root count in the open disk union, with boundary ambiguity.
 
-    Roots closer than the membership margin to some disk boundary (and
+    Roots closer than the membership margin 1e-9 to some disk boundary (and
     inside no disk by a clear margin) cannot be classified by the double
     precision oracle; they are counted in ``max`` but not in ``min``.
     """
@@ -151,21 +158,19 @@ class RootCountRange:
         return {"min": self.min, "max": self.max}
 
 
-def count_roots_in_cover(
-    f: IntPolynomial, margin: float = 1e-9, tol: float = 1e-10
-) -> RootCountRange:
+def count_roots_in_cover(f: IntPolynomial) -> RootCountRange:
     """Count oracle roots of f inside the open disk union."""
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
     cover = disk_cover(f.degree)
-    return roots_in_cover(numeric_roots(f, tol=tol), cover, margin)
+    return roots_in_cover(numeric_roots(f), cover)
 
 
-def roots_in_cover(roots: ComplexRootSet, cover: DiskCover, margin: float = 1e-9) -> RootCountRange:
+def roots_in_cover(roots: ComplexRootSet, cover: DiskCover) -> RootCountRange:
     """``count_roots_in_cover`` for a root set the caller already holds:
-    ``numeric_roots(f, tol)`` and ``disk_cover(f.degree)``."""
-    sure = cover.contains(roots.roots, margin)
-    near = cover.contains(roots.roots, -margin)
+    ``numeric_roots(f)`` and ``disk_cover(f.degree)``."""
+    sure = cover.contains(roots.roots, _COVER_MARGIN)
+    near = cover.contains(roots.roots, -_COVER_MARGIN)
     return RootCountRange(min=int(sure.sum()), max=int((sure | near).sum()))
 
 
@@ -248,20 +253,18 @@ class ComplexRootSet:
 _MAX_SWEEPS = 500
 
 
-def numeric_roots(f: IntPolynomial, tol: float = 1e-10) -> ComplexRootSet:
+def numeric_roots(f: IntPolynomial) -> ComplexRootSet:
     """Simultaneous iteration for all complex roots of square_free_part(f).
 
     Deterministic: Newton-polygon initial radii with a fixed rotation and
     a fixed sweep cap.  Convergence means the backward error of every
-    point is at most ``tol``; a final Newton polish tightens the roots to
+    point is at most 1e-10; a final Newton polish tightens the roots to
     machine precision when it helps.
     """
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
     if f.degree < 1:
         raise ValueError("need degree >= 1")
-    if tol < 1e-12:
-        raise ValueError("tol below oracle resolution 1e-12")
     g = square_free_part(f)
     coeffs = np.array(g.coeffs[::-1], dtype=float)  # highest degree first
     abs_coeffs = np.abs(coeffs)
@@ -273,7 +276,7 @@ def numeric_roots(f: IntPolynomial, tol: float = 1e-10) -> ComplexRootSet:
     for _ in range(_MAX_SWEEPS):
         pv = _cpolyval(coeffs, z)
         residual = _backward_error(abs_coeffs, z, pv)
-        if residual <= tol:
+        if residual <= _TOL:
             break
         dv = _cpolyval(deriv, z)
         dv = np.where(dv == 0, 1e-300, dv)
@@ -287,7 +290,7 @@ def numeric_roots(f: IntPolynomial, tol: float = 1e-10) -> ComplexRootSet:
         step = np.where(np.isfinite(step), step, newton)
         z = z - step
     else:
-        raise NoConvergenceError(g.degree, _MAX_SWEEPS, residual, tol)
+        raise NoConvergenceError(g.degree, _MAX_SWEEPS, residual, _TOL)
 
     # Newton polish (roots are simple after square-freeing); keep the
     # polished points only if they do not degrade the residual
@@ -364,13 +367,9 @@ def _initial_points(g: IntPolynomial) -> np.ndarray:
     return np.array(points, dtype=complex)
 
 
-def real_roots_from_oracle(
-    f: IntPolynomial, tol: float = 1e-10, imag_cut: float = 1e-10
-) -> list[float]:
-    """Real roots according to the oracle: |Im z| <= imag_cut, sorted."""
-    return sorted(
-        z.real for z in numeric_roots(f, tol=tol).roots if abs(z.imag) <= imag_cut
-    )
+def real_roots_from_oracle(f: IntPolynomial) -> list[float]:
+    """Real roots according to the oracle: |Im z| <= 1e-10, sorted."""
+    return sorted(z.real for z in numeric_roots(f).roots if abs(z.imag) <= _TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -383,21 +382,21 @@ def distance_to_interval(z: complex) -> float:
     return math.hypot(max(0.0, abs(z.real) - 1.0), z.imag)
 
 
-def eps_real_separation(f: IntPolynomial, eps: float, tol: float = 1e-10) -> float:
+def eps_real_separation(f: IntPolynomial, eps: float) -> float:
     """Minimum distance between roots lying within eps of [-1, 1].
 
     Counts every complex root in the eps-neighborhood.  Returns +inf when
     fewer than two roots are that close, and 0 when f has a repeated root
     there (detected exactly through gcd(f, f'), below oracle resolution).
     """
-    if repeated_root_near(f, eps, tol=tol):
+    if repeated_root_near(f, eps):
         return 0.0
     if f.degree == 0:
         return math.inf
-    return root_set_separation(numeric_roots(f, tol=tol), eps)
+    return root_set_separation(numeric_roots(f), eps)
 
 
-def repeated_root_near(f: IntPolynomial, eps: float, tol: float = 1e-10) -> bool:
+def repeated_root_near(f: IntPolynomial, eps: float) -> bool:
     """Whether f has a repeated root within eps of [-1, 1].
 
     The repeated part gcd(f, f') is exact; the oracle runs on it only
@@ -412,7 +411,7 @@ def repeated_root_near(f: IntPolynomial, eps: float, tol: float = 1e-10) -> bool
         return False
     multiple = repeated_root_part(f)
     return multiple.degree >= 1 and any(
-        distance_to_interval(z) <= eps for z in numeric_roots(multiple, tol=tol).roots
+        distance_to_interval(z) <= eps for z in numeric_roots(multiple).roots
     )
 
 
@@ -420,7 +419,7 @@ def root_set_separation(roots: ComplexRootSet, eps: float) -> float:
     """Minimum distance between the roots of the set lying within eps of
     [-1, 1]; +inf when fewer than two are that close.
 
-    With ``roots = numeric_roots(f, tol)`` this is ``eps_real_separation``
+    With ``roots = numeric_roots(f)`` this is ``eps_real_separation``
     for an f without a repeated root near the interval.
     """
     near = [z for z in roots.roots if distance_to_interval(z) <= eps]

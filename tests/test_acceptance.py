@@ -56,7 +56,7 @@ def suite_unit_results(suite):
 
 @pytest.fixture(scope="session")
 def suite_oracle(suite):
-    return [numeric_roots(f, tol=ORACLE_TOL) for f in suite]
+    return [numeric_roots(f) for f in suite]
 
 
 def test_01_isolation_correctness(suite, suite_unit_results, suite_oracle):
@@ -97,7 +97,7 @@ def test_02_descartes_parity_and_bound():
             continue
         positive = sum(
             1
-            for z in numeric_roots(f, tol=ORACLE_TOL).roots
+            for z in numeric_roots(f).roots
             if abs(z.imag) <= IMAG_CUT and z.real > IMAG_CUT
         )
         v = f.sign_variations()
@@ -172,7 +172,7 @@ def test_06_root_count_bound(suite, suite_oracle):
         if f.degree < 2:
             continue
         bound = cover_root_count_bound(f)
-        counts = count_roots_in_cover(f, tol=ORACLE_TOL)
+        counts = count_roots_in_cover(f)
         assert bound >= counts.max, f.to_text()
         checked += 1
     assert checked == 500
@@ -188,7 +188,7 @@ def test_07_obreshkoff_sandwich():
         lo = Dyadic(rng.randint(-28, 26), 5)
         interval = DyadicInterval(lo, lo + Dyadic(rng.randint(1, 16), 5))
         discs = obreshkoff_discs(interval, f.degree)
-        roots = numeric_roots(f, tol=ORACLE_TOL).roots
+        roots = numeric_roots(f).roots
         margin = 1e-9
         if any(
             min(

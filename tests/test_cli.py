@@ -104,9 +104,9 @@ class TestAnalyze:
         calls = []
         oracle = rootiso.regions.numeric_roots
 
-        def counting_oracle(f, tol=1e-10):
+        def counting_oracle(f):
             calls.append(f.degree)
-            return oracle(f, tol=tol)
+            return oracle(f)
 
         monkeypatch.setattr(rootiso.cli, "numeric_roots", counting_oracle)
         monkeypatch.setattr(rootiso.regions, "numeric_roots", counting_oracle)
@@ -115,6 +115,23 @@ class TestAnalyze:
             code, out, _ = run_cli(capsys, "analyze", "--coeffs", coeffs, "--max-grid", "65536")
             assert code == 0 and json.loads(out)["separation_bound"] is not None
             assert calls == [degree]
+
+    def test_one_certificate_per_square_free_input(self, capsys, monkeypatch):
+        # the oracle's root count tells a square-free input apart, so the
+        # repeated-root check and its certificate run only for the others
+        calls = []
+        certify = rootiso.polynomial._coprime_with_derivative_mod_p
+
+        def counting_certify(f):
+            calls.append(f.degree)
+            return certify(f)
+
+        monkeypatch.setattr(rootiso.polynomial, "_coprime_with_derivative_mod_p", counting_certify)
+        for coeffs in ("-1 0 4", "3 -1 -7 2 5 1", "0 15 -19 -58 40 64", _uniform_64(0)):
+            calls.clear()
+            code, out, _ = run_cli(capsys, "analyze", "--coeffs", coeffs, "--max-grid", "65536")
+            assert code == 0 and json.loads(out)["separation_bound"] is not None
+            assert calls == [len(coeffs.split()) - 1]
 
     # sha256 of the stdout of `rootiso analyze --coeffs ...`.  The bracket
     # and the disk-cover count are byte-stable: work on either must leave

@@ -195,6 +195,15 @@ class TestVariations:
             elif got != 0:
                 assert (got > 0) == (target > 0)
 
+    def test_unit_rescale_matches_horner_reference(self):
+        rng = random.Random(51)
+        cases = [IntPolynomial([]), poly(7), poly(0, 0, 3)]
+        cases += [make_poly(rng, rng.randint(0, 24), rng.choice((4, 40))) for _ in range(300)]
+        for f in cases:
+            lo = Dyadic(rng.randint(-300, 300), rng.randint(0, 9))
+            interval = DyadicInterval(lo, lo + Dyadic(rng.randint(1, 300), rng.randint(0, 9)))
+            assert unit_rescale(f, interval) == _reference_unit_rescale(f, interval), (f, interval)
+
     def test_unit_rescale_on_root_interval_is_shift_and_homothety(self):
         # the solver builds its root image as f(2X - 1) from these two transforms
         full = DyadicInterval(Dyadic(-1), Dyadic(1))
@@ -203,6 +212,28 @@ class TestVariations:
         cases += [make_poly(rng, rng.randint(0, 20), 24) for _ in range(60)]
         for g in cases:
             assert unit_rescale(g, full) == g.taylor_shift(-1).homothety(-1)
+
+
+def _reference_unit_rescale(f, interval):
+    """The Horner loop ``unit_rescale`` replaced: 2^(L d) f(a + w X) built
+    in the linear form (an + wn X), rescaling each constant term."""
+    if f.is_zero:
+        return f
+    a = interval.lo
+    w = interval.width()
+    level = max(a.exp, w.exp)
+    an = a.num << (level - a.exp)
+    wn = w.num << (level - w.exp)
+    d = f.degree
+    acc = [f.coeffs[d]]
+    for i in range(d - 1, -1, -1):
+        nxt = [0] * (len(acc) + 1)
+        for j, c in enumerate(acc):
+            nxt[j] += c * an
+            nxt[j + 1] += c * wn
+        nxt[0] += f.coeffs[i] << (level * (d - i))
+        acc = nxt
+    return IntPolynomial(acc)
 
 
 def _fraction_gcd(a, b):
