@@ -10,8 +10,13 @@ is the median over the samples, in ms.  Times are scaled to a fixed
 reference speed by ``perfbench/speed.py`` (a fixed big-integer kernel
 timed between every two calls), since other tenants of a shared host
 slow a whole run for seconds at a time; the raw wall-clock median is
-stored beside it.  One untimed call per degree runs first, so the
-halving matrix for that size is built before timing.
+stored beside it.
+
+The first call per degree, ``isolate_all`` on sample 0, is timed on its
+own as ``cold_ms`` (and ``cold_wall_ms``): it is the first call of that
+size in the process, so it includes building the solver's matrices for
+that size (the halving matrix when it grows, and the power-to-Bernstein
+matrix where the solver has one).  The medians that follow are warm.
 
 Beside each median the run records the work counters of the subdivision
 trace, summed over the samples: nodes, float splits, nodes whose count
@@ -71,8 +76,14 @@ def run() -> dict:
     degrees = {}
     for d, (count, repeats) in PLAN.items():
         polys = [uniform_model(d, BITSIZE).sample(SEED, i) for i in range(count)]
-        isolate_all(polys[0])
-        entry = {"samples": count, "repeats": repeats}
+        _, cold_wall, cold_scaled = clock.time(lambda: isolate_all(polys[0]))
+        entry = {
+            "samples": count,
+            "repeats": repeats,
+            "cold_ms": round(cold_scaled * 1e3, 4),
+            "cold_wall_ms": round(cold_wall * 1e3, 4),
+        }
+        print(f"d={d:5d} first call   {entry['cold_ms']:10.3f} ms", flush=True)
         for name, fn in (("isolate_unit", isolate_unit), ("isolate_all", isolate_all)):
             scaled, wall, results = zip(*(_fastest(clock, fn, f, repeats) for f in polys))
             traces = [r.trace for r in results]

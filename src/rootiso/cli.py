@@ -74,6 +74,7 @@ def _build_parser() -> _Parser:
     _add_poly_input(iso)
     iso.add_argument("--unit-only", action="store_true", help="restrict to roots in (-1, 1)")
     iso.add_argument("--out", help="write JSON here instead of stdout")
+    iso.add_argument("--stats", action="store_true", help="write each input's work counts to stderr")
 
     ana = sub.add_parser("analyze", help="condition, separation and root-count analysis")
     _add_poly_input(ana)
@@ -212,7 +213,16 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_isolate(args) -> int:
     polys = _parse_poly_args(args)
     solve = isolate_unit if args.unit_only else isolate_all
-    payloads = [solve(f).to_json() for f in polys]
+    results = [solve(f) for f in polys]
+    if args.stats:
+        for index, result in enumerate(results, start=1):
+            t = result.trace
+            print(
+                f"stats input={index} nodes={t.node_count} splits={t.splits} exact_nodes={t.exact_nodes}"
+                f" exact_splits={t.exact_splits} midpoint_evaluations={t.midpoint_evaluations}",
+                file=sys.stderr,
+            )
+    payloads = [result.to_json() for result in results]
     doc = payloads[0] if args.coeffs is not None else {"results": payloads}
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0

@@ -17,8 +17,12 @@ parent's by one integer de Casteljau pass that both children share.  The
 sign at a midpoint comes from the float apex when certified and otherwise
 from one exact evaluation, which also finds a dyadic root there.  So the
 tree and every output are those of exact arithmetic.  The off-zero
-refinement splits the same way, and only the root vector of each phase
-needs a Taylor shift.
+refinement splits the same way.  The root (-1, 1) of each phase starts
+from one float product, its power coefficients times the cached
+power-to-Bernstein matrix, under a bound of the same kind, and its ends
+are the exact signs of two integer sums.  Its exact vector, a Taylor
+shift, is built only when the root's own signs or a deeper node's exact
+vector need it.
 Roots outside [-1, 1] are reached through the reciprocal polynomial and the
 map x -> 1/x; since 1/x is not dyadic in general, those results carry an
 ``inverted`` flag together with the dyadic pre-image.
@@ -30,11 +34,12 @@ distinct polynomials share no state and may proceed concurrently.
 from __future__ import annotations
 
 import math
-from collections import deque
+import threading
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, repeat
-from operator import add, lshift, or_, rshift
+from operator import add, lshift, or_, rshift, truediv
 
 import numpy as np
 
@@ -54,8 +59,8 @@ class NodeRecord:
     depth (the root interval (-1, 1) has depth 0).
 
     The work fields: ``exact`` when the count was read from the node's
-    exact integer vector (a phase root, or a node whose float signs were
-    uncertain); ``exact_splits``, the integer de Casteljau passes that
+    exact integer vector (a node, phase roots included, whose float signs
+    were uncertain); ``exact_splits``, the integer de Casteljau passes that
     building that vector took (a pass shared with an earlier node counts
     there); ``evaluated_midpoint`` when the node was split and the sign at
     its midpoint came from an exact evaluation.
@@ -204,13 +209,15 @@ def isolate_unit(f: IntPolynomial) -> IsolationResult:
 def isolate_all(f: IntPolynomial) -> IsolationResult:
     """Isolate every real root of f.
 
-    Subdivides (-1, 1) for the square-free part fsq, tests +-1 exactly,
-    and subdivides (-1, 1) for the reciprocal's square-free part, whose
-    roots in (-1, 0) and (0, 1) are the reciprocals of the roots of f
-    outside [-1, 1].  That part is fsq reversed (dropping a root at 0) and
-    sign-normalized, so fsq is computed once.  Reciprocal-phase intervals
-    are bisected from their vectors until they avoid 0, so every reported
-    pre-image interval maps to a bounded interval under x -> 1/x.
+    Subdivides (-1, 1) for the square-free part fsq, tests +-1 exactly
+    (f and fsq vanish there together, and the phase root holds the signs
+    of fsq(+-1)), and subdivides (-1, 1) for the reciprocal's square-free
+    part, whose roots in (-1, 0) and (0, 1) are the reciprocals of the
+    roots of f outside [-1, 1].  That part is fsq reversed (dropping a
+    root at 0) and sign-normalized, so fsq is computed once.
+    Reciprocal-phase intervals are bisected from their vectors until they
+    avoid 0, so every reported pre-image interval maps to a bounded
+    interval under x -> 1/x.
     """
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
@@ -219,15 +226,15 @@ def isolate_all(f: IntPolynomial) -> IsolationResult:
     if rsq.leading_coefficient < 0:
         rsq = rsq.scale(-1)
 
-    unit, _ = _subdivide(fsq)
+    unit, _, (lo, hi) = _subdivide(fsq)
     intervals = list(unit.intervals)
     exact = list(unit.exact_roots)
 
-    for endpoint in (Dyadic(1), Dyadic(-1)):
-        if f.evaluate_dyadic(endpoint).is_zero:
+    for endpoint, sign in ((Dyadic(1), hi), (Dyadic(-1), lo)):
+        if sign == 0:
             exact.append(ExactRoot(endpoint))
 
-    recip, leaves = _subdivide(rsq)
+    recip, leaves, _ = _subdivide(rsq)
     exact.extend(_invert_exact(r.value) for r in recip.exact_roots)
     for leaf in leaves:
         found = _refine_off_zero(leaf, rsq)
@@ -249,13 +256,13 @@ def _subdivide(fsq: IntPolynomial):
     A node's Descartes count is the sign variations of its Bernstein
     vector.  A split is a float pass with exact fallback (``_split``): the
     children's counts come from their float images where these certify
-    every sign, and from their exact vectors otherwise (``_read_exact``).
-    Returns the result and the nodes of its intervals (the var = 1
-    leaves), in order.
+    every sign, and from their exact vectors otherwise (``_read_exact``);
+    the root starts from ``_phase_root``.  Returns the result, the nodes
+    of its intervals (the var = 1 leaves) in order, and the exact signs of
+    fsq at -1 and 1.
     """
-    root = _Node(DyadicInterval(Dyadic(-1), Dyadic(1)), 0, None, 0)
-    root.exact = _root_vector(fsq)
-    _read_exact(root)
+    root = _phase_root(fsq)
+    ends = root.lo, root.hi
     queue = deque([root])
     intervals: list[RootInterval] = []
     leaves: list[_Node] = []
@@ -278,7 +285,7 @@ def _subdivide(fsq: IntPolynomial):
         nodes.append(NodeRecord(node.interval, v, node.depth, node.exact is not None, exact_splits, evaluated))
 
     trace = SubdivisionTrace(var_per_node=nodes, square_free=fsq)
-    return IsolationResult(intervals=intervals, exact_roots=exact, trace=trace), leaves
+    return IsolationResult(intervals=intervals, exact_roots=exact, trace=trace), leaves, ends
 
 
 class _Node:
@@ -291,10 +298,14 @@ class _Node:
     ends.  ``variations`` is the Descartes count when ``f`` certifies it,
     else None.  ``exact`` is the exact vector (a positive multiple of the
     same coefficients), when built; ``halves`` holds the node's one exact
-    split until each child claims its half (``side`` 0 is the left).
+    split until each child claims its half (``side`` 0 is the left).  A
+    phase root holds its polynomial ``g``, from which its exact vector is
+    built when first needed.
     """
 
-    __slots__ = ("interval", "depth", "parent", "side", "f", "err", "peak", "lo", "hi", "variations", "exact", "halves")
+    __slots__ = (
+        "interval", "depth", "parent", "side", "f", "err", "peak", "lo", "hi", "variations", "exact", "halves", "g",
+    )
 
     def __init__(self, interval, depth, parent, side, f=None, err=0.0, peak=0.0, lo=0, hi=0, variations=None):
         self.interval = interval
@@ -307,7 +318,7 @@ class _Node:
         self.lo = lo
         self.hi = hi
         self.variations = variations
-        self.exact = self.halves = None
+        self.exact = self.halves = self.g = None
 
 
 def _read_exact(node: _Node) -> int:
@@ -316,7 +327,9 @@ def _read_exact(node: _Node) -> int:
 
     A node without its vector takes it from the parent's ``halves``, split
     from the parent's own exact vector, built the same way, the first
-    time a child asks.  Each vector is held in one place: a node drops its
+    time a child asks; a phase root counted from its float image builds
+    its vector from its polynomial (``_root_vector``) when the chain
+    first reaches it.  Each vector is held in one place: a node drops its
     exact vector once split exactly and its link to the parent once it
     holds its own, so a parent and an unclaimed half live only as long as
     the sibling that may still claim it.
@@ -324,8 +337,11 @@ def _read_exact(node: _Node) -> int:
     splits = 0
     if node.exact is None:
         chain = [node]
-        while chain[-1].parent.halves is None and chain[-1].parent.exact is None:
-            chain.append(chain[-1].parent)
+        while (parent := chain[-1].parent) is not None and parent.halves is None and parent.exact is None:
+            chain.append(parent)
+        if chain[-1].parent is None:
+            root = chain.pop()
+            root.exact = _root_vector(root.g)
         for down in reversed(chain):
             parent = down.parent
             if parent.halves is None:
@@ -337,15 +353,27 @@ def _read_exact(node: _Node) -> int:
     b = node.exact
     node.variations = sign_variations(b)
     node.lo, node.hi = _sign(b[0]), _sign(b[-1])
-    # scaled by a power of two into [-1, 1]: each entry is rounded once,
-    # after truncation below 2^-1000 when it is wider than 1000 bits, and
-    # the scaling is exact, since nonzero results are at least 2^-1000
-    top = max(max(b), -min(b)).bit_length()
-    s = max(top - 1000, 0)
-    node.f = np.array([x >> s for x in b] if s else b, dtype=np.float64)
-    node.f *= math.ldexp(1.0, s - top)
+    node.f = _unit_scaled(b)[0]
     node.err, node.peak = _U * _ROUND_UP, 1.0
     return splits
+
+
+def _unit_scaled(values) -> tuple[np.ndarray, int]:
+    """The integers ``values`` times 2^-top, in float64, and top, the bit
+    length of the largest magnitude: every entry lies in [-1, 1], and
+    some entry is 1/2 or more.
+
+    Each entry is rounded once, after truncation below 2^-1000 when it is
+    wider than 1000 bits, and the scaling is exact, since nonzero results
+    are at least 2^-1000.  So an entry is off by at most u times itself,
+    plus 2^-1000 once truncated, which is below 2^-946 u times the
+    largest entry.
+    """
+    top = max(max(values), -min(values)).bit_length()
+    s = max(top - 1000, 0)
+    out = np.array([x >> s for x in values] if s else values, dtype=np.float64)
+    out *= math.ldexp(1.0, s - top)
+    return out, top
 
 
 _U = 2.0**-53  # unit roundoff of float64
@@ -446,6 +474,128 @@ def _halving_matrix(n: int):
         built.flags.writeable = False
         _halving = built
     return built[:n, :n]
+
+
+def _phase_root(g: IntPolynomial) -> _Node:
+    """The node (-1, 1) of a phase for g, counted from its float image
+    when that certifies every interior sign.
+
+    Its ends are the signs of g(-1) and g(1), two exact integer sums; the
+    image and its bound are ``_root_image``.  A root left uncounted reads
+    its count from its exact vector (``_read_exact``), built from g.
+    """
+    coeffs = g.coeffs
+    lo, hi = _sign(sum(coeffs[::2]) - sum(coeffs[1::2])), _sign(sum(coeffs))
+    f, err, peak, _ = _root_image(coeffs)
+    signs = np.sign(f)
+    signs[0], signs[-1] = lo, hi
+    certified = np.abs(f[1:-1]).min(initial=math.inf) > err
+    count = int(np.count_nonzero(signs[1:] * signs[:-1] < 0)) if certified else None
+    root = _Node(DyadicInterval(Dyadic(-1), Dyadic(1)), 0, None, 0, f, err, peak, lo, hi, count)
+    root.g = g
+    return root
+
+
+def _root_image(coeffs) -> tuple[np.ndarray, float, float, int]:
+    """Float image of the Bernstein coefficients on [-1, 1] of the
+    polynomial with power coefficients ``coeffs``, with its error bound,
+    its peak (at most 1) and the shift s of its scale: the image holds
+    2^-s times the coefficients.
+
+    The Bernstein coefficients are b = M c for M = D^-1 K, K[i, j] =
+    [X^i] (X - 1)^j (X + 1)^(d - j) and D = diag C(d, i), and every
+    |M[i, j]| <= 1 (``_bernstein_matrix``).  Take x, the coefficients
+    scaled into [-1, 1] (``_unit_scaled``), and let y = M x exactly.  With
+    n = d + 1, N = ||x||_1 >= 1/2 and u = 2^-53, the computed product
+    differs from y by at most
+      u N             from rounding x, through |M| <= 1,
+      + u N + n 2^-1075   from rounding M (u |M| each, 2^-1075 for an
+                      entry below the normal range; |x_j| <= 1),
+      + (n + 1) u N   from the n-term dot product in any order (gamma_n
+                      <= (n + 1) u for n <= 2^26, and every rounded
+                      entry of M is at most 1 too),
+      + n 2^-1075     for products below the normal range,
+    and truncating x wider than 1000 bits adds under n 2^-1000, below
+    2^-945 n u N.  The image is then scaled by 2^-e, which puts its peak
+    in [1/2, 1), and the bound with it.  Scaling down rounds an entry
+    below the normal range by at most 2^-1075 more, so the 2^-1075 terms
+    stay within n 2^-1073; scaling up is exact, and leaves them below
+    2^-990 u N', which the rounding up covers.  So with N' = N 2^-e the
+    error is at most (n + 3) u N' + n 2^-1073.  N' is computed as a float
+    sum, low by at most a factor 1 - (n - 1) u, which one more u N'
+    covers for n <= 2^26: the bound taken is (n + 4) u N' + n 2^-1073,
+    rounded up.  An interior entry with |y_i| above it has the exact
+    sign.  A peak below 2^-54 lies within the bound and certifies
+    nothing, so e stops at -53, which keeps N' finite.
+    """
+    n = len(coeffs)
+    x, top = _unit_scaled(coeffs)
+    f = _bernstein_matrix(n) @ x
+    norm = float(np.abs(x).sum())
+    peak = float(np.abs(f).max())
+    e = max(math.frexp(peak)[1], -53)
+    if e:
+        f *= math.ldexp(1.0, -e)
+        norm, peak = math.ldexp(norm, -e), math.ldexp(peak, -e)
+    return f, ((n + 4) * _U * norm + n * _SUBNORMAL) * _ROUND_UP, peak, top + e
+
+
+_BERNSTEIN_CACHE_BYTES = 32 << 20  # the matrices kept, least recently used dropped first
+_bernstein: OrderedDict[int, np.ndarray] = OrderedDict()
+_bernstein_lock = threading.Lock()
+
+
+def _bernstein_matrix(n: int) -> np.ndarray:
+    """M of size n, M[i, j] = K[i, j] / C(d, i) correctly rounded, for
+    d = n - 1 and K[i, j] = [X^i] (X - 1)^j (X + 1)^(d - j).
+
+    M maps power coefficients to Bernstein coefficients on [-1, 1]:
+    X^j = sum_i M[i, j] B_i for B_i = C(d, i) s^i t^(d - i), s = (1 + X)/2
+    and t = (1 - X)/2, since X^j (s + t)^(d - j) = (s - t)^j (s + t)^(d - j).
+    |K[i, j]| <= C(d, i), so |M| <= 1.  The matrices are cached per size,
+    read-only, up to ``_BERNSTEIN_CACHE_BYTES`` in all (a single larger
+    one is kept alone).
+    """
+    with _bernstein_lock:
+        m = _bernstein.get(n)
+        if m is not None:
+            _bernstein.move_to_end(n)
+            return m
+    m = _build_bernstein_matrix(n)
+    m.flags.writeable = False
+    with _bernstein_lock:
+        _bernstein[n] = m
+        while len(_bernstein) > 1 and sum(a.nbytes for a in _bernstein.values()) > _BERNSTEIN_CACHE_BYTES:
+            _bernstein.popitem(last=False)
+    return m
+
+
+def _build_bernstein_matrix(n: int) -> np.ndarray:
+    """M of size n from exact integers, a quarter of it computed.
+
+    Its columns come from (X + 1) C_(j+1) = (X - 1) C_j for C_j the
+    polynomial of column j: u_j[i] = (-1)^(i + j) K[i, j] makes u_(j+1)
+    the prefix sums of u_j[i] + u_j[i - 1], so rows i <= d/2 need only
+    rows i <= d/2.  Each entry is one int true division, which rounds
+    correctly, subnormals included.  The rest follows from
+    K[d - i, j] = (-1)^j K[i, j] (X -> 1/X) and
+    K[i, d - j] = (-1)^(d + i) K[i, j] (X -> -X).
+    """
+    d = n - 1
+    half = (n + 1) // 2
+    head = list(accumulate(range(half - 1), lambda c, i: c * (d - i) // (i + 1), initial=1))
+    u = [c if i % 2 == 0 else -c for i, c in enumerate(head)]
+    quarter = np.empty((half, half))
+    for j in range(half):
+        quarter[:, j] = list(map(truediv, u, head))
+        u = list(accumulate(map(add, u, [0, *u[:-1]])))
+    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    m = np.empty((n, n))
+    m[:half, :half] = quarter * np.outer(sign[:half], sign[:half])
+    low = n // 2
+    m[half:, :half] = m[:low, :half][::-1] * sign[:half]
+    m[:, half:] = (sign if d % 2 == 0 else -sign)[:, None] * m[:, :low][:, ::-1]
+    return m
 
 
 def _sign(x: int) -> int:

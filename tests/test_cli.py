@@ -72,6 +72,27 @@ class TestIsolate:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["trace"]["node_count"] == 2
 
+    @pytest.mark.parametrize("unit_only", [[], ["--unit-only"]])
+    def test_stats_on_stderr_only(self, capsys, unit_only):
+        # --stats adds one line of work counts per input to stderr and
+        # leaves stdout byte for byte as it is
+        corpus = Path(__file__).parent / "data" / "golden_isolate.txt"
+        code, plain, quiet = run_cli(capsys, "isolate", *unit_only, "--input", str(corpus))
+        assert code == 0 and quiet == ""
+        code, out, err = run_cli(capsys, "isolate", *unit_only, "--stats", "--input", str(corpus))
+        assert code == 0 and out == plain
+        polys = [rootiso.IntPolynomial.from_text(line) for line in corpus.read_text().splitlines() if line.strip()]
+        solve = rootiso.isolate_unit if unit_only else rootiso.isolate_all
+        want = []
+        for index, f in enumerate(polys, start=1):
+            t = solve(f).trace
+            want.append(
+                f"stats input={index} nodes={t.node_count} splits={t.splits} exact_nodes={t.exact_nodes} "
+                f"exact_splits={t.exact_splits} midpoint_evaluations={t.midpoint_evaluations}"
+            )
+        assert err.splitlines() == want
+        assert sum(int(line.split("exact_splits=")[1].split()[0]) for line in want) > 0
+
 
 class TestAnalyze:
     def test_keys_and_values(self, capsys):
