@@ -81,6 +81,7 @@ def _build_parser() -> _Parser:
     ana.add_argument("--rel-tol", type=float, default=0.5, help="bracket relative tolerance")
     ana.add_argument("--max-grid", type=int, default=1 << 22, help="grid point budget")
     ana.add_argument("--out", help="write JSON here instead of stdout")
+    ana.add_argument("--stats", action="store_true", help="write the bracket's work counts to stderr")
 
     gen = sub.add_parser("gen", help="sample polynomials from a random model")
     _add_model_flags(gen)
@@ -233,6 +234,8 @@ def _cmd_analyze(args) -> int:
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
     bracket = global_condition_bracket(f, rel_tol=args.rel_tol, max_grid=args.max_grid)
+    if args.stats:
+        print(f"stats levels={bracket.levels} scanned={bracket.scanned} exact={bracket.exact}", file=sys.stderr)
     doc = {"degree": f.degree, "cond": bracket.to_json()}
     separate = math.isfinite(bracket.upper) and f.degree >= 1
     # one oracle pass serves both the separation and the cover count

@@ -8,16 +8,27 @@ upper end of the bracket: if M is the exact maximum over a grid of
 spacing delta then cond over the whole interval is at most
 1 / (1/M - d delta) whenever that is positive.
 
+The grid scan prunes with a sharper, local slope.  Over a cell of radius
+r around x, 1/cond moves no faster than
+max(|f'(x)|, |f''(x)|/d) / ||f||_1 + d^2 r, since each derivative grows
+the 1-norm by at most a factor d (Tonelli-Cueto and Tsigaridas,
+"Condition numbers for the cube. I", ISSAC 2020, give the grid method
+and the d-Lipschitz bound; this is its first-order Taylor refinement).
+Near a minimum of 1/cond that slope is far below d, so far fewer cells
+stay active; the bracket itself still uses the global d.
+
 Numerics policy: condition values only matter on a log scale downstream,
 so each value is the float quotient of exactly computed integer/dyadic
 quantities (relative error below 2^-40).  Grid scans run in vectorized
-floating point with a rigorous error budget; only the few points that
-could attain the grid maximum are evaluated exactly, so the reported
-bracket is the same one a fully exact scan of the grid would produce.
-The scan visits each grid point once: a level is the sorted merge of the
-previous level's active points and their odd neighbours, the points
-carried over keep their scanned values, and no dyadic is evaluated
-exactly twice.
+floating point with a rigorous error budget: one matrix product of a
+table of powers of x with the correctly rounded coefficients of f, f'/d
+and f''/d over ||f||_1 (``_scan``).  Only the few points that could
+attain the grid maximum are evaluated exactly, so the reported bracket is
+the same one a fully exact scan of the grid would produce.  The scan
+visits each grid point once: a level is the sorted merge of the previous
+level's active points and their odd neighbours, the points carried over
+keep their scanned values and slopes, and no dyadic is evaluated exactly
+twice.
 """
 
 from __future__ import annotations
@@ -37,7 +48,9 @@ class UnboundedConditionError(ArithmeticError):
 
 
 _ONE = Dyadic(1)
-_SAFETY = 1.0 + 2.0**-30  # absorbs the 2^-40 rounding of exact-path quotients
+# absorbs the 2^-40 rounding of exact-path quotients, and rounds the float
+# slope bounds up
+_SAFETY = 1.0 + 2.0**-30
 
 
 def local_condition(f: IntPolynomial, x: Dyadic) -> float:
@@ -78,6 +91,10 @@ class ConditionBracket:
     grid; ``upper`` is finite only once the grid is fine enough relative
     to that maximum.  ``achieved`` is False when the requested relative
     tolerance was not reached before the grid budget ran out.
+
+    ``levels``, ``scanned`` and ``exact`` count the work that produced the
+    bracket: grid levels visited, points scanned in float and points
+    evaluated exactly.  They are not part of ``to_json``.
     """
 
     lower: float
@@ -85,6 +102,9 @@ class ConditionBracket:
     grid_size: int
     delta: float
     achieved: bool
+    levels: int = 0
+    scanned: int = 0
+    exact: int = 0
 
     def ratio(self) -> float:
         if not self.lower or not math.isfinite(self.lower):
@@ -118,22 +138,29 @@ def global_condition_bracket(
     the final grid.  Three devices keep that affordable without changing
     the result:
 
-    * the float scan carries the rigorous error budget E below, and only
-      points whose scanned 1/cond is within 2E of the level minimum are
-      evaluated exactly; no other point can attain the grid minimum of
-      1/cond, and a point evaluated at a coarser level is not evaluated
-      again, since its value is already in the maximum;
+    * the float scan carries the rigorous error budget E of ``_scan``,
+      and only points whose scanned 1/cond is within 2E of the level
+      minimum are evaluated exactly; no other point can attain the grid
+      minimum of 1/cond, and a point evaluated at a coarser level is not
+      evaluated again, since its value is already in the maximum;
     * each level is the refinement of an active set of the previous one
       (``_children``): the even child 2a of a point a is that point
-      itself, so it keeps the scanned 1/cond, and only the odd children
-      are scanned in float;
-    * a grid cell (radius delta/2 around an evaluated point x) leaves
-      the active set once hf(x) - d delta/2 exceeds the level minimum
-      by 2E: the Lipschitz property of 1/cond then puts every finer grid
-      point inside that cell strictly above the exactly evaluated
-      minimum, so dropped cells cannot change the maximum at any later
-      level.  The point attaining the minimum stays and carries its
-      value, so the level minimum never rises.
+      itself, so it keeps the scanned 1/cond and slope, and only the odd
+      children are scanned in float;
+    * a grid cell (radius r = delta/2 around a scanned point x) leaves
+      the active set once hf(x) - L r exceeds the level minimum by 2E,
+      where L is the cell's own slope bound (``_cell_slope``) and hf the
+      scanned 1/cond.  Every finer grid point y of the cell then has
+      1/cond(y) >= hf(x) - E - L r > level minimum + E, which is above
+      the exactly evaluated minimum, so dropped cells cannot change the
+      maximum at any later level.  The point attaining the minimum stays
+      and carries its value, so the level minimum never rises.  An even
+      child's cell lies inside its parent's, so the parent's slope
+      bound, taken at the child's smaller radius, still holds for it.
+
+    The upper bound uses the global slope d, so every field of the
+    bracket is fixed by exact arithmetic: the float scan decides only
+    which points are evaluated, never what is reported.
     """
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
@@ -143,20 +170,26 @@ def global_condition_bracket(
     if d == 0:
         return ConditionBracket(1.0, 1.0, 1, 2.0, True)
 
-    norm = float(f.one_norm())
-    coeffs_desc = np.array(f.coeffs[::-1], dtype=float)
-    deriv_desc = np.array(f.derivative().coeffs[::-1], dtype=float)
-    # error budget: (4d+16) ulp covers Horner accumulation at |x| <= 1,
-    # coefficient rounding, and the divisions by d and ||f||_1
-    err = (4.0 * d + 16.0) * 2.0**-53
+    table = _scan_table(f)
+    err = (4.0 * d + 16.0) * 2.0**-53  # the budget E of ``_scan``
+    # d |f'/d| and |f''/d| (over ||f||_1) are each off by at most d E,
+    # well inside the slope budget d^2 E
+    slope_err = d * d * err
 
     def scan(ks: np.ndarray, level: int) -> np.ndarray:
-        xs = ks.astype(float) * 2.0**-level
-        return np.maximum(np.abs(_horner(coeffs_desc, xs)), np.abs(_horner(deriv_desc, xs)) / d) / norm
+        """Columns: the scanned 1/cond and the slope at the point, both
+        over ||f||_1, the slope with its float budget."""
+        values = np.abs(_scan(table, ks.astype(float) * 2.0**-level))
+        cells = np.empty((ks.size, 2))
+        np.maximum(values[:, 0], values[:, 1], out=cells[:, 0])
+        np.maximum(d * values[:, 1], values[:, 2], out=cells[:, 1])
+        cells[:, 1] += slope_err
+        return cells
 
     level = max(2, (4 * d - 1).bit_length())
     ks = np.arange(-(1 << level), (1 << level) + 1, dtype=np.int64)
-    inv_cond = scan(ks, level)
+    cells = scan(ks, level)
+    levels, scanned = 1, ks.size
     evaluated = set()  # points already passed to local_condition
     best_cond = 0.0
     last_finite_upper = math.inf
@@ -164,6 +197,7 @@ def global_condition_bracket(
     while True:
         grid_size = (1 << (level + 1)) + 1
         delta = 2.0**-level
+        inv_cond = cells[:, 0]
         level_min = float(inv_cond.min())
         for idx in np.nonzero(inv_cond <= level_min + 2.0 * err)[0]:
             x = Dyadic(int(ks[idx]), level)
@@ -174,21 +208,39 @@ def global_condition_bracket(
         lower = best_cond
         inv_m = 1.0 / (lower * _SAFETY)
         upper = 1.0 / (inv_m - d * delta) if inv_m > d * delta else math.inf
+        work = (levels, scanned, len(evaluated))
         if math.isfinite(upper):
             last_finite_upper = upper
             if upper <= (1.0 + rel_tol) * lower:
-                return ConditionBracket(lower, upper, grid_size, delta, True)
+                return ConditionBracket(lower, upper, grid_size, delta, True, *work)
         if (1 << (level + 2)) + 1 > max_grid:
             # report the last evaluated grid
-            return ConditionBracket(lower, last_finite_upper, grid_size, delta, False)
+            return ConditionBracket(lower, last_finite_upper, grid_size, delta, False, *work)
 
-        keep = inv_cond <= level_min + 2.0 * err + d * (delta / 2.0)
-        ks, inv_cond = ks[keep], inv_cond[keep]
+        radius = delta / 2.0
+        keep = inv_cond - _cell_slope(cells[:, 1], d, radius) * radius <= level_min + 2.0 * err
+        ks, cells = ks[keep], cells[keep]
         level += 1
         ks, odd = _children(ks, level)
-        parent_inv, inv_cond = inv_cond, np.empty(ks.size)
-        inv_cond[odd] = scan(ks[odd], level)
-        inv_cond[~odd] = parent_inv
+        parents, cells = cells, np.empty((ks.size, 2))
+        cells[odd] = scan(ks[odd], level)
+        cells[~odd] = parents
+        levels += 1
+        scanned += int(odd.sum())
+
+
+def _cell_slope(slope: np.ndarray, d: int, radius: float) -> np.ndarray:
+    """Slope bound of 1/cond over the cells of ``radius`` around points
+    whose scanned slope, float budget included, is ``slope``.
+
+    With h = max(|f|, |f'|/d) / ||f||_1, |h(y) - h(x)| is at most |y - x|
+    times the largest max(|f'|, |f''|/d) / ||f||_1 between x and y.  Since
+    ||f^(k+1)||_1 <= d ||f^(k)||_1, |f'(y)| <= |f'(x)| + r d^2 ||f||_1 and
+    |f''(y)|/d <= |f''(x)|/d + r d^2 ||f||_1 for |y - x| <= r, so over the
+    cell the slope exceeds its value at x by at most d^2 r.  The result is
+    rounded up and never above the global slope d.
+    """
+    return np.minimum((slope + d * d * radius) * _SAFETY, d)
 
 
 def _children(ks: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -215,12 +267,71 @@ def _children(ks: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
     return out, (out & 1) == 1
 
 
-def _horner(coeffs_desc: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    acc = np.full(xs.shape, coeffs_desc[0])
-    for c in coeffs_desc[1:]:
-        acc *= xs
-        acc += c
-    return acc
+def _scan_table(f: IntPolynomial) -> np.ndarray:
+    """The (d+1) x 3 table whose row j holds the coefficients of x^j in
+    f, f'/d and f''/d, each divided by ||f||_1 and correctly rounded (one
+    integer true division each).  Its columns have 1-norms of at most 1,
+    1 and d - 1."""
+    c, d, norm = f.coeffs, f.degree, f.one_norm()
+    table = np.zeros((d + 1, 3))
+    table[:, 0] = [ck / norm for ck in c]
+    table[:-1, 1] = [k * c[k] / (d * norm) for k in range(1, d + 1)]
+    table[:-2, 2] = [k * (k - 1) * c[k] / (d * norm) for k in range(2, d + 1)]
+    return table
+
+
+_BLOCK = 1024  # points per power table; at d = 1024 one table is 8 MiB
+
+
+def _scan(table: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """``table``'s polynomials at ``xs``: row i is powers(xs[i]) @ table.
+
+    The points go in blocks of ``_BLOCK``.  Each block builds its power
+    table by doubling, x^(m + i) = x^i x^m with x^m = (x^(m/2))^2, in
+    Fortran order so that each doubling is one multiply of contiguous
+    columns, then takes one matrix product with ``table``.
+
+    Error budget, at |x| <= 1 and d + 1 table rows, for the table built
+    by ``_scan_table``: each value is within E S of the exact value of
+    the unrounded column, where E = (4d + 16) u, u = 2^-53, and S >= 1
+    bounds the column's 1-norm (1 for f and f'/d, d - 1 for f''/d, all
+    over ||f||_1).
+
+    * The table's entries round once each: u S.
+    * Each power x^j is the product of two earlier ones, and the chain
+      behind it holds at most j - 1 roundings, so it is within gamma_j of
+      x^j, gamma_n = n u / (1 - n u).
+    * The dot product of d + 1 terms is within gamma_(d+1) of the exact
+      sum of its products, in any summation order and with or without
+      fused multiply-adds.
+    * Gradual underflow in the table, the powers and the products adds
+      less than (2d + 2) S 2^-1074 in all.
+
+    Together that is below (2d + 3) u S + (2d + 2) S 2^-1074 for
+    d <= 2^20, well inside E S.
+    """
+    n = table.shape[0]
+    out = np.empty((xs.size, table.shape[1]))
+    buffer = np.empty((min(xs.size, _BLOCK), n), order="F")
+    for start in range(0, xs.size, _BLOCK):
+        x = xs[start : start + _BLOCK]
+        powers = buffer[: x.size]
+        powers[:, 0] = 1.0
+        if n > 1:
+            powers[:, 1] = x
+        m = 2
+        while m < n:
+            top = powers[:, m // 2] * powers[:, m // 2]
+            width = min(m, n - m)
+            np.multiply(powers[:, :width], top[:, None], out=powers[:, m : m + width])
+            m *= 2
+        np.matmul(powers, table, out=out[start : start + x.size])
+    return out
+
+
+# ``perfbench/tracer.py`` wraps the float evaluator by this name to count
+# grid points (halving the count, as f and f' once took a call each)
+_horner = _scan
 
 
 def separation_lower_bound(f: IntPolynomial, cond_upper: float) -> float:

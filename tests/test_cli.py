@@ -183,6 +183,19 @@ class TestAnalyze:
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_stats_on_stderr_only(self, capsys):
+        # --stats adds the bracket's work counts to stderr and leaves
+        # stdout byte for byte as it is
+        for coeffs, max_grid in (("-1 0 4", 1 << 22), (_uniform_64(0), 1 << 22), (_uniform_64(0), 4096)):
+            argv = ("analyze", "--coeffs", coeffs, "--max-grid", str(max_grid))
+            code, plain, quiet = run_cli(capsys, *argv)
+            assert code == 0 and quiet == ""
+            code, out, err = run_cli(capsys, *argv, "--stats")
+            assert code == 0 and out == plain
+            br = rootiso.global_condition_bracket(rootiso.IntPolynomial.from_text(coeffs), max_grid=max_grid)
+            assert err == f"stats levels={br.levels} scanned={br.scanned} exact={br.exact}\n"
+            assert 0 < br.exact < br.scanned and br.levels > 0
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_convergence_diagnostics_on_stderr(self, capsys):
         f = rootiso.uniform_model(256, 32).sample(1, 6)

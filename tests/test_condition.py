@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -138,20 +139,29 @@ class TestBracket:
 
     def test_pruning_scans_fewer_points(self, monkeypatch):
         # float points scanned on one d = 64 input; the scan that kept
-        # every point of grids below 2^15 points scanned 33785
+        # every point of grids below 2^15 points scanned 33785, and the
+        # prune by the global slope d scanned 11.7k
         points = []
-        horner = condition_mod._horner
+        scan = condition_mod._scan
 
-        def counting_horner(coeffs_desc, xs):
+        def counting_scan(table, xs):
             points.append(xs.size)
-            return horner(coeffs_desc, xs)
+            return scan(table, xs)
 
-        monkeypatch.setattr(condition_mod, "_horner", counting_horner)
+        monkeypatch.setattr(condition_mod, "_scan", counting_scan)
         f = uniform_model(64, 32).sample(1, 0)
         br = global_condition_bracket(f)
         assert _bracket_fields(br) == _bracket_fields(_reference_bracket(f))
-        # each point is scanned once for f and once for f'
-        assert sum(points) // 2 < 33785
+        assert sum(points) == br.scanned <= 1004
+        assert br.levels == len(points)
+
+    def test_coefficients_beyond_float_range(self):
+        # cond(c f, x) = cond(f, x), and the scan's table holds each
+        # coefficient over ||f||_1, so scaling f by 2^1100 (past the float
+        # range) leaves every field as it is
+        f = uniform_model(16, 32).sample(1, 3)
+        big = IntPolynomial([c << 1100 for c in f.coeffs])
+        assert _bracket_fields(global_condition_bracket(big)) == _bracket_fields(global_condition_bracket(f))
 
     def test_deterministic(self):
         f = make_poly(random.Random(34), 20, 20)
@@ -239,6 +249,62 @@ def _bracket_fields(br):
     return (br.lower, br.upper, br.grid_size, br.delta, br.achieved)
 
 
+def _prune_cases():
+    rng = random.Random(41)
+    cases = [make_poly(rng, rng.randint(2, 32), 20) for _ in range(8)]
+    return cases + [uniform_model(64, 32).sample(1, i) for i in range(3)]
+
+
+def _record_kept(monkeypatch):
+    """Record, for each refinement, the level and the indices the library
+    kept for it."""
+    kept = []  # (level, indices kept for the next level)
+    children = condition_mod._children
+
+    def recording_children(ks, level):
+        kept.append((level - 1, set(ks.tolist())))
+        return children(ks, level)
+
+    monkeypatch.setattr(condition_mod, "_children", recording_children)
+    return kept
+
+
+def _prune_violations(f, kept):
+    """Check each cell the library dropped against the local margin.
+
+    A cell (radius r = delta/2 around a scanned point x) may leave the
+    active set only when hf(x) - L r exceeds the level minimum by the
+    error budget 2E, with hf the scanned 1/cond and L the cell's slope
+    bound min(d, max(|f'(x)|, |f''(x)|/d) / ||f||_1 + d^2 E + d^2 r).
+    Each level's active set is rebuilt here from the kept parents and
+    rescanned with Horner's rule.  Returns the number of dropped cells and
+    the (level, index) of those that fail the margin."""
+    d = f.degree
+    err = (4.0 * d + 16.0) * 2.0**-53
+    norm = float(f.one_norm())
+    derivatives = [f, f.derivative(), f.derivative().derivative()]
+    level = max(2, (4 * d - 1).bit_length())
+    active = range(-(1 << level), (1 << level) + 1)
+    dropped, violations = 0, []
+    for kept_level, survivors in kept:
+        assert kept_level == level and survivors <= set(active)
+        ks = np.array(sorted(active), dtype=np.int64)
+        xs = ks.astype(float) * 2.0**-level
+        f0, f1, f2 = (np.abs(_float_horner(np.array(g.coeffs[::-1], dtype=float), xs)) for g in derivatives)
+        hf = np.maximum(f0, f1 / d) / norm
+        radius = 2.0**-level / 2.0
+        slope = np.minimum(d, np.maximum(f1, f2 / d) / norm + d * d * err + d * d * radius)
+        margin = float(hf.min()) + 2.0 * err
+        for k, h, s in zip(ks.tolist(), hf.tolist(), slope.tolist()):
+            if k not in survivors:
+                dropped += 1
+                if not h - s * radius > margin:
+                    violations.append((level, k))
+        level += 1
+        active = {c for a in survivors for c in (2 * a - 1, 2 * a, 2 * a + 1) if abs(c) <= 1 << level}
+    return dropped, violations
+
+
 class TestScan:
     """The merged, carried scan against the reference scan above."""
 
@@ -285,57 +351,71 @@ class TestScan:
                 assert _bracket_fields(br) == _bracket_fields(_reference_bracket(f, max_grid=max_grid))
 
     def test_dropped_cells_clear_the_lipschitz_margin(self, monkeypatch):
-        # a cell (radius delta/2 around a scanned point x) may leave the
-        # active set only when hf(x) - d delta/2 exceeds the level minimum
-        # by the error budget 2E, hf being the scanned 1/cond; each level's
-        # active set is rebuilt here from the kept parents and rescanned
-        kept = []  # (level, indices kept for the next level)
-        children = condition_mod._children
-
-        def recording_children(ks, level):
-            kept.append((level - 1, set(ks.tolist())))
-            return children(ks, level)
-
-        monkeypatch.setattr(condition_mod, "_children", recording_children)
-        rng = random.Random(41)
-        cases = [make_poly(rng, rng.randint(2, 32), 20) for _ in range(8)]
-        cases += [uniform_model(64, 32).sample(1, i) for i in range(3)]
+        kept = _record_kept(monkeypatch)
         dropped = 0
-        for f in cases:
+        for f in _prune_cases():
             kept.clear()
             global_condition_bracket(f, rel_tol=0.01, max_grid=1 << 20)
-            d = f.degree
-            err = (4.0 * d + 16.0) * 2.0**-53
-            level = max(2, (4 * d - 1).bit_length())
-            active = range(-(1 << level), (1 << level) + 1)
-            for kept_level, survivors in kept:
-                assert kept_level == level and survivors <= set(active)
-                ks = np.array(sorted(active), dtype=np.int64)
-                hf = _scan(f, ks, level)
-                margin = float(hf.min()) + 2.0 * err + d * 2.0**-level / 2.0
-                for k, h in zip(ks.tolist(), hf.tolist()):
-                    if k not in survivors:
-                        dropped += 1
-                        assert h > margin, (f, level, k)
-                level += 1
-                active = {c for a in survivors for c in (2 * a - 1, 2 * a, 2 * a + 1) if abs(c) <= 1 << level}
+            count, violations = _prune_violations(f, kept)
+            assert violations == [], (f, violations[:3])
+            dropped += count
         assert dropped > 1000
 
+    def test_margin_check_catches_a_prune_without_drift(self, monkeypatch):
+        # negative control: without the d^2 r term a cell's slope is the
+        # slope at its centre only, which is unsound, and the margin check
+        # above must see it drop cells it may not
+        kept = _record_kept(monkeypatch)
+        monkeypatch.setattr(condition_mod, "_cell_slope", lambda slope, d, radius: np.minimum(slope, d))
+        violations = []
+        for f in _prune_cases():
+            kept.clear()
+            global_condition_bracket(f, rel_tol=0.01, max_grid=1 << 20)
+            violations += _prune_violations(f, kept)[1]
+        assert violations
+
+    def test_scan_within_error_budget(self):
+        # each scanned value of f, f'/d and f''/d over ||f||_1 is within
+        # E S of the exact one, S the column's 1-norm bound (1, 1, d - 1):
+        # at +-1 and 0, at points so small that their powers underflow,
+        # across blocks of the power table, and for coefficients beyond
+        # the float range
+        rng = random.Random(43)
+        level = 40
+        cases = [(make_poly(rng, d, bits), count) for d, bits, count in ((1, 8, 2100), (2, 30, 1500), (9, 60, 1100))]
+        cases += [(make_poly(rng, d, bits), 40) for d, bits in ((64, 32), (200, 16), (300, 2000))]
+        cases += [(uniform_model(1024, 32).sample(1, 0), 12)]
+        for f, count in cases:
+            d, norm = f.degree, f.one_norm()
+            ks = [-(1 << level), -1, 0, 1, 3, 1 << 20, 1 << level]
+            ks += [rng.randint(-(1 << level), 1 << level) for _ in range(count - len(ks))]
+            values = condition_mod._scan(condition_mod._scan_table(f), np.array(ks, dtype=float) * 2.0**-level)
+            err = (4.0 * d + 16.0) * 2.0**-53
+            columns = (
+                (f, Fraction(1, norm), err),
+                (f.derivative(), Fraction(1, d * norm), err),
+                (f.derivative().derivative(), Fraction(1, d * norm), err * max(d - 1, 1)),
+            )
+            for col, (g, scale, bound) in enumerate(columns):
+                for k, v in zip(ks, values[:, col].tolist()):
+                    exact = g.evaluate_dyadic(Dyadic(k, level)).to_fraction() * scale
+                    assert abs(Fraction(v) - exact) <= bound, (d, col, k)
+
     def test_each_point_scanned_and_evaluated_once(self, monkeypatch):
-        scanned = []  # (coefficient count, x) per float evaluation
+        scanned = []  # x per float evaluation
         evaluated = []  # exact points
-        horner = condition_mod._horner
+        scan = condition_mod._scan
         exact = condition_mod.local_condition
 
-        def counting_horner(coeffs_desc, xs):
-            scanned.extend((len(coeffs_desc), x) for x in xs.tolist())
-            return horner(coeffs_desc, xs)
+        def counting_scan(table, xs):
+            scanned.extend(xs.tolist())
+            return scan(table, xs)
 
         def counting_local(f, x):
             evaluated.append(x.to_fraction())
             return exact(f, x)
 
-        monkeypatch.setattr(condition_mod, "_horner", counting_horner)
+        monkeypatch.setattr(condition_mod, "_scan", counting_scan)
         monkeypatch.setattr(condition_mod, "local_condition", counting_local)
         rng = random.Random(40)
         cases = [
@@ -349,8 +429,8 @@ class TestScan:
             scanned.clear()
             evaluated.clear()
             br = global_condition_bracket(f, rel_tol=rel_tol, max_grid=max_grid)
-            assert len(set(scanned)) == len(scanned), f
-            assert len(set(evaluated)) == len(evaluated), f
+            assert len(set(scanned)) == len(scanned) == br.scanned, f
+            assert len(set(evaluated)) == len(evaluated) == br.exact, f
             assert _bracket_fields(br) == _bracket_fields(_reference_bracket(f, rel_tol, max_grid))
             levels += br.grid_size.bit_length() - max(2, (4 * f.degree - 1).bit_length())
         assert levels > 4 * len(cases)
