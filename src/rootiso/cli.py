@@ -81,7 +81,7 @@ def _build_parser() -> _Parser:
     ana.add_argument("--rel-tol", type=float, default=0.5, help="bracket relative tolerance")
     ana.add_argument("--max-grid", type=int, default=1 << 22, help="grid point budget")
     ana.add_argument("--out", help="write JSON here instead of stdout")
-    ana.add_argument("--stats", action="store_true", help="write the bracket's work counts to stderr")
+    ana.add_argument("--stats", action="store_true", help="write the bracket's and the oracle's work counts to stderr")
 
     gen = sub.add_parser("gen", help="sample polynomials from a random model")
     _add_model_flags(gen)
@@ -234,12 +234,25 @@ def _cmd_analyze(args) -> int:
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
     bracket = global_condition_bracket(f, rel_tol=args.rel_tol, max_grid=args.max_grid)
-    if args.stats:
-        print(f"stats levels={bracket.levels} scanned={bracket.scanned} exact={bracket.exact}", file=sys.stderr)
+
+    def stats(sweeps: int) -> None:
+        if args.stats:
+            print(
+                f"stats levels={bracket.levels} scanned={bracket.scanned} exact={bracket.exact} sweeps={sweeps}",
+                file=sys.stderr,
+            )
+
     doc = {"degree": f.degree, "cond": bracket.to_json()}
     separate = math.isfinite(bracket.upper) and f.degree >= 1
     # one oracle pass serves both the separation and the cover count
-    roots = numeric_roots(f) if separate or f.degree >= 2 else None
+    roots = None
+    if separate or f.degree >= 2:
+        try:
+            roots = numeric_roots(f)
+        except NoConvergenceError as exc:
+            stats(exc.sweeps)
+            raise
+    stats(roots.sweeps if roots else 0)
     if separate:
         doc["separation_bound"] = separation_lower_bound(f, cond_upper=bracket.upper)
         eps = separation_epsilon(f, bracket.upper)

@@ -65,14 +65,20 @@ def local_condition(f: IntPolynomial, x: Dyadic) -> float:
         raise ZeroPolynomialError("zero polynomial")
     if abs(x) > _ONE:
         raise ValueError(f"point {x} outside [-1, 1]")
-    d = f.degree
-    if d == 0:
+    if f.degree == 0:
         return 1.0
+    return _local_condition(f, f.derivative(), f.one_norm(), x)
+
+
+def _local_condition(f: IntPolynomial, fp: IntPolynomial, norm: int, x: Dyadic) -> float:
+    """``local_condition`` of an f of degree >= 1 at x in [-1, 1], given
+    its derivative ``fp`` and its 1-norm, which a caller evaluating many
+    points computes once."""
+    d = f.degree
     fx = abs(f.evaluate_dyadic(x))
-    fpx = abs(f.derivative().evaluate_dyadic(x))
+    fpx = abs(fp.evaluate_dyadic(x))
     if fx.is_zero and fpx.is_zero:
         return math.inf
-    norm = f.one_norm()
     if (fx * d) >= fpx:
         quotient = Fraction(norm) / fx.to_fraction()
     else:
@@ -171,6 +177,7 @@ def global_condition_bracket(
         return ConditionBracket(1.0, 1.0, 1, 2.0, True)
 
     table = _scan_table(f)
+    fp, norm = f.derivative(), f.one_norm()
     err = (4.0 * d + 16.0) * 2.0**-53  # the budget E of ``_scan``
     # d |f'/d| and |f''/d| (over ||f||_1) are each off by at most d E,
     # well inside the slope budget d^2 E
@@ -190,7 +197,7 @@ def global_condition_bracket(
     ks = np.arange(-(1 << level), (1 << level) + 1, dtype=np.int64)
     cells = scan(ks, level)
     levels, scanned = 1, ks.size
-    evaluated = set()  # points already passed to local_condition
+    evaluated = set()  # points already evaluated exactly
     best_cond = 0.0
     last_finite_upper = math.inf
 
@@ -203,7 +210,7 @@ def global_condition_bracket(
             x = Dyadic(int(ks[idx]), level)
             if x not in evaluated:
                 evaluated.add(x)
-                best_cond = max(best_cond, local_condition(f, x))
+                best_cond = max(best_cond, _local_condition(f, fp, norm, x))
 
         lower = best_cond
         inv_m = 1.0 / (lower * _SAFETY)

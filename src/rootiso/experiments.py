@@ -31,7 +31,7 @@ import numpy as np
 from .condition import global_condition_bracket, local_condition
 from .dyadic import Dyadic
 from .models import RandomModel
-from .regions import count_roots_in_cover, cover_root_count_bound
+from .regions import _square_free_roots, cover_root_count_bound, disk_cover, roots_in_cover
 from .solver import isolate_unit
 
 CSV_COLUMNS = (
@@ -205,7 +205,10 @@ def measure_trial(model: RandomModel, seed: int, index: int, opt: MeasureOptions
             row.cond_upper = bracket.upper
     if opt.with_rho:
         row.rho_bound = cover_root_count_bound(f)
-        counts = count_roots_in_cover(f)
+        # count_roots_in_cover(f), on the square-free part isolate_unit
+        # already computed
+        cover = disk_cover(f.degree)
+        counts = roots_in_cover(_square_free_roots(trace.square_free), cover)
         row.rho_count_min = counts.min
         row.rho_count_max = counts.max
     row.wall_time = time.perf_counter() - started

@@ -184,17 +184,31 @@ class TestAnalyze:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_stats_on_stderr_only(self, capsys):
-        # --stats adds the bracket's work counts to stderr and leaves
-        # stdout byte for byte as it is
+        # --stats adds the bracket's and the oracle's work counts to stderr
+        # and leaves stdout byte for byte as it is
         for coeffs, max_grid in (("-1 0 4", 1 << 22), (_uniform_64(0), 1 << 22), (_uniform_64(0), 4096)):
             argv = ("analyze", "--coeffs", coeffs, "--max-grid", str(max_grid))
             code, plain, quiet = run_cli(capsys, *argv)
             assert code == 0 and quiet == ""
             code, out, err = run_cli(capsys, *argv, "--stats")
             assert code == 0 and out == plain
-            br = rootiso.global_condition_bracket(rootiso.IntPolynomial.from_text(coeffs), max_grid=max_grid)
-            assert err == f"stats levels={br.levels} scanned={br.scanned} exact={br.exact}\n"
-            assert 0 < br.exact < br.scanned and br.levels > 0
+            f = rootiso.IntPolynomial.from_text(coeffs)
+            br = rootiso.global_condition_bracket(f, max_grid=max_grid)
+            sweeps = rootiso.numeric_roots(f).sweeps
+            assert err == f"stats levels={br.levels} scanned={br.scanned} exact={br.exact} sweeps={sweeps}\n"
+            assert 0 < br.exact < br.scanned and br.levels > 0 and 0 < sweeps < 500
+        # a constant runs no oracle
+        code, out, err = run_cli(capsys, "analyze", "--coeffs", "5", "--stats")
+        assert code == 0 and err == "stats levels=0 scanned=0 exact=0 sweeps=0\n"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stats_of_a_failed_oracle(self, capsys):
+        f = rootiso.uniform_model(256, 32).sample(1, 6)
+        code, out, err = run_cli(capsys, "analyze", "--coeffs", " ".join(map(str, f.coeffs)), "--stats")
+        assert code == 2 and out == ""
+        stats, message = err.splitlines()
+        assert stats.startswith("stats levels=") and stats.endswith(" sweeps=500")
+        assert message.startswith("rootiso: computational error: no convergence: degree 256, 500 sweeps")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_convergence_diagnostics_on_stderr(self, capsys):

@@ -405,18 +405,18 @@ class TestScan:
         scanned = []  # x per float evaluation
         evaluated = []  # exact points
         scan = condition_mod._scan
-        exact = condition_mod.local_condition
+        exact = condition_mod._local_condition
 
         def counting_scan(table, xs):
             scanned.extend(xs.tolist())
             return scan(table, xs)
 
-        def counting_local(f, x):
+        def counting_local(f, fp, norm, x):
             evaluated.append(x.to_fraction())
-            return exact(f, x)
+            return exact(f, fp, norm, x)
 
         monkeypatch.setattr(condition_mod, "_scan", counting_scan)
-        monkeypatch.setattr(condition_mod, "local_condition", counting_local)
+        monkeypatch.setattr(condition_mod, "_local_condition", counting_local)
         rng = random.Random(40)
         cases = [
             (uniform_model(64, 32).sample(1, 0), 0.5, 1 << 26),

@@ -12,6 +12,7 @@ from rootiso.experiments import (
     run_steps_scaling,
 )
 from rootiso.models import uniform_model
+from rootiso.regions import count_roots_in_cover
 
 
 def test_row_count_structure():
@@ -113,6 +114,29 @@ def test_rho_check_outputs():
     assert report.extras["mean_count_below_mean_bound"]
     assert set(report.extras["fitted_moment_constants"]) == {"1", "2"}
     assert all(r.rho_count_min <= r.rho_count_max for r in report.rows)
+
+
+def test_rho_trial_computes_one_square_free_part(monkeypatch):
+    # the cover count runs the oracle on isolate_unit's square-free part,
+    # so a trial runs the square-free certificate once and counts as
+    # count_roots_in_cover does
+    import rootiso.polynomial as polynomial
+
+    calls = []
+    certify = polynomial._coprime_with_derivative_mod_p
+
+    def counting_certify(f):
+        calls.append(f.degree)
+        return certify(f)
+
+    monkeypatch.setattr(polynomial, "_coprime_with_derivative_mod_p", counting_certify)
+    model = uniform_model(16, 32)
+    for index in range(5):
+        calls.clear()
+        row = measure_trial(model, 3, index, MeasureOptions(with_rho=True))
+        assert calls == [16]
+        counts = count_roots_in_cover(model.sample(3, index))
+        assert (row.rho_count_min, row.rho_count_max) == (counts.min, counts.max)
 
 
 def test_rho_check_warns_on_small_bitsize():

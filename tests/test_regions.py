@@ -194,11 +194,68 @@ class TestNumericRoots:
         assert "degree 256" in message and f"{regions._MAX_SWEEPS} sweeps" in message
         assert f"last residual {exc.residual:.3g}" in message and "tol 1e-10" in message
 
+    def test_sweeps_counted(self):
+        rng = random.Random(46)
+        for _ in range(10):
+            f = make_poly(rng, rng.randint(1, 24), 20)
+            assert 0 < numeric_roots(f).sweeps < regions._MAX_SWEEPS
+        # the count is a work figure, not part of the root set's value
+        assert regions.ComplexRootSet(roots=(), residual_bound=0.0).sweeps == 0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             numeric_roots(poly(5))
         with pytest.raises(ZeroPolynomialError):
             numeric_roots(IntPolynomial([]))
+
+
+def _cpolyval(coeffs_desc, z):
+    """One Horner pass per polynomial, as the oracle once evaluated g, g'
+    and the backward-error scale: the reference for ``_evaluate``."""
+    acc = np.full(z.shape, coeffs_desc[0], dtype=complex)
+    for c in coeffs_desc[1:]:
+        acc = acc * z + c
+    return acc
+
+
+def _same_bits(a, b):
+    """Equal float64 bit patterns in real and imaginary parts, any NaN
+    equal to any NaN."""
+    a, b = (np.ascontiguousarray(v, dtype=complex).view(np.float64) for v in (a, b))
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))
+
+
+class TestFusedEvaluator:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("d", [1, 2, 3, 16, 64, 257])
+    def test_rows_match_separate_passes_bit_for_bit(self, d):
+        rng = random.Random(60 + d)
+        cases = [make_poly(rng, d, 40) for _ in range(3)]
+        # a zero constant term: a root at 0
+        cases.append(IntPolynomial((0, *make_poly(rng, d - 1, 40).coeffs)) if d > 1 else poly(0, 3))
+        for g in cases:
+            coeffs = np.array(g.coeffs[::-1], dtype=float)
+            deriv = np.array(g.derivative().coeffs[::-1], dtype=float)
+            for scale in (1e-3, 1.0, 1.5, 1e150):
+                # on and off the axes; at 1e150 the powers overflow to inf
+                # and then NaN within the pass.  A diverged iterate can be
+                # infinite itself.
+                z = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(d + 5)]) * scale
+                z[:4] = (0j, scale + 0j, -1j * scale, complex(math.inf, scale))
+                want = (_cpolyval(coeffs, z), _cpolyval(np.abs(coeffs), np.abs(z)), _cpolyval(deriv, z))
+                got = regions._evaluate(regions._horner_table(g, z.size), z)
+                assert got.shape == (3, z.size)
+                for row, ref in zip(got, want):
+                    assert _same_bits(row, ref), (d, scale)
+            if d >= 16:
+                assert not np.isfinite(got).all()  # the overflow case was reached
+
+    def test_same_bits_tells_values_apart(self):
+        z = np.array([1.0 + 0j, complex(math.nan, 0.0), -0.0j])
+        assert _same_bits(z, z.copy())
+        assert not _same_bits(z, z * (1 + 2.0**-52))
+        assert not _same_bits(z, np.array([1.0 + 0j, complex(math.nan, 0.0), 0j]))
 
 
 def _mul(a, b):
