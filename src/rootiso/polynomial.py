@@ -22,12 +22,15 @@ divide-and-conquer shift is offered: both rest on big-integer products,
 and CPython multiplies with Karatsuba, not FFT.  Measured against the
 Pascal rounds, Kronecker wins only at low degree with narrow coefficients
 (d <= 64, 32 bits), and both lose from d = 256 on and with wide
-coefficients.  The square-free certificate runs its Euclid loop modulo
-2^31 - 1 in numpy int64.
+coefficients.  The square-free part divides out gcd(f, f') from the
+small-primes modular gcd, each image a Euclid loop in numpy int64 modulo
+a prime below 2^31.  A square-free input has a constant image at the
+first prime, 2^31 - 1, and runs no other.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import accumulate
@@ -322,9 +325,9 @@ def variations_in_interval(f: IntPolynomial, interval: DyadicInterval) -> int:
 # Square-free part
 # ---------------------------------------------------------------------------
 
-# Single-prime certificate: if gcd(f mod p, f' mod p) is constant then
-# gcd(f, f') is constant over Q.  Lets random inputs skip the integer PRS.
-# Below 2^31, so a product of two residues fits int64 twice over.
+# The first modulus of the modular gcd, the largest prime below 2^31, so
+# that a product of two residues fits int64 twice over.  A square-free
+# input has a constant image here, and that one Euclid run certifies it.
 _CHECK_PRIME = (1 << 31) - 1
 
 
@@ -345,25 +348,54 @@ def square_free_part(f: IntPolynomial) -> IntPolynomial:
 
 
 def repeated_root_part(f: IntPolynomial) -> IntPolynomial:
-    """gcd(f, f') up to content: vanishes exactly at the repeated roots of f."""
+    """gcd(f, f') up to content: vanishes exactly at the repeated roots of f.
+
+    The small-primes modular gcd (Brown 1971).  The images of the gcd
+    modulo descending primes from _CHECK_PRIME, each scaled by
+    gcd(lc f, lc f'), are combined by CRT; a prime whose image has a
+    degree above the lowest seen is unlucky and skipped, and a lower
+    degree restarts the combination.  The primitive part H of the
+    symmetric representative is returned once it divides f and f'
+    exactly: H then divides the gcd, and no image has a degree below the
+    gcd's, so H is the gcd.  A constant image ends the search at once.
+    """
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
     if f.degree == 0:
         return IntPolynomial([1])
     fp = f.primitive_part()
-    if _coprime_with_derivative_mod_p(fp):
-        return IntPolynomial([1])
-    return _primitive_gcd(fp, fp.derivative())
+    gamma = abs(fp.leading_coefficient)  # gcd(lc f, lc f') = gcd(lc f, d lc f)
+    lowest = fp.degree
+    for p in _descending_primes():
+        image = _gcd_with_derivative_mod_p(fp, p)
+        if image is None or len(image) > lowest + 1:
+            continue
+        if len(image) == 1:
+            return IntPolynomial([1])
+        image = [gamma * c % p for c in image]
+        if len(image) <= lowest:
+            lowest, residues, modulus = len(image) - 1, image, p
+        else:
+            shift = pow(modulus, -1, p)
+            residues = [r + modulus * ((c - r) * shift % p) for r, c in zip(residues, image)]
+            modulus *= p
+        half = modulus // 2
+        h = IntPolynomial([r - modulus if r > half else r for r in residues]).primitive_part()
+        try:
+            _exact_divide(fp.derivative(), h)
+            _exact_divide(fp, h)
+        except ArithmeticError:
+            continue
+        return h if h.leading_coefficient > 0 else h.scale(-1)
 
 
-def _coprime_with_derivative_mod_p(f: IntPolynomial) -> bool:
-    """True when the Euclid sequence of f and f' modulo _CHECK_PRIME ends
-    in a nonzero constant; False when it cannot certify."""
-    p = _CHECK_PRIME
+def _gcd_with_derivative_mod_p(f: IntPolynomial, p: int) -> list | None:
+    """Residues, low first, of the monic gcd of f and f' modulo a prime
+    p < 2^31; None when the leading coefficient of f or f' vanishes mod p."""
     a = [c % p for c in f.coeffs]
     b = [(i * c) % p for i, c in enumerate(f.coeffs)][1:]
     if not a or a[-1] == 0 or not b or b[-1] == 0:
-        return False  # leading coefficient collapsed mod p; cannot certify
+        return None
     a = np.array(a, dtype=np.int64)
     b = np.array(b, dtype=np.int64)
     # residues lie in [0, p), so each q * b_i is below 2^62 and the two
@@ -389,42 +421,49 @@ def _coprime_with_derivative_mod_p(f: IntPolynomial) -> bool:
         if not r[-1]:
             nonzero = np.flatnonzero(r)
             if not len(nonzero):
-                return False
+                return (b * inv % p).tolist()
             r = r[: nonzero[-1] + 1]
         a, b = b, r
+    return [1]
+
+
+def _descending_primes():
+    """The primes below 2^31, largest first, down to 5."""
+    p = _CHECK_PRIME
+    while p > 3:
+        yield p
+        p = _next_prime_below(p)
+
+
+@functools.cache
+def _next_prime_below(n: int) -> int:
+    """The largest prime below an odd n > 3."""
+    n -= 2
+    while not _is_prime(n):
+        n -= 2
+    return n
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5 and 7: exact below 3,215,031,751."""
+    if n < 11 or not n & 1:
+        return n in (2, 3, 5, 7)
+    t = (n - 1) >> 1
+    s = 1
+    while not t & 1:
+        t >>= 1
+        s += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, t, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
     return True
-
-
-def _pseudo_remainder(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """prem(a, b): remainder of lc(b)^(da-db+1) * a divided by b."""
-    da, db = a.degree, b.degree
-    if da < db:
-        return a
-    lc = b.leading_coefficient
-    r = list(a.coeffs)
-    for k in range(da - db, -1, -1):
-        # r <- lc * r - r[k+db] * X^k * b, which zeroes coefficient k + db
-        top = r[k + db]
-        r = [c * lc for c in r]
-        for i in range(db + 1):
-            r[k + i] -= top * b.coeffs[i]
-    return IntPolynomial(r[:db])
-
-
-def _primitive_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Gcd of the primitive parts via the primitive remainder sequence."""
-    a = a.primitive_part()
-    b = b.primitive_part()
-    if a.degree < b.degree:
-        a, b = b, a
-    while not b.is_zero:
-        if b.degree == 0:
-            return IntPolynomial([1])
-        r = _pseudo_remainder(a, b)
-        a, b = b, r.primitive_part()
-    if a.leading_coefficient < 0:
-        a = a.scale(-1)
-    return a
 
 
 def _exact_divide(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:

@@ -141,18 +141,18 @@ class TestAnalyze:
         # the oracle's root count tells a square-free input apart, so the
         # repeated-root check and its certificate run only for the others
         calls = []
-        certify = rootiso.polynomial._coprime_with_derivative_mod_p
+        certify = rootiso.polynomial._gcd_with_derivative_mod_p
 
-        def counting_certify(f):
-            calls.append(f.degree)
-            return certify(f)
+        def counting_certify(f, p):
+            calls.append((f.degree, p))
+            return certify(f, p)
 
-        monkeypatch.setattr(rootiso.polynomial, "_coprime_with_derivative_mod_p", counting_certify)
+        monkeypatch.setattr(rootiso.polynomial, "_gcd_with_derivative_mod_p", counting_certify)
         for coeffs in ("-1 0 4", "3 -1 -7 2 5 1", "0 15 -19 -58 40 64", _uniform_64(0)):
             calls.clear()
             code, out, _ = run_cli(capsys, "analyze", "--coeffs", coeffs, "--max-grid", "65536")
             assert code == 0 and json.loads(out)["separation_bound"] is not None
-            assert calls == [len(coeffs.split()) - 1]
+            assert calls == [(len(coeffs.split()) - 1, rootiso.polynomial._CHECK_PRIME)]
 
     # sha256 of the stdout of `rootiso analyze --coeffs ...`.  The bracket
     # and the disk-cover count are byte-stable: work on either must leave

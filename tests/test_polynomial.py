@@ -1,24 +1,30 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_poly
+import rootiso.polynomial as polynomial
 from rootiso.dyadic import Dyadic, DyadicInterval
 from rootiso.polynomial import (
     _CHECK_PRIME,
     IntPolynomial,
     ZeroPolynomialError,
-    _coprime_with_derivative_mod_p,
+    _descending_primes,
+    _gcd_with_derivative_mod_p,
     mobius_test_poly,
+    repeated_root_part,
     square_free_part,
     unit_rescale,
     unit_variations,
     variations_in_interval,
 )
+from rootiso.models import uniform_model
 from rootiso.regions import real_roots_from_oracle
+from rootiso.solver import isolate_all
 
 
 def poly(*coeffs):
@@ -325,13 +331,22 @@ class TestSquareFree:
 
 
 class TestModPCertificate:
-    P61 = (1 << 61) - 1
+    # the first two moduli of the modular gcd
+    PRIMES = list(islice(_descending_primes(), 2))
 
     def test_check_prime_is_prime(self):
         # below 2^31, two products of residues fit int64 side by side
         assert _CHECK_PRIME < 1 << 31
+        assert self.PRIMES[0] == _CHECK_PRIME
         sympy = pytest.importorskip("sympy")
-        assert sympy.isprime(_CHECK_PRIME)
+        assert all(sympy.isprime(p) for p in islice(_descending_primes(), 40))
+
+    def test_prime_source_matches_trial_division(self):
+        # every prime below 2^31 from the top down, none skipped
+        small = [q for q in range(2, 46341) if all(q % k for k in range(2, int(q**0.5) + 1))]
+        expected = [n for n in range(_CHECK_PRIME, _CHECK_PRIME - 400, -1) if all(n % q for q in small)]
+        assert len(expected) >= 12
+        assert list(islice(_descending_primes(), len(expected))) == expected
 
     def test_matches_reference_on_both_primes(self):
         # generic inputs: square-free ones certify, repeated factors never do
@@ -343,39 +358,39 @@ class TestModPCertificate:
             cases.append(_multiply(cases[1], make_poly(rng, rng.randint(1, 5), 8)))
             for f in cases:
                 f = f.primitive_part()
-                got = _coprime_with_derivative_mod_p(f)
-                assert got == _reference_coprime_mod_p(f, _CHECK_PRIME)
-                assert got == _reference_coprime_mod_p(f, self.P61)
-                square_free += got
-                repeated += not got
+                got = [_gcd_with_derivative_mod_p(f, p) for p in self.PRIMES]
+                assert got == [_reference_gcd_mod_p(f, p) for p in self.PRIMES]
+                assert len(got[0]) == len(got[1])
+                square_free += got[0] == [1]
+                repeated += len(got[0]) > 1
         assert square_free > 100 and repeated > 200
 
     def test_edge_cases_match_reference_at_same_prime(self):
         # the int64 Euclid must reproduce the pure-Python one modulo the
         # same prime on every input, including those it cannot certify
-        p = _CHECK_PRIME
-        rng = random.Random(53)
-        cases = []
-        for d in (1, 2, 3, 8, 33, 100):
-            # every coefficient congruent to p - 1: the widest residues
-            cases.append(IntPolynomial([p - 1 + p * rng.randint(0, 9) for _ in range(d)] + [p - 1]))
-            cases.append(IntPolynomial([-1 - p * rng.randint(0, 9) for _ in range(d + 1)]))
-            # coefficients beyond int64, of both signs
-            big = [rng.choice((-1, 1)) * rng.randint(1 << 64, 1 << 200) for _ in range(d + 1)]
-            cases.append(IntPolynomial(big))
-            cases.append(IntPolynomial([-c for c in big]))
-            cases.append(_multiply(IntPolynomial(big[:3]), IntPolynomial(big[:3])))
-            # sparse inputs, whose remainder sequences drop several degrees
-            cases.append(IntPolynomial([1, 0, 1] + [0] * d + [1]))
-            cases.append(IntPolynomial([0, 1] + [0] * d + [rng.randint(1, 7)]))
-            # leading coefficient collapsing mod p
-            cases.append(IntPolynomial([rng.randint(-9, 9) for _ in range(d)] + [p * rng.randint(1, 5)]))
-        for f in cases:
-            assert _coprime_with_derivative_mod_p(f) == _reference_coprime_mod_p(f, p), f
+        for p in self.PRIMES:
+            rng = random.Random(53)
+            cases = []
+            for d in (1, 2, 3, 8, 33, 100):
+                # every coefficient congruent to p - 1: the widest residues
+                cases.append(IntPolynomial([p - 1 + p * rng.randint(0, 9) for _ in range(d)] + [p - 1]))
+                cases.append(IntPolynomial([-1 - p * rng.randint(0, 9) for _ in range(d + 1)]))
+                # coefficients beyond int64, of both signs
+                big = [rng.choice((-1, 1)) * rng.randint(1 << 64, 1 << 200) for _ in range(d + 1)]
+                cases.append(IntPolynomial(big))
+                cases.append(IntPolynomial([-c for c in big]))
+                cases.append(_multiply(IntPolynomial(big[:3]), IntPolynomial(big[:3])))
+                # sparse inputs, whose remainder sequences drop several degrees
+                cases.append(IntPolynomial([1, 0, 1] + [0] * d + [1]))
+                cases.append(IntPolynomial([0, 1] + [0] * d + [rng.randint(1, 7)]))
+                # leading coefficient collapsing mod p
+                cases.append(IntPolynomial([rng.randint(-9, 9) for _ in range(d)] + [p * rng.randint(1, 5)]))
+            for f in cases:
+                assert _gcd_with_derivative_mod_p(f, p) == _reference_gcd_mod_p(f, p), (f, p)
 
     def test_leading_coefficient_divisible_by_p(self):
-        # the certificate declines; the exact PRS fallback must still give
-        # the square-free part the fraction-gcd oracle gives
+        # the first prime declines; the next prime must still give the
+        # square-free part the fraction-gcd oracle gives
         p = _CHECK_PRIME
         rng = random.Random(54)
         for _ in range(12):
@@ -383,12 +398,129 @@ class TestModPCertificate:
             lead = IntPolynomial([rng.randint(-5, 5), p * rng.choice((1, -1, 3))])
             for f in (_multiply(base, lead), _multiply(_multiply(base, base), lead)):
                 assert f.leading_coefficient % p == 0
-                assert not _coprime_with_derivative_mod_p(f.primitive_part())
+                assert _gcd_with_derivative_mod_p(f.primitive_part(), p) is None
                 got = square_free_part(f)
                 gcd = _fraction_gcd(f, f.derivative())
                 assert got.degree == f.degree - (len(gcd) - 1)
                 assert got.leading_coefficient > 0 and got.content() == 1
                 assert _fraction_gcd(got, f) == _monic_fractions(got)
+
+
+class TestModularGcd:
+    """``repeated_root_part`` on inputs where a prime is unlucky or one
+    prime cannot hold the gcd's coefficients."""
+
+    PRIMES = TestModPCertificate.PRIMES
+
+    def _image_degrees(self, monkeypatch, f):
+        degrees = []
+
+        def counting_gcd(g, p):
+            # a combination that never divides f would run on forever
+            assert len(degrees) < 40, degrees
+            image = _gcd_with_derivative_mod_p(g, p)
+            degrees.append(None if image is None else len(image) - 1)
+            return image
+
+        monkeypatch.setattr(polynomial, "_gcd_with_derivative_mod_p", counting_gcd)
+        got = repeated_root_part(f)
+        monkeypatch.undo()
+        assert got.leading_coefficient > 0 and got.content() == 1
+        assert _monic_fractions(got) == _fraction_gcd(f, f.derivative())
+        return degrees
+
+    def test_square_free_over_z_but_not_mod_p(self, monkeypatch):
+        # x (x - p) is x^2 mod p: the first image has degree 1
+        f = _multiply(poly(0, 1), poly(-_CHECK_PRIME, 1))
+        assert self._image_degrees(monkeypatch, f) == [1, 0]
+        assert square_free_part(f) == f
+
+    def test_lower_degree_restarts(self, monkeypatch):
+        # (x - 1)^2 x (x - p) has the image x (x - 1) at the first prime;
+        # the true gcd x - 1 appears at the next
+        f = _multiply(_multiply(poly(-1, 1), poly(-1, 1)), _multiply(poly(0, 1), poly(-_CHECK_PRIME, 1)))
+        assert self._image_degrees(monkeypatch, f) == [2, 1]
+        assert repeated_root_part(f) == poly(-1, 1)
+        assert square_free_part(f) == _multiply(poly(-1, 1), _multiply(poly(0, 1), poly(-_CHECK_PRIME, 1)))
+
+    def test_wide_gcd_needs_several_primes(self, monkeypatch):
+        rng = random.Random(55)
+        for degree in (1, 2, 4):
+            h = make_poly(rng, degree, 220)
+            f = _multiply(_multiply(h, h), make_poly(rng, 3, 8))
+            degrees = self._image_degrees(monkeypatch, f)
+            assert len(degrees) >= 8 and set(degrees) == {degree}
+            assert max(map(abs, repeated_root_part(f).coeffs)) > 1 << 200
+
+    def test_unlucky_prime_after_a_lucky_one_is_skipped(self, monkeypatch):
+        # x (x - p) with p the second prime: its image there has one degree
+        # more than the first, and must not enter the combination
+        second = self.PRIMES[1]
+        h = make_poly(random.Random(56), 3, 220)
+        f = _multiply(_multiply(h, h), _multiply(poly(0, 1), poly(-second, 1)))
+        degrees = self._image_degrees(monkeypatch, f)
+        assert degrees[:3] == [3, 4, 3] and set(degrees[2:]) == {3}
+
+
+def _check_square_free_part(f):
+    """``repeated_root_part(f)`` is the fraction gcd up to content, and
+    ``square_free_part(f)`` times it is a multiple of f (and equals sympy's
+    ``sqf_part`` where sympy is present)."""
+    got = square_free_part(f)
+    common = repeated_root_part(f)
+    assert _monic_fractions(common) == _fraction_gcd(f, f.derivative())
+    assert _monic_fractions(_multiply(got, common)) == _monic_fractions(f)
+    assert got == _positive_primitive(got)
+    _check_against_sympy(f, got)
+
+
+def _positive_primitive(f):
+    f = f.primitive_part()
+    return f.scale(-1) if f.leading_coefficient < 0 else f
+
+
+def _check_against_sympy(f, got):
+    try:
+        import sympy
+    except ImportError:
+        return
+    x = sympy.Symbol("x")
+    expected = [int(c) for c in sympy.Poly(f.coeffs[::-1], x).sqf_part().all_coeffs()[::-1]]
+    if expected[-1] < 0:
+        expected = [-c for c in expected]
+    assert list(got.coeffs) == expected
+
+
+_small_factor = st.lists(st.integers(-6, 6), min_size=2, max_size=4).filter(lambda c: c[-1] != 0)
+
+
+class TestRepeatedRoots:
+    @settings(max_examples=150, deadline=None)
+    @given(_small_factor, _small_factor, _small_factor)
+    def test_square_free_part_of_g_h2_k(self, g, h, k):
+        g, h, k = IntPolynomial(g), IntPolynomial(h), IntPolynomial(k)
+        f = _multiply(_multiply(g, _multiply(h, h)), k)
+        _check_square_free_part(f)
+        gh = _multiply(g, h)
+        if _fraction_gcd(gh, gh.derivative()) == [Fraction(1)]:
+            assert isolate_all(_multiply(gh, h)).to_json() == isolate_all(gh).to_json()
+
+    def test_degree_256(self):
+        # g of degree 128 and h of degree 64, uniform with tau = 8; the
+        # fraction gcd is out of reach here, so g h is certified square-free
+        # by the pure-Python Euclid modulo a prime that keeps its degree
+        g = uniform_model(128, 8).sample(1, 0)
+        h = uniform_model(64, 8).sample(1, 0)
+        gh = _multiply(g, h)
+        f = _multiply(gh, h)
+        assert f.degree == 256
+        assert gh.leading_coefficient % _CHECK_PRIME
+        assert _reference_gcd_mod_p(gh, _CHECK_PRIME) == [1]
+        got = square_free_part(f)
+        assert got == _positive_primitive(gh)
+        assert repeated_root_part(f) == _positive_primitive(h)
+        _check_against_sympy(f, got)
+        assert isolate_all(f).to_json() == isolate_all(gh).to_json()
 
 
 def _ruffini_shift(f, c):
@@ -401,19 +533,21 @@ def _ruffini_shift(f, c):
     return IntPolynomial(a)
 
 
-def _reference_coprime_mod_p(f, p):
-    """The pure-Python Euclid certificate for gcd(f, f') = 1 modulo p."""
+def _reference_gcd_mod_p(f, p):
+    """The pure-Python Euclid for the monic gcd of f and f' modulo p, its
+    residues low first; None when a leading coefficient vanishes mod p."""
     a = [c % p for c in f.coeffs]
     b = [(i * c) % p for i, c in enumerate(f.coeffs)][1:]
     if not a or a[-1] == 0 or not b or b[-1] == 0:
-        return False
+        return None
     while True:
         while b and b[-1] == 0:
             b.pop()
         if not b:
-            return False
+            inv = pow(a[-1], p - 2, p)
+            return [c * inv % p for c in a]
         if len(b) == 1:
-            return True
+            return [1]
         a, b = b, _reference_rem_mod_p(a, b, p)
 
 
