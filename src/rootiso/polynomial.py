@@ -22,10 +22,11 @@ divide-and-conquer shift is offered: both rest on big-integer products,
 and CPython multiplies with Karatsuba, not FFT.  Measured against the
 Pascal rounds, Kronecker wins only at low degree with narrow coefficients
 (d <= 64, 32 bits), and both lose from d = 256 on and with wide
-coefficients.  The square-free part divides out gcd(f, f') from the
-small-primes modular gcd, each image a Euclid loop in numpy int64 modulo
-a prime below 2^31.  A square-free input has a constant image at the
-first prime, 2^31 - 1, and runs no other.
+coefficients.  The square-free part divides out gcd(f, f').  Most
+square-free inputs are certified by one integer gcd, of f and f' at a
+point beyond their roots, and run no Euclid.  The others, and every input
+with a repeated root, run the small-primes modular gcd, each image a
+Euclid loop in numpy int64 modulo a prime below 2^31.
 """
 
 from __future__ import annotations
@@ -327,7 +328,8 @@ def variations_in_interval(f: IntPolynomial, interval: DyadicInterval) -> int:
 
 # The first modulus of the modular gcd, the largest prime below 2^31, so
 # that a product of two residues fits int64 twice over.  A square-free
-# input has a constant image here, and that one Euclid run certifies it.
+# input that the pre-test declines has a constant image here, unless the
+# prime is unlucky, and that one Euclid run certifies it.
 _CHECK_PRIME = (1 << 31) - 1
 
 
@@ -339,31 +341,37 @@ def square_free_part(f: IntPolynomial) -> IntPolynomial:
         raise ZeroPolynomialError("zero polynomial")
     if f.degree == 0:
         return IntPolynomial([1])
-    fp = f.primitive_part()
-    common = repeated_root_part(fp)
-    g = fp if common.degree == 0 else _exact_divide(fp, common)
-    if g.leading_coefficient < 0:
-        g = g.scale(-1)
-    return g.primitive_part()
+    # f / gcd(f, f') of a primitive f is primitive (Gauss's lemma)
+    g = _gcd_with_derivative(f.primitive_part())[1]
+    return g if g.leading_coefficient > 0 else g.scale(-1)
 
 
 def repeated_root_part(f: IntPolynomial) -> IntPolynomial:
     """gcd(f, f') up to content: vanishes exactly at the repeated roots of f.
 
-    The small-primes modular gcd (Brown 1971).  The images of the gcd
-    modulo descending primes from _CHECK_PRIME, each scaled by
-    gcd(lc f, lc f'), are combined by CRT; a prime whose image has a
-    degree above the lowest seen is unlucky and skipped, and a lower
-    degree restarts the combination.  The primitive part H of the
-    symmetric representative is returned once it divides f and f'
-    exactly: H then divides the gcd, and no image has a degree below the
-    gcd's, so H is the gcd.  A constant image ends the search at once.
+    ``_coprime_with_derivative`` certifies most square-free inputs with
+    one integer gcd; the others run the small-primes modular gcd (Brown
+    1971).  The images of the gcd modulo descending primes from
+    _CHECK_PRIME, each scaled by gcd(lc f, lc f'), are combined by CRT; a
+    prime whose image has a degree above the lowest seen is unlucky and
+    skipped, and a lower degree restarts the combination.  The primitive
+    part H of the symmetric representative is returned once it divides f
+    and f' exactly: H then divides the gcd, and no image has a degree
+    below the gcd's, so H is the gcd.  A constant image ends the search
+    at once.
     """
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
     if f.degree == 0:
         return IntPolynomial([1])
-    fp = f.primitive_part()
+    return _gcd_with_derivative(f.primitive_part())[0]
+
+
+def _gcd_with_derivative(fp: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
+    """gcd(f, f') with a positive leading coefficient, and f / gcd(f, f'),
+    for a primitive f of degree at least 1 (see ``repeated_root_part``)."""
+    if _coprime_with_derivative(fp):
+        return IntPolynomial([1]), fp
     gamma = abs(fp.leading_coefficient)  # gcd(lc f, lc f') = gcd(lc f, d lc f)
     lowest = fp.degree
     for p in _descending_primes():
@@ -371,7 +379,7 @@ def repeated_root_part(f: IntPolynomial) -> IntPolynomial:
         if image is None or len(image) > lowest + 1:
             continue
         if len(image) == 1:
-            return IntPolynomial([1])
+            return IntPolynomial([1]), fp
         image = [gamma * c % p for c in image]
         if len(image) <= lowest:
             lowest, residues, modulus = len(image) - 1, image, p
@@ -383,10 +391,75 @@ def repeated_root_part(f: IntPolynomial) -> IntPolynomial:
         h = IntPolynomial([r - modulus if r > half else r for r in residues]).primitive_part()
         try:
             _exact_divide(fp.derivative(), h)
-            _exact_divide(fp, h)
+            cofactor = _exact_divide(fp, h)
         except ArithmeticError:
             continue
-        return h if h.leading_coefficient > 0 else h.scale(-1)
+        return (h, cofactor) if h.leading_coefficient > 0 else (h.scale(-1), cofactor.scale(-1))
+
+
+# The margin s of ``_coprime_with_derivative``: the evaluation point is
+# 2^(r + s) + 1 for roots below 2^r, and inputs with r > s are declined,
+# so the integers it takes the gcd of have at most about 2 s d + tau bits.
+_MARGIN = 16
+
+
+def _coprime_with_derivative(fp: IntPolynomial) -> bool:
+    """True only if the primitive f has no repeated root; False is no answer.
+
+    A heuristic gcd (Char, Geddes & Gonnet 1989) at one point beyond the
+    roots.  By Fujiwara's bound every root has modulus below 2^r (see
+    ``_root_exponent``).  With k = r + s and xi = 2^k + 1, take
+    gamma = gcd(f(xi), f'(xi)) and accept when gamma <= 2^(k - 1).
+
+    Proof.  xi exceeds every root in modulus, so f(xi) != 0 and
+    gamma >= 1.  Suppose f has a repeated root alpha, and let m be the
+    primitive minimal polynomial of alpha over Z.  m divides f and f' in
+    Q[x], hence in Z[x] by Gauss's lemma, so the integer m(xi) divides
+    f(xi) and f'(xi), and so divides gamma.  Every root beta of m is a
+    root of f, so |xi - beta| > 2^k + 1 - 2^r >= 2^(k - 1) for s >= 1,
+    and |m(xi)| >= |lc m| prod |xi - beta| > 2^(k - 1).  Hence
+    gamma > 2^(k - 1), and an accepted f has no repeated root.
+
+    xi is odd because xi = 2^k leaves a power of two in gamma whenever the
+    low coefficients of f and f' share one, which scaled Chebyshev
+    polynomials do.  Inputs with r > s are declined, keeping the gcd's
+    operands near 2 s d + tau bits.
+    """
+    r = _root_exponent(fp.coeffs)
+    if r > _MARGIN:
+        return False
+    k = r + _MARGIN
+    xi = (1 << k) + 1
+    derivative = [i * c for i, c in enumerate(fp.coeffs)][1:]
+    gamma = math.gcd(_estrin(fp.coeffs, xi), _estrin(derivative, xi))
+    return gamma <= 1 << (k - 1)
+
+
+def _root_exponent(coeffs) -> int:
+    """An r >= 1 with every root of the polynomial below 2^r in modulus.
+
+    Fujiwara (1916): |z| <= 2 max_i |f_(d-i) / f_d|^(1/i), here without
+    halving the last ratio.  Each ratio is below 2^(bl f_(d-i) - bl f_d + 1)
+    for bl the bit length, so
+    r = 1 + max(0, max_i ceil((bl f_(d-i) - bl f_d + 1) / i)); the terms
+    that are not positive, zero coefficients among them, are skipped.
+    """
+    top = coeffs[-1].bit_length() - 1
+    excess = [c.bit_length() - top for c in reversed(coeffs[:-1])]
+    return 1 + max((-(-e // i) for i, e in enumerate(excess, 1) if e > 0), default=0)
+
+
+def _estrin(coeffs, x: int) -> int:
+    """The polynomial's value at x by pairwise combination (Estrin): the
+    pairs c_(2i) + c_(2i+1) x, then the same on those at x^2."""
+    values = list(coeffs)
+    while len(values) > 1:
+        if len(values) & 1:
+            values.append(0)
+        values = [a + b * x for a, b in zip(values[::2], values[1::2])]
+        if len(values) > 1:
+            x *= x
+    return values[0]
 
 
 def _gcd_with_derivative_mod_p(f: IntPolynomial, p: int) -> list | None:

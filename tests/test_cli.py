@@ -139,20 +139,27 @@ class TestAnalyze:
 
     def test_one_certificate_per_square_free_input(self, capsys, monkeypatch):
         # the oracle's root count tells a square-free input apart, so the
-        # repeated-root check and its certificate run only for the others
+        # repeated-root check and its certificate run only for the others;
+        # the certificate is the pre-test, and no modular Euclid runs
         calls = []
-        certify = rootiso.polynomial._gcd_with_derivative_mod_p
+        certify = rootiso.polynomial._coprime_with_derivative
+        euclid = rootiso.polynomial._gcd_with_derivative_mod_p
 
-        def counting_certify(f, p):
+        def counting_certify(f):
+            calls.append(f.degree)
+            return certify(f)
+
+        def counting_euclid(f, p):
             calls.append((f.degree, p))
-            return certify(f, p)
+            return euclid(f, p)
 
-        monkeypatch.setattr(rootiso.polynomial, "_gcd_with_derivative_mod_p", counting_certify)
+        monkeypatch.setattr(rootiso.polynomial, "_coprime_with_derivative", counting_certify)
+        monkeypatch.setattr(rootiso.polynomial, "_gcd_with_derivative_mod_p", counting_euclid)
         for coeffs in ("-1 0 4", "3 -1 -7 2 5 1", "0 15 -19 -58 40 64", _uniform_64(0)):
             calls.clear()
             code, out, _ = run_cli(capsys, "analyze", "--coeffs", coeffs, "--max-grid", "65536")
             assert code == 0 and json.loads(out)["separation_bound"] is not None
-            assert calls == [(len(coeffs.split()) - 1, rootiso.polynomial._CHECK_PRIME)]
+            assert calls == [len(coeffs.split()) - 1]
 
     # sha256 of the stdout of `rootiso analyze --coeffs ...`.  The bracket
     # and the disk-cover count are byte-stable: work on either must leave

@@ -118,23 +118,29 @@ def test_rho_check_outputs():
 
 def test_rho_trial_computes_one_square_free_part(monkeypatch):
     # the cover count runs the oracle on isolate_unit's square-free part,
-    # so a trial runs the square-free certificate once and counts as
-    # count_roots_in_cover does
+    # so a trial runs the square-free pre-test once, and no modular
+    # Euclid, and counts as count_roots_in_cover does
     import rootiso.polynomial as polynomial
 
     calls = []
-    certify = polynomial._gcd_with_derivative_mod_p
+    certify = polynomial._coprime_with_derivative
+    euclid = polynomial._gcd_with_derivative_mod_p
 
-    def counting_certify(f, p):
+    def counting_certify(f):
+        calls.append(f.degree)
+        return certify(f)
+
+    def counting_euclid(f, p):
         calls.append((f.degree, p))
-        return certify(f, p)
+        return euclid(f, p)
 
-    monkeypatch.setattr(polynomial, "_gcd_with_derivative_mod_p", counting_certify)
+    monkeypatch.setattr(polynomial, "_coprime_with_derivative", counting_certify)
+    monkeypatch.setattr(polynomial, "_gcd_with_derivative_mod_p", counting_euclid)
     model = uniform_model(16, 32)
     for index in range(5):
         calls.clear()
         row = measure_trial(model, 3, index, MeasureOptions(with_rho=True))
-        assert calls == [(16, polynomial._CHECK_PRIME)]
+        assert calls == [16]
         counts = count_roots_in_cover(model.sample(3, index))
         assert (row.rho_count_min, row.rho_count_max) == (counts.min, counts.max)
 

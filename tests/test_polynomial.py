@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,10 +12,13 @@ import rootiso.polynomial as polynomial
 from rootiso.dyadic import Dyadic, DyadicInterval
 from rootiso.polynomial import (
     _CHECK_PRIME,
+    _MARGIN,
     IntPolynomial,
     ZeroPolynomialError,
+    _coprime_with_derivative,
     _descending_primes,
     _gcd_with_derivative_mod_p,
+    _root_exponent,
     mobius_test_poly,
     repeated_root_part,
     square_free_part,
@@ -413,6 +417,9 @@ class TestModularGcd:
     PRIMES = TestModPCertificate.PRIMES
 
     def _image_degrees(self, monkeypatch, f):
+        # the pre-test declines, so that square-free inputs such as
+        # x (x - p) still drive the prime loop
+        monkeypatch.setattr(polynomial, "_coprime_with_derivative", lambda g: False)
         degrees = []
 
         def counting_gcd(g, p):
@@ -521,6 +528,132 @@ class TestRepeatedRoots:
         assert repeated_root_part(f) == _positive_primitive(h)
         _check_against_sympy(f, got)
         assert isolate_all(f).to_json() == isolate_all(gh).to_json()
+
+
+_wide_factor = st.lists(st.integers(-(1 << 12), 1 << 12), min_size=1, max_size=4).filter(lambda c: c[-1] != 0)
+
+
+def _coprime(f):
+    return _coprime_with_derivative(f.primitive_part())
+
+
+def _above_half_the_bound(t):
+    """(x - a)^2 (x^2 + p x + q) for a just above 2^t, where the root
+    exponent is t + 1: the double root a lies above half the root bound."""
+    for a in range((1 << t) + 1, (1 << t) + (1 << t) // 32 + 2):
+        f = _multiply(_multiply(poly(-a, 1), poly(-a, 1)), poly(round(0.9 * a * a), round(1.1 * a), 1))
+        if _root_exponent(f.coeffs) == t + 1:
+            yield f
+
+
+class TestCoprimeWithDerivative:
+    """The pre-test may decline a square-free input, but must never
+    certify one with a repeated root."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_wide_factor, _wide_factor.filter(lambda c: len(c) > 1), _wide_factor)
+    def test_never_certifies_g_h2_k(self, g, h, k):
+        g, h, k = IntPolynomial(g), IntPolynomial(h), IntPolynomial(k)
+        assert not _coprime(_multiply(_multiply(g, _multiply(h, h)), k))
+
+    def test_complex_only_repeats(self):
+        rng = random.Random(57)
+        repeats = [poly(1, 0, 1), poly(1, 1, 1), poly(2, 0, 1), poly(1, 0, 0, 0, 1), poly(5, -2, 1)]
+        for m in repeats:
+            for _ in range(10):
+                g = make_poly(rng, rng.randint(0, 6), 16)
+                assert not _coprime(_multiply(_multiply(m, m), g))
+                assert not _coprime(_multiply(_multiply(m, _multiply(m, m)), g))
+
+    def test_repeated_root_above_half_the_root_bound(self):
+        # the double root sits where a margin-free point 2^r + 1 would lie
+        # within 2^(r - 1) of it; r runs up to the margin, so t = 15 is a
+        # repeated root near 2^s that is still evaluated, not declined
+        cases = [f for t in range(4, _MARGIN) for f in _above_half_the_bound(t)]
+        assert len(cases) > 1000
+        assert not any(map(_coprime, cases))
+
+    def test_repeated_linear_factor_near_the_decline_bound(self):
+        rng = random.Random(58)
+        for a in [*range(1 << 13, (1 << 13) + 40), *range((1 << 14) - 40, 1 << 14)]:
+            for sign in (1, -1):
+                g = make_poly(rng, rng.randint(0, 4), 8)
+                f = _multiply(_multiply(poly(-sign * a, 1), poly(-sign * a, 1)), g)
+                if _root_exponent(f.coeffs) <= _MARGIN:
+                    assert not _coprime(f), f
+
+    def test_wide_coefficients(self):
+        # 2000-bit coefficients, small roots: the gcd runs on ~2000-bit values
+        rng = random.Random(59)
+        for degree in (1, 2, 3):
+            h = make_poly(rng, degree, 2000)
+            g = make_poly(rng, 3, 2000)
+            f = _multiply(_multiply(h, h), g)
+            assert _root_exponent(f.coeffs) <= _MARGIN
+            assert not _coprime(f)
+            assert _coprime(_multiply(h, g))
+
+    def test_zero_constant_term(self):
+        rng = random.Random(60)
+        x = poly(0, 1)
+        for _ in range(20):
+            g = make_poly(rng, rng.randint(1, 8), 16)
+            if g.coefficient(0) == 0:
+                continue
+            assert not _coprime(_multiply(_multiply(x, x), g))
+            assert not _coprime(_multiply(_multiply(x, _multiply(x, x)), g))
+            assert _coprime(_multiply(x, g)) == _coprime(g)
+
+    def test_declines_roots_beyond_two_to_the_margin(self, monkeypatch):
+        # r > s: no evaluation at all, and the modular gcd still answers
+        def no_evaluation(coeffs, x):
+            raise AssertionError("evaluated an input with roots beyond 2^s")
+
+        big = 1 << (_MARGIN + 1)
+        cases = {
+            poly(-big, 1): poly(1),
+            poly(-big * big - 1, 0, 1): poly(1),
+            _multiply(poly(-big, 1), poly(-big, 1)): poly(-big, 1),
+            _multiply(_multiply(poly(-1, 1), poly(-1, 1)), poly(big, 3)): poly(-1, 1),
+        }
+        for f, common in cases.items():
+            assert _root_exponent(f.coeffs) > _MARGIN
+            monkeypatch.setattr(polynomial, "_estrin", no_evaluation)
+            assert not _coprime(f)
+            monkeypatch.undo()
+            assert repeated_root_part(f) == common
+
+    def test_degree_one(self):
+        for b, a in ((0, 1), (3, -2), (-5, 7), (1 << 40, (1 << 40) + 1), (1 << 14, 1)):
+            assert _coprime(poly(b, a))
+            assert repeated_root_part(poly(b, a)) == poly(1)
+        assert not _coprime(poly(1 << 20, 1))
+        assert square_free_part(poly(1 << 20, 1)) == poly(1 << 20, 1)
+
+    def test_root_exponent_bounds_every_root(self):
+        rng = random.Random(61)
+        cases = [poly(0, 1), poly(1, 1), poly(-1, 0, 0, 1), poly(3, 2), poly(1 << 30, 0, 1)]
+        cases += [make_poly(rng, rng.randint(1, 12), rng.choice((2, 16, 40))) for _ in range(100)]
+        cases += [f for t in (4, 9) for f in _above_half_the_bound(t)]
+        # a root just above 2^10 and one above 2^13, beyond the bound with
+        # each exponent rounded down instead of up
+        cases.append(poly(-691856145333, -6888582941, -424964720, -199672, -434, 1))
+        cases.append(poly(-16685537518291594, -84909203779445, -79234970640436, -7860261, -5576446, -1694, 1))
+        for f in cases:
+            roots = np.roots([float(c) for c in f.coeffs[::-1]])
+            assert max(abs(roots)) < (1 << _root_exponent(f.coeffs)) * (1 + 1e-9), f
+        # Fujiwara's bound is attained: x^d - c x^(d-1) - ... - c^(d-1) x - 2 c^d
+        # has the root 2c, checked exactly
+        for c in (1, 2, 3, 5, 7, 9, 17, 31, 33, 1023, 1025):
+            for d in range(1, 7):
+                f = IntPolynomial([-2 * c**d] + [-(c**i) for i in range(d - 1, 0, -1)] + [1])
+                assert f.evaluate_dyadic(Dyadic(2 * c)).is_zero
+                assert 2 * c < 1 << _root_exponent(f.coeffs), f
+
+    @pytest.mark.parametrize("degree", [16, 64, 256])
+    def test_certifies_uniform_samples(self, degree):
+        model = uniform_model(degree, 32)
+        assert all(_coprime(model.sample(1, i)) for i in range(40))
 
 
 def _ruffini_shift(f, c):
