@@ -29,27 +29,15 @@ with every other stored run and exits 1 if any degree differs.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import benchlib  # first: it pins the BLAS threads and puts src/ on the path
+from speed import Clock
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-
-import numpy as np  # noqa: E402
-from speed import Clock  # noqa: E402
-
-import rootiso.condition as condition  # noqa: E402
-from rootiso.models import uniform_model  # noqa: E402
+import rootiso.condition as condition
+from rootiso.models import uniform_model
 
 # degree: (samples, repeats per sample)
 PLAN = {16: (40, 3), 64: (20, 3), 256: (8, 1), 512: (4, 1), 1024: (2, 1)}
@@ -119,54 +107,12 @@ def run() -> dict:
     return degrees
 
 
-def _git(*args: str) -> str | None:
-    try:
-        out = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True)
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return out.stdout.strip()
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="key of this run in BENCH_bracket.json")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_bracket.json"))
-    args = parser.parse_args(argv)
-    record = {
-        "commit": _git("rev-parse", "HEAD"),
-        "uncommitted_changes": bool(_git("status", "--porcelain", "--untracked-files=no", "src")),
-        "machine": {
-            "nproc": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "processor": platform.machine(),
-        },
-        "bitsize": BITSIZE,
-        "seed": SEED,
-        "degrees": run(),
-    }
-    bench = {"runs": {}}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            bench = json.load(fh)
-    bench["runs"][args.label] = record
-    with open(args.out, "w") as fh:
-        json.dump(bench, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    status = 0
-    for label, other in bench["runs"].items():
-        if label == args.label:
-            continue
-        for d, entry in record["degrees"].items():
-            theirs = other["degrees"].get(d)
-            if theirs is None or other["seed"] != SEED or other["bitsize"] != BITSIZE:
-                continue
-            if theirs["samples"] != entry["samples"]:
-                continue
-            same = theirs["fields_sha256"] == entry["fields_sha256"]
-            print(f"d={int(d):5d} bracket fields {'equal to' if same else 'DIFFER from'} run {label!r}")
-            status |= not same
-    return status
+    def record() -> dict:
+        return {"bitsize": BITSIZE, "seed": SEED, "degrees": run()}
+
+    runs, label, this = benchlib.main(__doc__, "BENCH_bracket.json", record, argv=argv)
+    return benchlib.compare_hashes(runs, label, this, "fields_sha256", "bracket fields")
 
 
 if __name__ == "__main__":

@@ -20,9 +20,15 @@ matrix where the solver has one).  The medians that follow are warm.
 
 Beside each median the run records the work counters of the subdivision
 trace, summed over the samples: nodes, float splits, nodes whose count
-was read from exact vectors, exact splits and midpoint evaluations.  They
-are deterministic and do not depend on the machine.  A version of the
-solver whose trace lacks a counter records null for it.
+was read from exact vectors, exact transforms (``exact_splits``) and
+midpoint evaluations.  They are deterministic and do not depend on the
+machine.  A version of the solver whose trace lacks a counter records
+null for it.  Uniform inputs hardly take the exact path, so the run also
+times ``isolate_all`` on the ``iso-cluster`` corpus of ``perfbench``
+(``ROUNDS`` rounds under seed 1: Chebyshev, scaled Chebyshev, Mignotte,
+dyadic-root products, and squares of each kind), per family, as the
+median and mean of each input's fastest of ``REPEATS`` calls, with the
+same counters.
 
 The run is stored under ``runs[label]`` in ``BENCH_isolate.json`` at the
 repository root, next to the runs of other labels, with the commit (and
@@ -32,33 +38,24 @@ with.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
-import time
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import benchlib  # first: it pins the BLAS threads and puts src/ on the path
+from corpus import _iso_cluster
+from speed import Clock
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-
-import numpy as np  # noqa: E402
-from speed import Clock  # noqa: E402
-
-from rootiso.models import uniform_model  # noqa: E402
-from rootiso.solver import isolate_all, isolate_unit  # noqa: E402
+from rootiso.models import uniform_model
+from rootiso.polynomial import IntPolynomial
+from rootiso.solver import isolate_all, isolate_unit
 
 # degree: (samples, repeats per sample)
 PLAN = {16: (100, 3), 64: (50, 3), 256: (16, 3), 512: (8, 1), 1024: (8, 1)}
 BITSIZE = 32
 SEED = 1
 COUNTERS = ("node_count", "splits", "exact_nodes", "exact_splits", "midpoint_evaluations")
+ROUNDS = 20
+REPEATS = 3
 
 
 def _fastest(clock: Clock, fn, f, repeats: int):
@@ -69,6 +66,10 @@ def _fastest(clock: Clock, fn, f, repeats: int):
         result, wall, scaled = clock.time(lambda: fn(f))
         scaled_best, wall_best = min(scaled_best, scaled), min(wall_best, wall)
     return scaled_best * 1e3, wall_best * 1e3, result
+
+
+def _counters(traces) -> dict:
+    return {c: sum(getattr(t, c) for t in traces) if hasattr(traces[0], c) else None for c in COUNTERS}
 
 
 def run() -> dict:
@@ -86,8 +87,7 @@ def run() -> dict:
         print(f"d={d:5d} first call   {entry['cold_ms']:10.3f} ms", flush=True)
         for name, fn in (("isolate_unit", isolate_unit), ("isolate_all", isolate_all)):
             scaled, wall, results = zip(*(_fastest(clock, fn, f, repeats) for f in polys))
-            traces = [r.trace for r in results]
-            counters = {c: sum(getattr(t, c) for t in traces) if hasattr(traces[0], c) else None for c in COUNTERS}
+            counters = _counters([r.trace for r in results])
             entry[name] = {
                 "median_ms": round(statistics.median(scaled), 4),
                 "wall_median_ms": round(statistics.median(wall), 4),
@@ -95,43 +95,26 @@ def run() -> dict:
             }
             print(f"d={d:5d} {name:12s} median {entry[name]['median_ms']:10.3f} ms  {counters}", flush=True)
         degrees[str(d)] = entry
-    return degrees
-
-
-def _git(*args: str) -> str | None:
-    try:
-        out = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True)
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return out.stdout.strip()
+    families = {}
+    for item in _iso_cluster(SEED, ROUNDS):
+        families.setdefault(item.label, []).append(IntPolynomial(item.coeffs))
+    for label, polys in families.items():
+        scaled, wall, results = zip(*(_fastest(clock, isolate_all, f, REPEATS) for f in polys))
+        entry = families[label] = {
+            "samples": len(polys),
+            "repeats": REPEATS,
+            "median_ms": round(statistics.median(scaled), 4),
+            "mean_ms": round(statistics.fmean(scaled), 4),
+            "wall_median_ms": round(statistics.median(wall), 4),
+            "counters": _counters([r.trace for r in results]),
+        }
+        print(f"{label:18s} isolate_all median {entry['median_ms']:8.3f} ms  mean {entry['mean_ms']:8.3f} ms"
+              f"  {entry['counters']}", flush=True)
+    return {"bitsize": BITSIZE, "seed": SEED, "degrees": degrees, "families": families}
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="key of this run in BENCH_isolate.json")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_isolate.json"))
-    args = parser.parse_args(argv)
-    record = {
-        "commit": _git("rev-parse", "HEAD"),
-        "uncommitted_changes": bool(_git("status", "--porcelain", "--untracked-files=no", "src")),
-        "machine": {
-            "nproc": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "processor": platform.machine(),
-        },
-        "bitsize": BITSIZE,
-        "seed": SEED,
-        "degrees": run(),
-    }
-    bench = {"runs": {}}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            bench = json.load(fh)
-    bench["runs"][args.label] = record
-    with open(args.out, "w") as fh:
-        json.dump(bench, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    benchlib.main(__doc__, "BENCH_isolate.json", run, argv=argv)
     return 0
 
 

@@ -32,28 +32,16 @@ differs.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 import warnings
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import benchlib  # first: it pins the BLAS threads and puts src/ on the path
+from speed import Clock
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-
-import numpy as np  # noqa: E402
-from speed import Clock  # noqa: E402
-
-import rootiso.regions as regions  # noqa: E402
-from rootiso.models import uniform_model  # noqa: E402
+import rootiso.regions as regions
+from rootiso.models import uniform_model
 
 # degree: (samples, repeats per sample)
 PLAN = {16: (40, 3), 64: (20, 3), 128: (10, 3), 256: (8, 1)}
@@ -123,56 +111,14 @@ def run() -> dict:
     return degrees
 
 
-def _git(*args: str) -> str | None:
-    try:
-        out = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True)
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return out.stdout.strip()
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="key of this run in BENCH_oracle.json")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_oracle.json"))
-    args = parser.parse_args(argv)
-    # a failing sample overflows on its way; the failure itself is recorded
-    warnings.simplefilter("ignore", RuntimeWarning)
-    record = {
-        "commit": _git("rev-parse", "HEAD"),
-        "uncommitted_changes": bool(_git("status", "--porcelain", "--untracked-files=no", "src")),
-        "machine": {
-            "nproc": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "processor": platform.machine(),
-        },
-        "bitsize": BITSIZE,
-        "seed": SEED,
-        "degrees": run(),
-    }
-    bench = {"runs": {}}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            bench = json.load(fh)
-    bench["runs"][args.label] = record
-    with open(args.out, "w") as fh:
-        json.dump(bench, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    status = 0
-    for label, other in bench["runs"].items():
-        if label == args.label:
-            continue
-        for d, entry in record["degrees"].items():
-            theirs = other["degrees"].get(d)
-            if theirs is None or other["seed"] != SEED or other["bitsize"] != BITSIZE:
-                continue
-            if theirs["samples"] != entry["samples"]:
-                continue
-            same = theirs["roots_sha256"] == entry["roots_sha256"]
-            print(f"d={int(d):4d} roots {'equal to' if same else 'DIFFER from'} run {label!r}")
-            status |= not same
-    return status
+    def record() -> dict:
+        # a failing sample overflows on its way; the failure itself is recorded
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return {"bitsize": BITSIZE, "seed": SEED, "degrees": run()}
+
+    runs, label, this = benchlib.main(__doc__, "BENCH_oracle.json", record, argv=argv)
+    return benchlib.compare_hashes(runs, label, this, "roots_sha256", "roots")
 
 
 if __name__ == "__main__":

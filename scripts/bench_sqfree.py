@@ -41,26 +41,18 @@ root, next to the runs of other labels, with the commit (and whether
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import benchlib  # first: it pins the BLAS threads and puts src/ on the path
+from corpus import _iso_cluster, poly_mul
+from speed import Clock
 
-from corpus import _iso_cluster, poly_mul  # noqa: E402
-from speed import Clock  # noqa: E402
-
-import rootiso.polynomial as polynomial  # noqa: E402
-from rootiso.models import uniform_model  # noqa: E402
-from rootiso.polynomial import IntPolynomial, repeated_root_part, square_free_part  # noqa: E402
+import rootiso.polynomial as polynomial
+from rootiso.models import uniform_model
+from rootiso.polynomial import IntPolynomial, repeated_root_part, square_free_part
 
 SEED = 1
 BITSIZE = 32
@@ -175,40 +167,12 @@ def run() -> tuple[dict, str]:
     return corpora, digest.hexdigest()
 
 
-def _git(*args: str) -> str | None:
-    try:
-        out = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True)
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return out.stdout.strip()
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="key of this run in BENCH_sqfree.json")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_sqfree.json"))
-    args = parser.parse_args(argv)
-    corpora, sha = run()
-    record = {
-        "commit": _git("rev-parse", "HEAD"),
-        "uncommitted_changes": bool(_git("status", "--porcelain", "--untracked-files=no", "src")),
-        "machine": {
-            "nproc": os.cpu_count(),
-            "python": platform.python_version(),
-            "processor": platform.machine(),
-        },
-        "seed": SEED,
-        "outputs_sha256": sha,
-        "corpora": corpora,
-    }
-    bench = {"runs": {}}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            bench = json.load(fh)
-    bench["runs"][args.label] = record
-    with open(args.out, "w") as fh:
-        json.dump(bench, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    def record() -> dict:
+        corpora, sha = run()
+        return {"seed": SEED, "outputs_sha256": sha, "corpora": corpora}
+
+    benchlib.main(__doc__, "BENCH_sqfree.json", record, machine_numpy=False, argv=argv)
     return 0
 
 

@@ -357,8 +357,13 @@ def repeated_root_part(f: IntPolynomial) -> IntPolynomial:
     skipped, and a lower degree restarts the combination.  The primitive
     part H of the symmetric representative is returned once it divides f
     and f' exactly: H then divides the gcd, and no image has a degree
-    below the gcd's, so H is the gcd.  A constant image ends the search
-    at once.
+    below the gcd's, so H is the gcd.  The division is tried only once
+    every coefficient of the representative is at most 2^-16 times the
+    modulus in magnitude (``_HEADROOM``).  A representative that is still wrong is
+    spread over the whole range and lands there with a chance of about
+    2^-16 per coefficient, so it rarely costs a failed division; the right
+    one lands there within one prime of the first that holds it.  A
+    constant image ends the search at once.
     """
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
@@ -388,7 +393,10 @@ def _gcd_with_derivative(fp: IntPolynomial) -> tuple[IntPolynomial, IntPolynomia
             residues = [r + modulus * ((c - r) * shift % p) for r, c in zip(residues, image)]
             modulus *= p
         half = modulus // 2
-        h = IntPolynomial([r - modulus if r > half else r for r in residues]).primitive_part()
+        representative = [r - modulus if r > half else r for r in residues]
+        if max(map(abs, representative)) > modulus >> _HEADROOM:
+            continue
+        h = IntPolynomial(representative).primitive_part()
         try:
             _exact_divide(fp.derivative(), h)
             cofactor = _exact_divide(fp, h)
@@ -396,6 +404,10 @@ def _gcd_with_derivative(fp: IntPolynomial) -> tuple[IntPolynomial, IntPolynomia
             continue
         return (h, cofactor) if h.leading_coefficient > 0 else (h.scale(-1), cofactor.scale(-1))
 
+
+# The bits by which the modular gcd's representative must fall below its
+# modulus before a trial division (see ``repeated_root_part``).
+_HEADROOM = 16
 
 # The margin s of ``_coprime_with_derivative``: the evaluation point is
 # 2^(r + s) + 1 for roots below 2^r, and inputs with r > s are declined,

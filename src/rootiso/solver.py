@@ -12,17 +12,20 @@ Johnson & Krandick, 1997).  Each node carries its Bernstein vector in
 float64 with a rigorous absolute error bound, and one float de Casteljau
 pass gives both children.  An entry whose magnitude exceeds the bound has
 a certified sign, which is the exact sign.  A node with an uncertain sign
-reads its count from its exact integer vector instead, built from its
-parent's by one integer de Casteljau pass that both children share.  The
-sign at a midpoint comes from the float apex when certified and otherwise
-from one exact evaluation, which also finds a dyadic root there.  So the
-tree and every output are those of exact arithmetic.  The off-zero
-refinement splits the same way.  The root (-1, 1) of each phase starts
-from one float product, its power coefficients times the cached
-power-to-Bernstein matrix, under a bound of the same kind, and its ends
-are the exact signs of two integer sums.  Its exact vector, a Taylor
-shift, is built only when the root's own signs or a deeper node's exact
-vector need it.
+reads its count from its exact integer vector instead.  When its parent
+holds its own exact vector, that vector is split by one integer de
+Casteljau pass that both children share; every other exact vector is
+built from the phase polynomial in one transform on the node's interval,
+as Rouillier & Zimmermann (2004) charge a node, not by bisecting exactly
+down from an ancestor one level at a time.  The sign at a midpoint comes
+from the float apex when certified and otherwise from one exact
+evaluation, which also finds a dyadic root there.  So the tree and every
+output are those of exact arithmetic.  The off-zero refinement splits the
+same way.  The root (-1, 1) of each phase starts from one float product,
+its power coefficients times the cached power-to-Bernstein matrix, under
+a bound of the same kind, and its ends are the exact signs of two integer
+sums.  Its exact vector, a Taylor shift, is built only when the root's
+own signs need it.
 Roots outside [-1, 1] are reached through the reciprocal polynomial and the
 map x -> 1/x; since 1/x is not dyadic in general, those results carry an
 ``inverted`` flag together with the dyadic pre-image.
@@ -50,6 +53,7 @@ from .polynomial import (
     pascal_rounds,
     sign_variations,
     square_free_part,
+    unit_rescale,
 )
 
 
@@ -60,10 +64,11 @@ class NodeRecord:
 
     The work fields: ``exact`` when the count was read from the node's
     exact integer vector (a node, phase roots included, whose float signs
-    were uncertain); ``exact_splits``, the integer de Casteljau passes that
-    building that vector took (a pass shared with an earlier node counts
-    there); ``evaluated_midpoint`` when the node was split and the sign at
-    its midpoint came from an exact evaluation.
+    were uncertain); ``exact_splits``, the exact transforms that building
+    that vector took, 1 for an integer de Casteljau pass of the parent's
+    vector or for a direct build from the phase polynomial, and 0 for a
+    half that its sibling's pass left; ``evaluated_midpoint`` when the node
+    was split and the sign at its midpoint came from an exact evaluation.
     """
 
     interval: DyadicInterval
@@ -271,7 +276,8 @@ def _subdivide(fsq: IntPolynomial):
 
     while queue:
         node = queue.popleft()
-        exact_splits = 0 if node.variations is not None else _read_exact(node)
+        exact_splits = 0 if node.variations is not None else _read_exact(node, fsq)
+        node.parent = None  # its children link to it, and it needs its parent no more
         v = node.variations
         evaluated = False
         if v == 1:
@@ -297,15 +303,12 @@ class _Node:
     ``hi`` are the exact signs of the phase polynomial at the interval's
     ends.  ``variations`` is the Descartes count when ``f`` certifies it,
     else None.  ``exact`` is the exact vector (a positive multiple of the
-    same coefficients), when built; ``halves`` holds the node's one exact
-    split until each child claims its half (``side`` 0 is the left).  A
-    phase root holds its polynomial ``g``, from which its exact vector is
-    built when first needed.
+    same coefficients, primitive), when built; ``halves`` holds the node's
+    one exact split until each child claims its half (``side`` 0 is the
+    left).  ``parent`` is kept only until the node is counted.
     """
 
-    __slots__ = (
-        "interval", "depth", "parent", "side", "f", "err", "peak", "lo", "hi", "variations", "exact", "halves", "g",
-    )
+    __slots__ = ("interval", "depth", "parent", "side", "f", "err", "peak", "lo", "hi", "variations", "exact", "halves")
 
     def __init__(self, interval, depth, parent, side, f=None, err=0.0, peak=0.0, lo=0, hi=0, variations=None):
         self.interval = interval
@@ -318,38 +321,35 @@ class _Node:
         self.lo = lo
         self.hi = hi
         self.variations = variations
-        self.exact = self.halves = self.g = None
+        self.exact = self.halves = None
 
 
-def _read_exact(node: _Node) -> int:
-    """Count node's variations on its exact vector and reseed the float
-    image from it.  Returns the number of exact splits it took.
+def _read_exact(node: _Node, g: IntPolynomial) -> int:
+    """Count node's variations on its exact vector, for the phase
+    polynomial g, and reseed the float image from it.  Returns the number
+    of exact transforms it took: 1, or 0 for a half already split off.
 
-    A node without its vector takes it from the parent's ``halves``, split
-    from the parent's own exact vector, built the same way, the first
-    time a child asks; a phase root counted from its float image builds
-    its vector from its polynomial (``_root_vector``) when the chain
-    first reaches it.  Each vector is held in one place: a node drops its
-    exact vector once split exactly and its link to the parent once it
-    holds its own, so a parent and an unclaimed half live only as long as
-    the sibling that may still claim it.
+    A node whose parent holds its exact vector, or the halves of it, takes
+    its half of the parent's one exact split (``_bisect``), which the
+    sibling shares.  Every other node, the phase root included, builds its
+    vector from g on its own interval in one transform (``_exact_vector``),
+    which is the vector a chain of exact splits from the root would give,
+    bit for bit.  Each vector is held in one place: a parent drops its
+    exact vector once split exactly, and a node its link to the parent once
+    counted, so a parent and an unclaimed half live only as long as the
+    sibling that may still claim it.
     """
-    splits = 0
-    if node.exact is None:
-        chain = [node]
-        while (parent := chain[-1].parent) is not None and parent.halves is None and parent.exact is None:
-            chain.append(parent)
-        if chain[-1].parent is None:
-            root = chain.pop()
-            root.exact = _root_vector(root.g)
-        for down in reversed(chain):
-            parent = down.parent
-            if parent.halves is None:
-                parent.halves = list(_bisect(parent.exact)[:2])
-                parent.exact = None
-                splits += 1
-            down.exact, parent.halves[down.side] = parent.halves[down.side], None
-            down.parent = None
+    parent, node.parent = node.parent, None
+    splits = 1
+    if parent is None or (parent.exact is None and parent.halves is None):
+        node.exact = _exact_vector(g, node.interval)
+    else:
+        if parent.halves is None:
+            parent.halves = list(_bisect(parent.exact)[:2])
+            parent.exact = None
+        else:
+            splits = 0
+        node.exact, parent.halves[node.side] = parent.halves[node.side], None
     b = node.exact
     node.variations = sign_variations(b)
     node.lo, node.hi = _sign(b[0]), _sign(b[-1])
@@ -491,9 +491,7 @@ def _phase_root(g: IntPolynomial) -> _Node:
     signs[0], signs[-1] = lo, hi
     certified = np.abs(f[1:-1]).min(initial=math.inf) > err
     count = int(np.count_nonzero(signs[1:] * signs[:-1] < 0)) if certified else None
-    root = _Node(DyadicInterval(Dyadic(-1), Dyadic(1)), 0, None, 0, f, err, peak, lo, hi, count)
-    root.g = g
-    return root
+    return _Node(DyadicInterval(Dyadic(-1), Dyadic(1)), 0, None, 0, f, err, peak, lo, hi, count)
 
 
 def _root_image(coeffs) -> tuple[np.ndarray, float, float, int]:
@@ -602,14 +600,28 @@ def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-def _root_vector(fsq: IntPolynomial) -> list[int]:
-    """Bernstein coefficients of fsq on [-1, 1], made integer and primitive.
+def _exact_vector(g: IntPolynomial, interval: DyadicInterval) -> list[int]:
+    """Bernstein coefficients of g on ``interval``, made integer and
+    primitive, in one transform.
 
-    The Moebius image T of the root image fsq(2X - 1) has T_(d-i) =
-    C(d, i) b_i, so b_i is scaled by K = lcm_i C(d, i) and the content
-    divided out.
+    The Moebius image T of the unit rescale h = ``unit_rescale(g,
+    interval)`` has T_(d-i) = C(d, i) b_i, for b the Bernstein coefficients
+    of h on [0, 1]: a positive multiple of those of g on the interval.  So
+    b_i is scaled by K = lcm_i C(d, i) and the content divided out.
+
+    This is the vector that any chain of exact splits (``_bisect``) from
+    the root's vector gives, bit for bit.  Both are positive multiples of
+    the same nonzero vector, so it suffices that both are primitive.  This
+    one is by construction.  A chain vector is by induction from the root,
+    which is one of these: a split maps a primitive b to the left half
+    (2^(d-k) sum_(j <= k) C(k, j) b_j)_k, and to its mirror image on the
+    right, by an integer triangular matrix with diagonal entries 2^(d-k).
+    Its determinant is a power of two, so it is invertible modulo every odd
+    prime p, and a p that divided every entry of the image would divide
+    every entry of b.  The image's content is therefore a power of two,
+    which ``_unscale`` divides out.
     """
-    test = pascal_rounds(list(fsq.taylor_shift(-1).homothety(-1).coeffs))
+    test = pascal_rounds(list(unit_rescale(g, interval).coeffs))
     d = len(test) - 1
     binomials = list(accumulate(range(d), lambda c, i: c * (d - i) // (i + 1), initial=1))
     lcm = math.lcm(*binomials)
@@ -666,6 +678,6 @@ def _refine_off_zero(node: _Node, g: IntPolynomial):
         if mid == 0:
             return _invert_exact(node.interval.midpoint())
         if left.variations is None:
-            _read_exact(left)
+            _read_exact(left, g)
         node = left if left.variations == 1 else right
     return RootInterval(node.interval, inverted=True)

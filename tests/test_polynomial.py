@@ -459,6 +459,21 @@ class TestModularGcd:
             assert len(degrees) >= 8 and set(degrees) == {degree}
             assert max(map(abs, repeated_root_part(f).coeffs)) > 1 << 200
 
+    def test_divides_only_a_settled_representative(self, monkeypatch):
+        # a representative that further primes would still change is not
+        # tried: only the successful pair of divisions runs, however many
+        # primes the gcd takes
+        rng = random.Random(57)
+        divisors = []
+        divide = polynomial._exact_divide
+        monkeypatch.setattr(polynomial, "_exact_divide", lambda f, g: divisors.append(g) or divide(f, g))
+        for degree in (1, 3, 6):
+            h = make_poly(rng, degree, 220)
+            f = _multiply(_multiply(h, h), make_poly(rng, 3, 8))
+            divisors.clear()
+            assert repeated_root_part(f).degree == degree
+            assert len(divisors) == 2, degree
+
     def test_unlucky_prime_after_a_lucky_one_is_skipped(self, monkeypatch):
         # x (x - p) with p the second prime: its image there has one degree
         # more than the first, and must not enter the combination

@@ -39,8 +39,8 @@ from rootiso.solver import (
     RootInterval,
     SubdivisionTrace,
     _bisect,
+    _exact_vector,
     _invert_exact,
-    _root_vector,
     isolate_all,
     isolate_unit,
 )
@@ -264,7 +264,7 @@ class TestBernsteinVectors:
         # apex has the sign of f at the midpoint
         f = IntPolynomial(coeffs)
         interval = DyadicInterval(Dyadic(-1), Dyadic(1))
-        b = _root_vector(f)
+        b = _exact_vector(f, interval)
         assert _positive_multiple(b, _bernstein(f, interval))
         for go_right in path:
             left, right, apex = _bisect(b)
@@ -274,6 +274,33 @@ class TestBernsteinVectors:
             assert _positive_multiple(left, _bernstein(f, lo_half))
             assert _positive_multiple(right, _bernstein(f, hi_half))
             interval, b = (hi_half, right) if go_right else (lo_half, left)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(0, 1 << 30),
+        st.one_of(
+            st.lists(st.booleans(), min_size=1, max_size=30),
+            # a first step, then a run the other way or the same way: the
+            # intervals keep an end at 0, or at -1 or 1
+            st.builds(lambda first, then, n: [first] + [then] * n, st.booleans(), st.booleans(), st.integers(0, 29)),
+        ),
+    )
+    def test_direct_build_equals_the_chain(self, seed, path):
+        # the vector built in one transform on a node's interval is, bit for
+        # bit, the one the chain of exact splits from the root gives; dyadic
+        # roots put zero entries at the ends of some intervals
+        rng = random.Random(seed)
+        d = rng.randint(0, 64)
+        roots = [poly(-rng.randint(-8, 8), 1 << rng.randint(0, 3)) for _ in range(rng.randint(0, min(d, 8)))]
+        f = product(*roots, make_poly(rng, d - len(roots), rng.choice([2, 32, 300])))
+        interval = DyadicInterval(Dyadic(-1), Dyadic(1))
+        b = _exact_vector(f, interval)
+        assert b == _reference_root_vector(f)
+        for go_right in path:
+            left, right, _ = _bisect(b)
+            lo_half, hi_half = interval.split()
+            interval, b = (hi_half, right) if go_right else (lo_half, left)
+            assert _exact_vector(f, interval) == b, (f, interval)
 
     def test_isolate_all_work_counts(self, monkeypatch):
         # at most one Taylor shift per phase builds its root vector, and
@@ -495,6 +522,22 @@ def _deflate(coeffs, root):
     return quotient[::-1]
 
 
+def _reference_root_vector(fsq: IntPolynomial) -> list[int]:
+    """Bernstein coefficients of fsq on [-1, 1], made integer and primitive.
+
+    The Moebius image T of the root image fsq(2X - 1) has T_(d-i) =
+    C(d, i) b_i, so b_i is scaled by K = lcm_i C(d, i) and the content
+    divided out.
+    """
+    test = polynomial.pascal_rounds(list(fsq.taylor_shift(-1).homothety(-1).coeffs))
+    d = len(test) - 1
+    binomials = [math.comb(d, i) for i in range(d + 1)]
+    lcm = math.lcm(*binomials)
+    b = [t * (lcm // c) for t, c in zip(reversed(test), binomials)]
+    content = math.gcd(*b)
+    return [x // content for x in b]
+
+
 def _reference_subdivide(fsq: IntPolynomial):
     """Descartes subdivision of (-1, 1) for a square-free fsq.
 
@@ -504,7 +547,7 @@ def _reference_subdivide(fsq: IntPolynomial):
     vectors of its intervals (the var = 1 leaves), in order.
     """
     root = DyadicInterval(Dyadic(-1), Dyadic(1))
-    queue = deque([(root, _root_vector(fsq), 0)])
+    queue = deque([(root, _reference_root_vector(fsq), 0)])
     intervals: list[RootInterval] = []
     vectors: list[list[int]] = []
     exact: list[ExactRoot] = []
@@ -659,6 +702,26 @@ class TestFloatFilter:
             f = make_poly(rng, rng.randint(0, 1), 20)
         _same_as_reference(f)
 
+    def test_clusters_match_exact_reference(self, monkeypatch):
+        # Mignotte's close pair, its square, and clusters of close roots:
+        # deep trees, in which nodes far below the last exact vector build
+        # their own in one transform
+        levels = []
+        monkeypatch.setattr(solver, "_exact_vector", lambda g, iv: levels.append(iv.width().exp) or _exact_vector(g, iv))
+        rng = random.Random(92)
+        cases = [mignotte(rng.randint(30, 50), rng.randint(9, 200)) for _ in range(4)]
+        cases += [product(g, g) for g in [mignotte(rng.randint(20, 40), rng.randint(9, 100)) for _ in range(2)]]
+        for _ in range(4):
+            k, a = rng.randint(10, 40), rng.choice([3, 5, 7])
+            c = rng.randrange(1, a)
+            offsets = rng.sample(range(-20, 20), rng.randint(2, 4))
+            cluster = [poly(-(c << k) - j, a << k) for j in offsets]
+            cases.append(product(*cluster, make_poly(rng, rng.randint(0, 4), 8)))
+        for f in cases:
+            _same_as_reference(f)
+        # a node of depth k has width 2^(1 - k)
+        assert len(levels) > 50 and max(levels) >= 100
+
     def test_no_exact_splits_on_uniform_samples(self, monkeypatch):
         # well-conditioned inputs: every sign certified in float64
         from rootiso.models import uniform_model
@@ -675,56 +738,77 @@ class TestFloatFilter:
         assert calls == [] and nodes > 18
 
     def test_exact_splits_at_most_tree_splits(self, monkeypatch):
-        # each node is split exactly at most once, however many of its
-        # descendants need their exact vectors
-        calls = {"bisect": 0, "split": 0}
+        # each node is split exactly at most once and builds its vector at
+        # most once, in one transform, however many of its descendants need
+        # their exact vectors; a node takes at most one transform
+        calls = {"bisect": 0, "build": 0, "split": 0}
+        built = []
         split = solver._split
 
         def counting_bisect(b):
             calls["bisect"] += 1
             return _bisect(b)
 
+        def counting_build(g, interval):
+            calls["build"] += 1
+            built.append(interval)
+            return _exact_vector(g, interval)
+
         def counting_split(node, g):
             calls["split"] += 1
             return split(node, g)
 
         monkeypatch.setattr(solver, "_bisect", counting_bisect)
+        monkeypatch.setattr(solver, "_exact_vector", counting_build)
         monkeypatch.setattr(solver, "_split", counting_split)
-        exact_splits = 0
+        exact_splits = bisects = builds = 0
         for f in adversarial_inputs():
             for isolate in (isolate_unit, isolate_all):
-                calls.update(bisect=0, split=0)
+                calls.update(bisect=0, build=0, split=0)
+                built.clear()
                 trace = isolate(f).trace
                 assert calls["bisect"] <= calls["split"], f
-                assert trace.exact_splits <= trace.splits == sum(n.variations >= 2 for n in trace.var_per_node)
+                assert trace.exact_splits <= trace.exact_nodes <= trace.node_count
+                assert trace.splits == sum(n.variations >= 2 for n in trace.var_per_node)
+                assert all(n.exact_splits <= n.exact for n in trace.var_per_node)
                 if isolate is isolate_unit:
-                    assert calls["bisect"] == trace.exact_splits and calls["split"] == trace.splits
+                    assert calls["bisect"] + calls["build"] == trace.exact_splits and calls["split"] == trace.splits
+                    assert len(set(built)) == len(built), f
                 exact_splits += trace.exact_splits
-        assert exact_splits > 100
+                bisects += calls["bisect"]
+                builds += calls["build"]
+        # both kinds of transform run: deep nodes build, siblings share splits
+        assert exact_splits > 50 and bisects > 0 and builds > 0
 
     def test_each_node_split_exactly_once(self, monkeypatch):
-        # grandchildren whose float signs are worthless build their exact
-        # vectors through their parents: the root and each child are split
-        # once, siblings share the split, and each vector is held once
-        calls = []
-        monkeypatch.setattr(solver, "_bisect", lambda b: calls.append(len(b)) or _bisect(b))
+        # siblings whose parent holds its exact vector share one exact split
+        # of it; a node whose parent holds none builds its own from g in one
+        # transform; the vectors are those of the chain of splits from the
+        # root, bit for bit, and each is held once
+        bisects, builds = [], []
+        monkeypatch.setattr(solver, "_bisect", lambda b: bisects.append(len(b)) or _bisect(b))
+        monkeypatch.setattr(solver, "_exact_vector", lambda g, iv: builds.append(iv) or _exact_vector(g, iv))
         g = chebyshev(6)
         root = solver._Node(DyadicInterval(Dyadic(-1), Dyadic(1)), 0, None, 0)
-        root.exact = _root_vector(g)
-        solver._read_exact(root)
+        assert solver._read_exact(root, g) == 1 and builds == [root.interval]
         children, _, _ = solver._split(root, g)
         assert [child.variations for child in children] == [3, 3]
+        # the left child counts exactly, from the root's vector; the right
+        # keeps its float count
+        assert solver._read_exact(children[0], g) == 1 and len(bisects) == 1
         for child in children:
             child.err = 1.0
         grandchildren = [node for child in children for node in solver._split(child, g)[0]]
         assert all(node.variations is None for node in grandchildren)
-        assert [solver._read_exact(node) for node in grandchildren] == [2, 0, 1, 0]
-        assert len(calls) == 3
-        halves = [half for b in _bisect(_root_vector(g))[:2] for half in _bisect(b)[:2]]
+        assert [solver._read_exact(node, g) for node in grandchildren] == [1, 0, 1, 1]
+        assert len(bisects) == 2 and builds[1:] == [node.interval for node in grandchildren[2:]]
+        halves = [half for b in _bisect(_reference_root_vector(g))[:2] for half in _bisect(b)[:2]]
         assert [node.exact for node in grandchildren] == halves
         assert [node.variations for node in grandchildren] == list(map(sign_variations, halves))
-        assert root.exact is None and root.halves == [None, None]
-        assert all(child.exact is None and child.halves == [None, None] for child in children)
+        assert root.exact is None and root.halves[0] is None
+        assert children[0].exact is None and children[0].halves == [None, None]
+        assert children[1].exact is None and children[1].halves is None
+        assert all(node.parent is None for node in [root, children[0], *grandchildren])
 
     def test_work_counts_on_a_cluster(self, monkeypatch):
         # mignotte(60, 1000): a deep tree down to a close pair, where the
@@ -871,21 +955,22 @@ class TestRootImage:
         f = poly(1, 0, 1)
         image, err, _, _ = solver._root_image(f.coeffs)
         assert image[1] == 0.0 < err
-        assert all(n.exact for n in isolate_all(f).trace.var_per_node)
+        assert all(n.exact and n.exact_splits == 1 for n in isolate_all(f).trace.var_per_node)
         unit, _ = _reference_subdivide(square_free_part(f))
+        # the root's vector is one direct build, that of the reference
         assert isolate_unit(f).trace.var_per_node == [
-            NodeRecord(n.interval, n.variations, n.depth, exact=True) for n in unit.trace.var_per_node
+            NodeRecord(n.interval, n.variations, n.depth, exact=True, exact_splits=1) for n in unit.trace.var_per_node
         ]
         _same_as_reference(f)
 
     def test_root_vector_built_on_demand(self, monkeypatch):
         # the float root certifies, but deeper nodes of the unit phase need
-        # exact vectors: that phase builds its root vector once, and the
-        # reciprocal phase, all in float, builds none
+        # exact vectors: they build their own, each once, and the root's is
+        # never built; the reciprocal phase, all in float, builds none
         from rootiso.models import uniform_model
 
         calls = []
-        monkeypatch.setattr(solver, "_root_vector", lambda g: calls.append(g) or _root_vector(g))
+        monkeypatch.setattr(solver, "_exact_vector", lambda g, iv: calls.append((g, iv)) or _exact_vector(g, iv))
         for f in (chebyshev(14), mignotte(60, 1000)):
             for isolate in (isolate_unit, isolate_all):
                 calls.clear()
@@ -893,7 +978,8 @@ class TestRootImage:
                 roots = [n for n in trace.var_per_node if n.depth == 0]
                 assert len(roots) == (1 if isolate is isolate_unit else 2)
                 assert not any(n.exact for n in roots) and trace.exact_splits > 0
-                assert calls == [square_free_part(f)], f
+                assert calls and all(g == square_free_part(f) and iv.width() < 2 for g, iv in calls), f
+                assert len(set(calls)) == len(calls) <= trace.exact_splits
             _same_as_reference(f)
         calls.clear()
         for d in (16, 64, 128):
