@@ -111,7 +111,7 @@ def main(argv=None) -> int:
     def record() -> dict:
         return {"bitsize": BITSIZE, "seed": SEED, "degrees": run()}
 
-    runs, label, this = benchlib.main(__doc__, "BENCH_bracket.json", record, argv=argv)
+    runs, label, this = benchlib.run_and_store(__doc__, "BENCH_bracket.json", record, argv=argv)
     return benchlib.compare_hashes(runs, label, this, "fields_sha256", "bracket fields")
 
 

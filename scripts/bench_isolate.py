@@ -54,7 +54,7 @@ PLAN = {16: (100, 3), 64: (50, 3), 256: (16, 3), 512: (8, 1), 1024: (8, 1)}
 BITSIZE = 32
 SEED = 1
 COUNTERS = ("node_count", "splits", "exact_nodes", "exact_splits", "midpoint_evaluations")
-ROUNDS = 20
+ROUNDS = 40
 REPEATS = 3
 
 
@@ -114,7 +114,7 @@ def run() -> dict:
 
 
 def main(argv=None) -> int:
-    benchlib.main(__doc__, "BENCH_isolate.json", run, argv=argv)
+    benchlib.run_and_store(__doc__, "BENCH_isolate.json", run, argv=argv)
     return 0
 
 

@@ -117,7 +117,7 @@ def main(argv=None) -> int:
         warnings.simplefilter("ignore", RuntimeWarning)
         return {"bitsize": BITSIZE, "seed": SEED, "degrees": run()}
 
-    runs, label, this = benchlib.main(__doc__, "BENCH_oracle.json", record, argv=argv)
+    runs, label, this = benchlib.run_and_store(__doc__, "BENCH_oracle.json", record, argv=argv)
     return benchlib.compare_hashes(runs, label, this, "roots_sha256", "roots")
 
 

@@ -172,7 +172,7 @@ def main(argv=None) -> int:
         corpora, sha = run()
         return {"seed": SEED, "outputs_sha256": sha, "corpora": corpora}
 
-    benchlib.main(__doc__, "BENCH_sqfree.json", record, machine_numpy=False, argv=argv)
+    benchlib.run_and_store(__doc__, "BENCH_sqfree.json", record, machine_numpy=False, argv=argv)
     return 0
 
 

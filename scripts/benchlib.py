@@ -3,9 +3,9 @@
 Importing this module pins the BLAS thread pools to one thread, so it must
 come before numpy's first import, and puts ``src/`` and ``perfbench/`` of
 this tree first on ``sys.path``, so that a script times the checkout it
-sits in.  ``main`` parses a script's ``--label`` and ``--out``, runs it,
-adds the commit (and whether ``src/`` differed from it) and the machine to
-its record, and stores the record under ``runs[label]`` of its
+sits in.  ``run_and_store`` parses a script's ``--label`` and ``--out``,
+runs it, adds the commit (and whether ``src/`` differed from it) and the
+machine to its record, and stores the record under ``runs[label]`` of its
 ``BENCH_*.json``, next to the runs of other labels.
 """
 
@@ -34,7 +34,7 @@ def _git(*args: str) -> str | None:
     return out.stdout.strip()
 
 
-def main(doc: str, name: str, run, machine_numpy: bool = True, argv=None) -> tuple[dict, str, dict]:
+def run_and_store(doc: str, name: str, run, machine_numpy: bool = True, argv=None) -> tuple[dict, str, dict]:
     """Run ``run()``, which returns the settings and results of a record,
     and store the record in the file ``name`` at the repository root (or
     ``--out``).  ``machine_numpy`` records numpy's version with the

@@ -303,9 +303,10 @@ class TestBernsteinVectors:
             assert _exact_vector(f, interval) == b, (f, interval)
 
     def test_isolate_all_work_counts(self, monkeypatch):
-        # at most one Taylor shift per phase builds its root vector, and
-        # none where the float images certify every sign; node tests and
-        # splits need none, and no node runs the Moebius-image count
+        # a Taylor shift runs only to build an exact vector directly: at
+        # most two on these small inputs, and none where the float images
+        # certify every sign; node tests and splits need none, and no node
+        # runs the Moebius-image count
         calls = {"taylor_shift": 0, "unit_variations": 0}
         taylor_shift = IntPolynomial.taylor_shift
 
