@@ -4,12 +4,15 @@
 
 Run from the repository root; ``rootiso`` is imported from ``src/`` of
 this tree.  Inputs are ``uniform_model(d, 32)`` samples 0 .. count-1 under
-seed 1, for d in 16, 64, 256, 512 and 1024.  Each sample is timed
-``repeats`` times per entry point and its fastest time kept; the figure
-is the median over the samples, in ms.  Times are scaled to a fixed
-reference speed by ``perfbench/speed.py`` (a fixed big-integer kernel
-timed between every two calls), since other tenants of a shared host
-slow a whole run for seconds at a time; the raw wall-clock median is
+seed 1, for d in 16, 64, 256, 512 and 1024.  Each sample is timed per
+entry point as ``repeats`` blocks of back-to-back calls, and the fastest
+block's time per call is kept; the figure is the median over the
+samples, in ms.  A block runs as many calls as take the reference
+kernel's time (3 ms), going by the time of one first call, since a
+0.2 ms call timed alone is lost in the clock's scaling.  Times are scaled
+to a fixed reference speed by ``perfbench/speed.py`` (a fixed big-integer
+kernel timed between every two blocks), since other tenants of a shared
+host slow a whole run for seconds at a time; the raw wall-clock median is
 stored beside it.
 
 The first call per degree, ``isolate_all`` on sample 0, is timed on its
@@ -27,7 +30,7 @@ null for it.  Uniform inputs hardly take the exact path, so the run also
 times ``isolate_all`` on the ``iso-cluster`` corpus of ``perfbench``
 (``ROUNDS`` rounds under seed 1: Chebyshev, scaled Chebyshev, Mignotte,
 dyadic-root products, and squares of each kind), per family, as the
-median and mean of each input's fastest of ``REPEATS`` calls, with the
+median and mean of each input's fastest of ``REPEATS`` blocks, with the
 same counters.
 
 The run is stored under ``runs[label]`` in ``BENCH_isolate.json`` at the
@@ -38,19 +41,20 @@ with.
 
 from __future__ import annotations
 
+import math
 import statistics
 import sys
 
 import benchlib  # first: it pins the BLAS threads and puts src/ on the path
 from corpus import _iso_cluster
-from speed import Clock
+from speed import REF_KERNEL_S, Clock
 
 from rootiso.models import uniform_model
 from rootiso.polynomial import IntPolynomial
 from rootiso.solver import isolate_all, isolate_unit
 
 # degree: (samples, repeats per sample)
-PLAN = {16: (100, 3), 64: (50, 3), 256: (16, 3), 512: (8, 1), 1024: (8, 1)}
+PLAN = {16: (100, 7), 64: (50, 7), 256: (16, 3), 512: (8, 1), 1024: (8, 1)}
 BITSIZE = 32
 SEED = 1
 COUNTERS = ("node_count", "splits", "exact_nodes", "exact_splits", "midpoint_evaluations")
@@ -59,12 +63,16 @@ REPEATS = 3
 
 
 def _fastest(clock: Clock, fn, f, repeats: int):
-    """The fastest of ``repeats`` calls in ms, scaled and wall, and the
-    call's result."""
+    """The time per call in ms, scaled and wall, of the fastest of
+    ``repeats`` blocks of back-to-back calls, and the call's result.  A
+    block holds as many calls as take ``REF_KERNEL_S`` at the wall time of
+    a first call, which is not counted."""
+    result, first, _ = clock.time(lambda: fn(f))
+    calls = max(1, math.ceil(REF_KERNEL_S / first))
     scaled_best = wall_best = float("inf")
     for _ in range(repeats):
-        result, wall, scaled = clock.time(lambda: fn(f))
-        scaled_best, wall_best = min(scaled_best, scaled), min(wall_best, wall)
+        _, wall, scaled = clock.time(lambda: [fn(f) for _ in range(calls)])
+        scaled_best, wall_best = min(scaled_best, scaled / calls), min(wall_best, wall / calls)
     return scaled_best * 1e3, wall_best * 1e3, result
 
 

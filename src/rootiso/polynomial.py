@@ -483,26 +483,18 @@ def _gcd_with_derivative_mod_p(f: IntPolynomial, p: int) -> list | None:
         return None
     a = np.array(a, dtype=np.int64)
     b = np.array(b, dtype=np.int64)
-    # residues lie in [0, p), so each q * b_i is below 2^62 and the two
-    # subtractions of one step stay above -2^63
+    # residues lie in [0, p), so each q * b_i is below 2^62 and a
+    # subtraction stays above -2^63
     while len(b) > 1:
         inv = pow(int(b[-1]), -1, p)
-        if len(a) == len(b) + 1:
-            # usual case: quotient q1 X + q0, both subtractions in one pass
-            q1 = int(a[-1]) * inv % p
-            q0 = (int(a[-2]) - q1 * int(b[-2])) * inv % p
-            r = a[:-2] - q0 * b[:-1]
-            r[1:] -= q1 * b[:-2]
-            r %= p
-        else:
-            r = a.copy()
-            while len(r) >= len(b):
-                top = int(r[-1])
-                if top:
-                    window = r[-len(b) :]
-                    window -= (top * inv % p) * b
-                    window %= p
-                r = r[:-1]
+        r = a.copy()
+        while len(r) >= len(b):
+            top = int(r[-1])
+            if top:
+                window = r[-len(b) :]
+                window -= (top * inv % p) * b
+                window %= p
+            r = r[:-1]
         if not r[-1]:
             nonzero = np.flatnonzero(r)
             if not len(nonzero):

@@ -12,20 +12,22 @@ Johnson & Krandick, 1997).  Each node carries its Bernstein vector in
 float64 with a rigorous absolute error bound, and one float de Casteljau
 pass gives both children.  An entry whose magnitude exceeds the bound has
 a certified sign, which is the exact sign.  A node with an uncertain sign
-reads its count from its exact integer vector instead.  When its parent
-holds its own exact vector, that vector is split by one integer de
-Casteljau pass that both children share; every other exact vector is
-built from the phase polynomial in one transform on the node's interval,
-as Rouillier & Zimmermann (2004) charge a node, not by bisecting exactly
-down from an ancestor one level at a time.  The sign at a midpoint comes
-from the float apex when certified and otherwise from one exact
-evaluation, which also finds a dyadic root there.  So the tree and every
-output are those of exact arithmetic.  The off-zero refinement splits the
-same way.  The root (-1, 1) of each phase starts from one float product,
-its power coefficients times the cached power-to-Bernstein matrix, under
-a bound of the same kind, and its ends are the exact signs of two integer
-sums.  Its exact vector, a Taylor shift, is built only when the root's
-own signs need it.
+reads its count from its exact integer vector instead, which the split
+that makes it hands it: its half of one integer de Casteljau pass of the
+split node's exact vector, shared by both children, when that node holds
+one, and otherwise a vector built from the phase polynomial in one
+transform on the child's interval, as Rouillier & Zimmermann (2004)
+charge a node, not by bisecting exactly down from an ancestor one level
+at a time.  So every node leaves its split counted, and a split node
+drops its exact vector.  The sign at a midpoint comes from the float apex
+when certified and otherwise from one exact evaluation, which also finds
+a dyadic root there.  So the tree and every output are those of exact
+arithmetic.  The off-zero refinement splits the same way.  The root
+(-1, 1) of each phase starts from one float product, its power
+coefficients times the cached power-to-Bernstein matrix, under a bound
+of the same kind, and its ends are the exact signs of two integer sums.
+Its exact vector, a Taylor shift, is built only when the root's own
+signs need it.
 Roots outside [-1, 1] are reached through the reciprocal polynomial and the
 map x -> 1/x; since 1/x is not dyadic in general, those results carry an
 ``inverted`` flag together with the dyadic pre-image.
@@ -259,12 +261,10 @@ def _subdivide(fsq: IntPolynomial):
     """Descartes subdivision of (-1, 1) for a square-free fsq.
 
     A node's Descartes count is the sign variations of its Bernstein
-    vector.  A split is a float pass with exact fallback (``_split``): the
-    children's counts come from their float images where these certify
-    every sign, and from their exact vectors otherwise (``_read_exact``);
-    the root starts from ``_phase_root``.  Returns the result, the nodes
-    of its intervals (the var = 1 leaves) in order, and the exact signs of
-    fsq at -1 and 1.
+    vector.  A split is a float pass with exact fallback (``_split``), and
+    the root starts from ``_phase_root``; both return counted nodes.
+    Returns the result, the nodes of its intervals (the var = 1 leaves) in
+    order, and the exact signs of fsq at -1 and 1.
     """
     root = _phase_root(fsq)
     ends = root.lo, root.hi
@@ -276,9 +276,8 @@ def _subdivide(fsq: IntPolynomial):
 
     while queue:
         node = queue.popleft()
-        exact_splits = 0 if node.variations is not None else _read_exact(node, fsq)
-        node.parent = None  # its children link to it, and it needs its parent no more
         v = node.variations
+        counted_exactly = node.exact is not None
         evaluated = False
         if v == 1:
             intervals.append(RootInterval(node.interval))
@@ -288,7 +287,7 @@ def _subdivide(fsq: IntPolynomial):
             if mid == 0:
                 exact.append(ExactRoot(node.interval.midpoint()))
             queue.extend(children)
-        nodes.append(NodeRecord(node.interval, v, node.depth, node.exact is not None, exact_splits, evaluated))
+        nodes.append(NodeRecord(node.interval, v, node.depth, counted_exactly, node.exact_splits, evaluated))
 
     trace = SubdivisionTrace(var_per_node=nodes, square_free=fsq)
     return IsolationResult(intervals=intervals, exact_roots=exact, trace=trace), leaves, ends
@@ -296,66 +295,41 @@ def _subdivide(fsq: IntPolynomial):
 
 class _Node:
     """A subdivision node: a float image of its Bernstein vector, with the
-    exact integer vector built only on demand.
+    exact integer vector held only where its count needed it.
 
     ``f`` holds a positive multiple of the node's Bernstein coefficients to
     within ``err`` in every entry, and ``peak`` is max |f_i|.  ``lo`` and
     ``hi`` are the exact signs of the phase polynomial at the interval's
-    ends.  ``variations`` is the Descartes count when ``f`` certifies it,
-    else None.  ``exact`` is the exact vector (a positive multiple of the
-    same coefficients, primitive), when built; ``halves`` holds the node's
-    one exact split until each child claims its half (``side`` 0 is the
-    left).  ``parent`` is kept only until the node is counted.
+    ends, and ``variations`` is the Descartes count.  ``exact`` is the
+    exact vector (a positive multiple of the same coefficients, primitive)
+    when the count was read from it, until the node is split, and
+    ``exact_splits`` the exact transforms that building it took.
     """
 
-    __slots__ = ("interval", "depth", "parent", "side", "f", "err", "peak", "lo", "hi", "variations", "exact", "halves")
+    __slots__ = ("interval", "depth", "f", "err", "peak", "lo", "hi", "variations", "exact", "exact_splits")
 
-    def __init__(self, interval, depth, parent, side, f=None, err=0.0, peak=0.0, lo=0, hi=0, variations=None):
+    def __init__(self, interval, depth, f, err, peak, lo, hi, variations):
         self.interval = interval
         self.depth = depth
-        self.parent = parent
-        self.side = side
         self.f = f
         self.err = err
         self.peak = peak
         self.lo = lo
         self.hi = hi
         self.variations = variations
-        self.exact = self.halves = None
+        self.exact = None
+        self.exact_splits = 0
 
 
-def _read_exact(node: _Node, g: IntPolynomial) -> int:
-    """Count node's variations on its exact vector, for the phase
-    polynomial g, and reseed the float image from it.  Returns the number
-    of exact transforms it took: 1, or 0 for a half already split off.
-
-    A node whose parent holds its exact vector, or the halves of it, takes
-    its half of the parent's one exact split (``_bisect``), which the
-    sibling shares.  Every other node, the phase root included, builds its
-    vector from g on its own interval in one transform (``_exact_vector``),
-    which is the vector a chain of exact splits from the root would give,
-    bit for bit.  Each vector is held in one place: a parent drops its
-    exact vector once split exactly, and a node its link to the parent once
-    counted, so a parent and an unclaimed half live only as long as the
-    sibling that may still claim it.
-    """
-    parent, node.parent = node.parent, None
-    splits = 1
-    if parent is None or (parent.exact is None and parent.halves is None):
-        node.exact = _exact_vector(g, node.interval)
-    else:
-        if parent.halves is None:
-            parent.halves = list(_bisect(parent.exact)[:2])
-            parent.exact = None
-        else:
-            splits = 0
-        node.exact, parent.halves[node.side] = parent.halves[node.side], None
-    b = node.exact
+def _read_exact(node: _Node, b: list[int], transforms: int) -> None:
+    """Count node's variations on its exact vector b, which took
+    ``transforms`` exact transforms to build, and reseed the float image
+    from it."""
+    node.exact, node.exact_splits = b, transforms
     node.variations = sign_variations(b)
     node.lo, node.hi = _sign(b[0]), _sign(b[-1])
     node.f = _unit_scaled(b)[0]
     node.err, node.peak = _U * _ROUND_UP, 1.0
-    return splits
 
 
 def _unit_scaled(values) -> tuple[np.ndarray, int]:
@@ -406,8 +380,14 @@ def _split(node: _Node, g: IntPolynomial):
     of its interval, so their signs are carried exactly.  The midpoint's
     sign is the apex's when |apex| > err; otherwise g is evaluated there
     exactly, which also finds a dyadic root.  A half whose interior
-    entries all clear the bound gets its count; otherwise its count is
-    left to ``_read_exact``.
+    entries all clear the bound gets its count from them.  Every other
+    half counts on its exact vector (``_read_exact``): its half of one
+    integer de Casteljau pass (``_bisect``) of the node's exact vector,
+    which the two halves share, when the node holds one, and otherwise
+    the vector built from g on its own interval (``_exact_vector``), which
+    is the vector a chain of exact splits from the root would give, bit
+    for bit.  The node then drops its exact vector, so each vector is held
+    in one place.
     """
     f = node.f
     n = len(f)
@@ -437,10 +417,18 @@ def _split(node: _Node, g: IntPolynomial):
 
     ends = ((node.lo, mid), (mid, node.hi))
     children = [
-        _Node(interval, node.depth + 1, node, side, out[side], err, peaks[side], *ends[side],
-              counts[side] if floors[side] > err else None)
+        _Node(interval, node.depth + 1, out[side], err, peaks[side], *ends[side], counts[side])
         for side, interval in enumerate(node.interval.split())
     ]
+    uncertain = [side for side in (0, 1) if floors[side] <= err]
+    if uncertain and node.exact is not None:
+        halves = _bisect(node.exact)  # one pass, charged to the first half that takes it
+        for side in uncertain:
+            _read_exact(children[side], halves[side], int(side == uncertain[0]))
+    else:
+        for side in uncertain:
+            _read_exact(children[side], _exact_vector(g, children[side].interval), 1)
+    node.exact = None
     return children, mid, evaluated
 
 
@@ -481,17 +469,19 @@ def _phase_root(g: IntPolynomial) -> _Node:
     when that certifies every interior sign.
 
     Its ends are the signs of g(-1) and g(1), two exact integer sums; the
-    image and its bound are ``_root_image``.  A root left uncounted reads
-    its count from its exact vector (``_read_exact``), built from g.
+    image and its bound are ``_root_image``.  Otherwise it counts on its
+    exact vector (``_read_exact``), built from g.
     """
     coeffs = g.coeffs
     lo, hi = _sign(sum(coeffs[::2]) - sum(coeffs[1::2])), _sign(sum(coeffs))
     f, err, peak, _ = _root_image(coeffs)
     signs = np.sign(f)
     signs[0], signs[-1] = lo, hi
-    certified = np.abs(f[1:-1]).min(initial=math.inf) > err
-    count = int(np.count_nonzero(signs[1:] * signs[:-1] < 0)) if certified else None
-    return _Node(DyadicInterval(Dyadic(-1), Dyadic(1)), 0, None, 0, f, err, peak, lo, hi, count)
+    count = int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
+    root = _Node(DyadicInterval(Dyadic(-1), Dyadic(1)), 0, f, err, peak, lo, hi, count)
+    if np.abs(f[1:-1]).min(initial=math.inf) <= err:
+        _read_exact(root, _exact_vector(g, root.interval), 1)
+    return root
 
 
 def _root_image(coeffs) -> tuple[np.ndarray, float, float, int]:
@@ -631,12 +621,11 @@ def _exact_vector(g: IntPolynomial, interval: DyadicInterval) -> list[int]:
 
 
 def _bisect(b: list[int]):
-    """Vectors of the two halves and the apex, by one de Casteljau pass.
+    """Vectors of the two halves, by one de Casteljau pass.
 
     Each round replaces the row by its pairwise sums, without halving;
     round k's first and last entries are 2^k times the left half's k-th
-    and the right half's (d - k)-th Bernstein coefficient.  The apex is a
-    positive multiple of the value at the midpoint.
+    and the right half's (d - k)-th Bernstein coefficient.
     """
     left, right = [b[0]], [b[-1]]
     row = b
@@ -644,7 +633,7 @@ def _bisect(b: list[int]):
         row = list(map(add, row, row[1:]))
         left.append(row[0])
         right.append(row[-1])
-    return _unscale(left), _unscale(right)[::-1], row[0]
+    return _unscale(left), _unscale(right)[::-1]
 
 
 def _unscale(edge: list[int]) -> list[int]:
@@ -677,7 +666,5 @@ def _refine_off_zero(node: _Node, g: IntPolynomial):
         (left, right), mid, _ = _split(node, g)
         if mid == 0:
             return _invert_exact(node.interval.midpoint())
-        if left.variations is None:
-            _read_exact(left, g)
         node = left if left.variations == 1 else right
     return RootInterval(node.interval, inverted=True)

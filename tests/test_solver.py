@@ -261,16 +261,16 @@ class TestBernsteinVectors:
     def test_split_children_are_bernstein_multiples(self, coeffs, path):
         # the root vector and each child of a split are positive multiples
         # of the exact Bernstein coefficients on their intervals, and the
-        # apex has the sign of f at the midpoint
+        # apex (the left half's last entry) has the sign of f at the midpoint
         f = IntPolynomial(coeffs)
         interval = DyadicInterval(Dyadic(-1), Dyadic(1))
         b = _exact_vector(f, interval)
         assert _positive_multiple(b, _bernstein(f, interval))
         for go_right in path:
-            left, right, apex = _bisect(b)
+            left, right = _bisect(b)
             lo_half, hi_half = interval.split()
             value = f.evaluate_fraction(interval.midpoint().to_fraction())
-            assert (apex > 0) - (apex < 0) == (value > 0) - (value < 0)
+            assert (left[-1] > 0) - (left[-1] < 0) == (value > 0) - (value < 0)
             assert _positive_multiple(left, _bernstein(f, lo_half))
             assert _positive_multiple(right, _bernstein(f, hi_half))
             interval, b = (hi_half, right) if go_right else (lo_half, left)
@@ -297,7 +297,7 @@ class TestBernsteinVectors:
         b = _exact_vector(f, interval)
         assert b == _reference_root_vector(f)
         for go_right in path:
-            left, right, _ = _bisect(b)
+            left, right = _bisect(b)
             lo_half, hi_half = interval.split()
             interval, b = (hi_half, right) if go_right else (lo_half, left)
             assert _exact_vector(f, interval) == b, (f, interval)
@@ -473,33 +473,47 @@ class TestExactCertification:
             if f.degree < 1:
                 continue
             res = isolate_all(f)
-            exact = {_actual(r.value.to_fraction(), r.inverted) for r in res.exact_roots}
-            fsq = square_free_part(f)
-            rsq = square_free_part(f.reciprocal())
-            for root in exact:
-                assert f.evaluate_fraction(root) == 0
-            for inverted in (False, True):
-                part = rsq if inverted else fsq
-                spans = sorted((iv.interval for iv in res.intervals if iv.inverted == inverted), key=lambda j: j.lo)
-                for a, b in zip(spans, spans[1:]):
-                    assert a.hi <= b.lo
-                for span in spans:
-                    lo, hi = span.lo.to_fraction(), span.hi.to_fraction()
-                    if inverted:
-                        assert lo > 0 or hi < 0
-                    ends = (_actual(lo, inverted), _actual(hi, inverted))
-                    assert not any(min(ends) < root < max(ends) for root in exact)
-                    coeffs = [Fraction(c) for c in part.coeffs]
-                    for end in (lo, hi):
-                        if _horner(coeffs, end) == 0:
-                            assert _actual(end, inverted) in exact
-                            coeffs = _deflate(coeffs, end)
-                    assert _horner(coeffs, lo) * _horner(coeffs, hi) < 0, (f, span)
+            _certify(f, res)
             if sympy is not None:
                 # exact isolation by continued fractions; count_roots, a
                 # Sturm sequence, gives the same counts 50x slower here
                 count = len(sympy.Poly(f.coeffs[::-1], sympy.Symbol("x")).intervals())
                 assert res.root_count() == count, f
+
+
+def _certify(f: IntPolynomial, res: IsolationResult, unit: bool = False) -> None:
+    """Assert, by exact rational arithmetic alone, that every interval of
+    res carries a sign change of the square-free part of f (of its
+    reciprocal, on the pre-image, for inverted ones), so holds an odd
+    number of roots; that the intervals are disjoint and hold no exact
+    root; and that f vanishes at every exact root.  With ``unit``, res
+    holds the roots in (-1, 1) alone, and a root at -1 or 1 is not one."""
+    exact = {_actual(r.value.to_fraction(), r.inverted) for r in res.exact_roots}
+    for root in exact:
+        assert f.evaluate_fraction(root) == 0, (f, root)
+    unreported = set()
+    if unit:
+        assert all(-1 < root < 1 for root in exact) and not any(iv.inverted for iv in res.intervals)
+        unreported = {Fraction(-1), Fraction(1)}
+    for inverted in (False, True):
+        spans = sorted((iv.interval for iv in res.intervals if iv.inverted == inverted), key=lambda j: j.lo)
+        if not spans:
+            continue
+        part = square_free_part(f.reciprocal() if inverted else f)
+        for a, b in zip(spans, spans[1:]):
+            assert a.hi <= b.lo, (f, a, b)
+        for span in spans:
+            lo, hi = span.lo.to_fraction(), span.hi.to_fraction()
+            if inverted:
+                assert lo > 0 or hi < 0
+            ends = (_actual(lo, inverted), _actual(hi, inverted))
+            assert not any(min(ends) < root < max(ends) for root in exact)
+            coeffs = [Fraction(c) for c in part.coeffs]
+            for end in (lo, hi):
+                if _horner(coeffs, end) == 0:
+                    assert _actual(end, inverted) in exact | unreported
+                    coeffs = _deflate(coeffs, end)
+            assert _horner(coeffs, lo) * _horner(coeffs, hi) < 0, (f, span)
 
 
 def _actual(pre_image, inverted):
@@ -564,8 +578,8 @@ def _reference_subdivide(fsq: IntPolynomial):
             intervals.append(RootInterval(interval))
             vectors.append(b)
             continue
-        left, right, apex = _bisect(b)
-        if apex == 0:
+        left, right = _bisect(b)
+        if left[-1] == 0:
             exact.append(ExactRoot(interval.midpoint()))
         lo_half, hi_half = interval.split()
         queue.append((lo_half, left, depth + 1))
@@ -586,8 +600,8 @@ def _reference_refine(interval, b):
     because the isolated root is nonzero.
     """
     while interval.straddles_zero():
-        left, right, apex = _bisect(b)
-        if apex == 0:
+        left, right = _bisect(b)
+        if left[-1] == 0:
             return _invert_exact(interval.midpoint())
         lo_half, hi_half = interval.split()
         if sign_variations(left) == 1:
@@ -625,7 +639,7 @@ def _reference_isolate(f: IntPolynomial):
 
 def _same_as_reference(f: IntPolynomial):
     """Assert that both entry points match the exact reference on f, node
-    for node, and return the ``isolate_all`` result."""
+    for node, and return their results, ``isolate_unit``'s first."""
     results = (isolate_unit(f), isolate_all(f))
     for got, want in zip(results, _reference_isolate(f)):
         assert [(n.interval, n.variations, n.depth) for n in got.trace.var_per_node] == [
@@ -633,7 +647,7 @@ def _same_as_reference(f: IntPolynomial):
         ], f
         assert got.intervals == want.intervals, f
         assert got.exact_roots == want.exact_roots, f
-    return results[1]
+    return results
 
 
 def close_pair(k):
@@ -672,22 +686,37 @@ class TestFloatFilter:
     def test_adversarial_inputs_match_exact_reference(self):
         midpoint_roots = evaluations = 0
         for f in adversarial_inputs():
-            res = _same_as_reference(f)
+            _, res = _same_as_reference(f)
             midpoint_roots += sum(r.value.exp > 0 for r in res.exact_roots)
             evaluations += res.trace.midpoint_evaluations
         assert midpoint_roots >= 6 and evaluations >= midpoint_roots
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.sampled_from(["dyadic", "square", "mignotte", "pair", "huge", "chebyshev", "low"]),
+        st.sampled_from(
+            ["dyadic", "midpoints", "cluster", "square", "mignotte", "pair", "huge", "chebyshev", "low"]
+        ),
         st.integers(0, 1 << 30),
     )
     def test_families_match_exact_reference(self, family, seed):
+        # both entry points equal the exact reference, node for node, and
+        # their intervals and exact roots certify by exact arithmetic
         rng = random.Random(seed)
         if family == "dyadic":
             # dyadic roots inside and outside [-1, 1], at +-1 and 0, some repeated
             roots = [poly(-rng.randint(-40, 40), 1 << rng.randint(0, 5)) for _ in range(rng.randint(1, 7))]
             f = product(*roots, make_poly(rng, rng.randint(0, 5), 8))
+        elif family == "midpoints":
+            # a run of roots at consecutive dyadic midpoints j / 2^e
+            e, count = rng.randint(2, 7), rng.randint(2, 11)
+            first = rng.randint(-(1 << e), (1 << e) - count)
+            f = product(*(poly(-j, 1 << e) for j in range(first, first + count)), make_poly(rng, rng.randint(0, 3), 8))
+        elif family == "cluster":
+            # close roots near c / a, 2^-k apart
+            k, a = rng.randint(10, 40), rng.choice([3, 5, 7])
+            c = rng.randrange(1, a)
+            offsets = rng.sample(range(-20, 20), rng.randint(2, 4))
+            f = product(*(poly(-(c << k) - j, a << k) for j in offsets), make_poly(rng, rng.randint(0, 4), 8))
         elif family == "square":
             g = make_poly(rng, rng.randint(1, 10), 12)
             f = product(g, g, poly(-rng.randint(-8, 8), 1 << rng.randint(0, 4)))
@@ -701,7 +730,9 @@ class TestFloatFilter:
             f = chebyshev(rng.randint(1, 40))
         else:
             f = make_poly(rng, rng.randint(0, 1), 20)
-        _same_as_reference(f)
+        unit, whole = _same_as_reference(f)
+        _certify(f, unit, unit=True)
+        _certify(f, whole)
 
     def test_clusters_match_exact_reference(self, monkeypatch):
         # Mignotte's close pair, its square, and clusters of close roots:
@@ -782,34 +813,96 @@ class TestFloatFilter:
         assert exact_splits > 50 and bisects > 0 and builds > 0
 
     def test_each_node_split_exactly_once(self, monkeypatch):
-        # siblings whose parent holds its exact vector share one exact split
-        # of it; a node whose parent holds none builds its own from g in one
-        # transform; the vectors are those of the chain of splits from the
-        # root, bit for bit, and each is held once
+        # a split hands each half whose float signs are uncertain its exact
+        # vector: its half of one exact split of the node's own vector,
+        # which the two halves share, when the node holds one, and otherwise
+        # one built from g on its interval; the vectors are those of the
+        # chain of splits from the root, bit for bit, and a split node drops
+        # its vector, so each is held once
         bisects, builds = [], []
         monkeypatch.setattr(solver, "_bisect", lambda b: bisects.append(len(b)) or _bisect(b))
         monkeypatch.setattr(solver, "_exact_vector", lambda g, iv: builds.append(iv) or _exact_vector(g, iv))
         g = chebyshev(6)
-        root = solver._Node(DyadicInterval(Dyadic(-1), Dyadic(1)), 0, None, 0)
-        assert solver._read_exact(root, g) == 1 and builds == [root.interval]
+        root = solver._phase_root(g)
+        assert root.variations == 6 and root.exact is None and builds == []
+        root.err = 1.0  # no entry of a child clears its bound
         children, _, _ = solver._split(root, g)
+        # the root holds no exact vector: each child builds its own
+        assert builds == [child.interval for child in children] and bisects == []
+        assert [child.exact_splits for child in children] == [1, 1]
+        halves = _bisect(_reference_root_vector(g))
+        assert [child.exact for child in children] == list(halves)
         assert [child.variations for child in children] == [3, 3]
-        # the left child counts exactly, from the root's vector; the right
-        # keeps its float count
-        assert solver._read_exact(children[0], g) == 1 and len(bisects) == 1
-        for child in children:
-            child.err = 1.0
-        grandchildren = [node for child in children for node in solver._split(child, g)[0]]
-        assert all(node.variations is None for node in grandchildren)
-        assert [solver._read_exact(node, g) for node in grandchildren] == [1, 0, 1, 1]
-        assert len(bisects) == 2 and builds[1:] == [node.interval for node in grandchildren[2:]]
-        halves = [half for b in _bisect(_reference_root_vector(g))[:2] for half in _bisect(b)[:2]]
-        assert [node.exact for node in grandchildren] == halves
-        assert [node.variations for node in grandchildren] == list(map(sign_variations, halves))
-        assert root.exact is None and root.halves[0] is None
-        assert children[0].exact is None and children[0].halves == [None, None]
-        assert children[1].exact is None and children[1].halves is None
-        assert all(node.parent is None for node in [root, children[0], *grandchildren])
+        # the left child's halves share one split of its vector
+        children[0].err = 1.0
+        left = solver._split(children[0], g)[0]
+        assert len(bisects) == 1 and len(builds) == 2 and children[0].exact is None
+        assert [node.exact_splits for node in left] == [1, 0]
+        assert [node.exact for node in left] == list(_bisect(halves[0]))
+        assert [node.variations for node in left] == list(map(sign_variations, _bisect(halves[0])))
+        # the right child's reseeded image certifies its halves: no exact
+        # work, and it drops the vector its halves did not need
+        right = solver._split(children[1], g)[0]
+        assert len(bisects) == 1 and len(builds) == 2 and children[1].exact is None
+        assert all(node.exact is None and node.exact_splits == 0 for node in right)
+        assert [node.variations for node in right] == list(map(sign_variations, _bisect(halves[1])))
+        # a lone uncertain right half takes its half of the node's split and
+        # is charged for it; the certified left half holds no vector
+        node = solver._Node(children[0].interval, 1, None, 0.0, 0.0, 0, 0, 0)
+        solver._read_exact(node, halves[0], 1)
+        bound = solver._split(node, g)[0][0].err
+        solver._read_exact(node, halves[0], 1)
+        node.f = np.array([8.0, 4.0, 2.0, 1.0, 0.5, 0.25, 0.0]) * bound  # falls to 0 at the right end
+        lone = solver._split(node, g)[0]
+        assert len(bisects) == 2 and len(builds) == 2 and node.exact is None
+        assert lone[0].exact is None and lone[0].exact_splits == 0 and lone[0].variations == 0
+        assert lone[1].exact == _bisect(halves[0])[1] and lone[1].exact_splits == 1
+
+    def test_popped_nodes_are_counted(self, monkeypatch):
+        # every node that leaves a split or a phase root carries its count:
+        # none reaches the queue without it
+        popped = []
+
+        class Queue(deque):
+            def popleft(self):
+                node = super().popleft()
+                popped.append(node.variations)
+                return node
+
+        monkeypatch.setattr(solver, "deque", Queue)
+        for f in adversarial_inputs():
+            for isolate in (isolate_unit, isolate_all):
+                popped.clear()
+                trace = isolate(f).trace
+                assert None not in popped and len(popped) == trace.node_count, f
+
+    def test_refinement_steps_into_an_uncertain_right_half(self, monkeypatch):
+        # a large positive root puts the reciprocal phase's leaf at (0, h]:
+        # the refinement splits it, the left half certifies no root, and the
+        # right half, whose float signs are uncertain, comes back counted on
+        # its exact vector and keeps the root
+        taken = []
+        split = solver._split
+
+        def recording_split(node, g):
+            children, mid, evaluated = split(node, g)
+            if node.interval.straddles_zero() and node.variations == 1:
+                taken.append((children[1], g))
+            return children, mid, evaluated
+
+        monkeypatch.setattr(solver, "_split", recording_split)
+        rng = random.Random(93)
+        uncertain = 0
+        for k in (25, 30, 40, 50):
+            wide = IntPolynomial([rng.randint(-(1 << 400), 1 << 400) for _ in range(6)])
+            taken.clear()
+            _same_as_reference(product(poly(-(1 << k) - 1, 3), wide))
+            for right, g in taken:
+                if right.exact is not None and right.variations == 1:
+                    uncertain += 1
+                    assert right.exact == _exact_vector(g, right.interval)
+                    assert right.variations == variations_in_interval(g, right.interval)
+        assert uncertain > 0
 
     def test_work_counts_on_a_cluster(self, monkeypatch):
         # mignotte(60, 1000): a deep tree down to a close pair, where the
@@ -825,25 +918,35 @@ class TestFloatFilter:
         # only for the deeper nodes
         assert not trace.var_per_node[0].exact and trace.var_per_node[0].depth == 0
 
-    def test_bound_is_strict(self):
+    def test_bound_is_strict(self, monkeypatch):
         # a child entry exactly at its error bound is uncertain, and so is
-        # an apex there: its sign comes from evaluating g at the midpoint
+        # an apex there: its sign comes from evaluating g at the midpoint,
+        # and the child counts on its exact vector, built from g
         interval = DyadicInterval(Dyadic(-1), Dyadic(1))
         g = poly(-1, 0, 4)
+        builds = []
+        monkeypatch.setattr(solver, "_exact_vector", lambda g, iv: builds.append(iv) or _exact_vector(g, iv))
 
         def split(f, err):
-            node = solver._Node(interval, 0, None, 0, np.array(f), err, 1.0, 1, 1)
+            node = solver._Node(interval, 0, np.array(f), err, 1.0, 1, 1, 2)
             return solver._split(node, g)
 
         (probe, _), _, _ = split([1.0, 0.5, 1.0], 2.0**-40)
         bound = probe.err
+        assert builds == [] and probe.exact is None
+        halving = solver._halving_matrix(3)
+        # the left half's float image is L f, the right's its mirror image
+        assert (halving @ [0.0, 2 * bound, 0.0]).tolist() == [0.0, bound, bound]
         (left, right), mid, evaluated = split([0.0, 2 * bound, 0.0], 2.0**-40)
-        assert left.err == right.err == bound
-        assert left.f[1] == right.f[1] == left.f[-1] == bound
-        assert left.variations is None and right.variations is None
         assert evaluated and mid == g.evaluate_dyadic(Dyadic(0)).sign() == -1
+        assert builds == [left.interval, right.interval]
+        for half in (left, right):
+            assert half.exact == _exact_vector(g, half.interval) and half.exact_splits == 1
+            assert half.variations == sign_variations(half.exact)
+        assert (halving @ [0.0, 2 * bound, 4 * bound]).tolist() == [0.0, bound, 2 * bound]
         (left, right), mid, evaluated = split([0.0, 2 * bound, 4 * bound], 2.0**-40)
-        assert left.variations is None and right.variations == 0
+        assert builds[2:] == [left.interval] and left.exact_splits == 1
+        assert right.exact is None and right.exact_splits == 0 and right.variations == 0
         assert not evaluated and mid == 1
 
 
