@@ -881,28 +881,25 @@ class TestFloatFilter:
         # the refinement splits it, the left half certifies no root, and the
         # right half, whose float signs are uncertain, comes back counted on
         # its exact vector and keeps the root
-        taken = []
+        stepped = []
         split = solver._split
 
         def recording_split(node, g):
-            children, mid, evaluated = split(node, g)
-            if node.interval.straddles_zero() and node.variations == 1:
-                taken.append((children[1], g))
-            return children, mid, evaluated
+            (left, right), mid, evaluated = split(node, g)
+            refining = node.interval.straddles_zero() and node.variations == 1
+            if refining and mid and left.variations != 1 and right.exact is not None:
+                stepped.append((right.exact, right.variations, right.interval, g))
+            return (left, right), mid, evaluated
 
         monkeypatch.setattr(solver, "_split", recording_split)
         rng = random.Random(93)
-        uncertain = 0
         for k in (25, 30, 40, 50):
             wide = IntPolynomial([rng.randint(-(1 << 400), 1 << 400) for _ in range(6)])
-            taken.clear()
             _same_as_reference(product(poly(-(1 << k) - 1, 3), wide))
-            for right, g in taken:
-                if right.exact is not None and right.variations == 1:
-                    uncertain += 1
-                    assert right.exact == _exact_vector(g, right.interval)
-                    assert right.variations == variations_in_interval(g, right.interval)
-        assert uncertain > 0
+        assert stepped
+        for exact, variations, interval, g in stepped:
+            assert exact == _exact_vector(g, interval)
+            assert variations == variations_in_interval(g, interval) == 1
 
     def test_work_counts_on_a_cluster(self, monkeypatch):
         # mignotte(60, 1000): a deep tree down to a close pair, where the
