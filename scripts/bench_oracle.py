@@ -2,32 +2,23 @@
 
     python3 scripts/bench_oracle.py --label change
 
-Run from the repository root; ``rootiso`` is imported from ``src/`` of
-this tree.  Inputs are ``uniform_model(d, 32)`` samples 0 .. count-1 under
-seed 1, for d in 16, 64, 128 and 256.  Each sample first runs once
-untimed, which counts its work and tells whether the oracle converges on
-it.  A sample on which it does not is counted in ``failures`` and not
-timed; every other sample is timed ``repeats`` times and its fastest time
-kept.  The figure is the median over the timed samples, in ms.  Times are
-scaled to a fixed reference speed by ``perfbench/speed.py`` (a fixed
-big-integer kernel timed between every two calls), since other tenants of
-a shared host slow a whole run for seconds at a time; the raw wall-clock
-median is stored beside it.
+Inputs are ``benchlib.uniform`` samples for d in 16, 64, 128 and 256.
+Each sample first runs once untimed, which counts its work and tells
+whether the oracle converges on it.  A sample on which it does not is
+counted in ``failures`` and not timed; every other sample is timed by
+``benchlib.fastest``.  The figure is the median over the timed samples,
+in ms.  Timing and storage are described in ``scripts/benchlib.py``; the
+run goes to ``BENCH_oracle.json``.
 
 Beside each median the run records the oracle's work, summed over all
 samples, failures included: its sweeps and its calls of the fused
-polynomial evaluator ``_evaluate``, with their ratio.  The counts are
-deterministic and do not depend on the machine.  (The stored ``parent``
-run predates the fused pass; its ``evaluator`` field names the Horner pass
-it counted instead, three calls per sweep.)
+polynomial evaluator ``_evaluate``, with their ratio.  (The stored
+``parent`` run predates the fused pass; its ``evaluator`` field names the
+Horner pass it counted instead, three calls per sweep.)
 
 Every sample's roots and residual, or its failure with the sweeps and
-last residual, are hashed per degree.  The run is stored under
-``runs[label]`` in ``BENCH_oracle.json`` at the repository root, next to
-the runs of other labels, with the commit (and whether ``src/`` differed
-from it), the machine and the settings it ran with; the script then
-compares its hashes with every other stored run and exits 1 if any degree
-differs.
+last residual, are hashed per degree; the script exits 1 if a degree's
+hash differs from that of another stored run.
 """
 
 from __future__ import annotations
@@ -41,12 +32,9 @@ import benchlib  # first: it pins the BLAS threads and puts src/ on the path
 from speed import Clock
 
 import rootiso.regions as regions
-from rootiso.models import uniform_model
 
 # degree: (samples, repeats per sample)
 PLAN = {16: (40, 3), 64: (20, 3), 128: (10, 3), 256: (8, 1)}
-BITSIZE = 32
-SEED = 1
 
 
 def _counted_run(f) -> tuple[tuple, int, int]:
@@ -77,20 +65,16 @@ def run() -> dict:
     for d, (count, repeats) in PLAN.items():
         scaled, wall, outcomes = [], [], []
         sweeps = calls = failures = 0
-        for i in range(count):
-            f = uniform_model(d, BITSIZE).sample(SEED, i)
+        for f in benchlib.uniform(d, count):
             outcome, s, c = _counted_run(f)
             outcomes.append(outcome)
             sweeps, calls = sweeps + s, calls + c
             if outcome[0] == "fail":
                 failures += 1
                 continue
-            scaled_best = wall_best = float("inf")
-            for _ in range(repeats):
-                _, w, t = clock.time(lambda: regions.numeric_roots(f))
-                scaled_best, wall_best = min(scaled_best, t), min(wall_best, w)
-            scaled.append(scaled_best * 1e3)
-            wall.append(wall_best * 1e3)
+            t, w, _ = benchlib.fastest(clock, lambda: regions.numeric_roots(f), repeats)
+            scaled.append(t)
+            wall.append(w)
         entry = {
             "samples": count,
             "repeats": repeats,
@@ -108,17 +92,14 @@ def run() -> dict:
             flush=True,
         )
         degrees[str(d)] = entry
-    return degrees
+    return {"degrees": degrees}
 
 
 def main(argv=None) -> int:
-    def record() -> dict:
-        # a failing sample overflows on its way; the failure itself is recorded
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return {"bitsize": BITSIZE, "seed": SEED, "degrees": run()}
-
-    runs, label, this = benchlib.run_and_store(__doc__, "BENCH_oracle.json", record, argv=argv)
-    return benchlib.compare_hashes(runs, label, this, "roots_sha256", "roots")
+    # a failing sample overflows on its way; the failure itself is recorded
+    warnings.simplefilter("ignore", RuntimeWarning)
+    runs, label, record = benchlib.run_and_store(__doc__, "BENCH_oracle.json", run, argv=argv)
+    return benchlib.compare_hashes(runs, label, record, "degrees", "roots_sha256", "roots")
 
 
 if __name__ == "__main__":

@@ -210,7 +210,13 @@ def isolate_unit(f: IntPolynomial) -> IsolationResult:
     """
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
-    return _subdivide(square_free_part(f))[0]
+    fsq = square_free_part(f)
+    leaves, midpoints, nodes, _ = _subdivide(fsq)
+    return IsolationResult(
+        intervals=[RootInterval(leaf.interval) for leaf in leaves],
+        exact_roots=[ExactRoot(m) for m in midpoints],
+        trace=SubdivisionTrace(nodes, fsq),
+    )
 
 
 def isolate_all(f: IntPolynomial) -> IsolationResult:
@@ -233,17 +239,17 @@ def isolate_all(f: IntPolynomial) -> IsolationResult:
     if rsq.leading_coefficient < 0:
         rsq = rsq.scale(-1)
 
-    unit, _, (lo, hi) = _subdivide(fsq)
-    intervals = list(unit.intervals)
-    exact = list(unit.exact_roots)
+    leaves, midpoints, nodes, (lo, hi) = _subdivide(fsq)
+    intervals = [RootInterval(leaf.interval) for leaf in leaves]
+    exact = [ExactRoot(m) for m in midpoints]
 
     for endpoint, sign in ((Dyadic(1), hi), (Dyadic(-1), lo)):
         if sign == 0:
             exact.append(ExactRoot(endpoint))
 
-    recip, leaves, _ = _subdivide(rsq)
-    exact.extend(_invert_exact(r.value) for r in recip.exact_roots)
-    for leaf in leaves:
+    recip_leaves, recip_midpoints, recip_nodes, _ = _subdivide(rsq)
+    exact.extend(_invert_exact(m) for m in recip_midpoints)
+    for leaf in recip_leaves:
         found = _refine_off_zero(leaf, rsq)
         if isinstance(found, ExactRoot):
             exact.append(found)
@@ -253,7 +259,7 @@ def isolate_all(f: IntPolynomial) -> IsolationResult:
     return IsolationResult(
         intervals=intervals,
         exact_roots=exact,
-        trace=SubdivisionTrace(unit.trace.var_per_node + recip.trace.var_per_node, fsq),
+        trace=SubdivisionTrace(nodes + recip_nodes, fsq),
     )
 
 
@@ -263,15 +269,15 @@ def _subdivide(fsq: IntPolynomial):
     A node's Descartes count is the sign variations of its Bernstein
     vector.  A split is a float pass with exact fallback (``_split``), and
     the root starts from ``_phase_root``; both return counted nodes.
-    Returns the result, the nodes of its intervals (the var = 1 leaves) in
-    order, and the exact signs of fsq at -1 and 1.
+    Returns the var = 1 leaves in order, the midpoints found to be roots,
+    the records of every node popped, and the exact signs of fsq at -1
+    and 1.
     """
     root = _phase_root(fsq)
     ends = root.lo, root.hi
     queue = deque([root])
-    intervals: list[RootInterval] = []
     leaves: list[_Node] = []
-    exact: list[ExactRoot] = []
+    midpoints: list[Dyadic] = []
     nodes: list[NodeRecord] = []
 
     while queue:
@@ -280,17 +286,15 @@ def _subdivide(fsq: IntPolynomial):
         counted_exactly = node.exact is not None
         evaluated = False
         if v == 1:
-            intervals.append(RootInterval(node.interval))
             leaves.append(node)
         elif v:
             children, mid, evaluated = _split(node, fsq)
             if mid == 0:
-                exact.append(ExactRoot(node.interval.midpoint()))
+                midpoints.append(node.interval.midpoint())
             queue.extend(children)
         nodes.append(NodeRecord(node.interval, v, node.depth, counted_exactly, node.exact_splits, evaluated))
 
-    trace = SubdivisionTrace(var_per_node=nodes, square_free=fsq)
-    return IsolationResult(intervals=intervals, exact_roots=exact, trace=trace), leaves, ends
+    return leaves, midpoints, nodes, ends
 
 
 class _Node:
