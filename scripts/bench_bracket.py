@@ -41,8 +41,8 @@ def run() -> dict:
     degrees = {}
     for d, (count, repeats) in PLAN.items():
         polys = benchlib.uniform(d, count)
-        scaled, wall, brackets = zip(*(benchlib.fastest(clock, lambda: global_condition_bracket(f), repeats)
-                                       for f in polys))
+        timed = [benchlib.fastest(clock, lambda: global_condition_bracket(f), repeats) for f in polys]
+        scaled, wall, brackets = zip(*timed)
         fields = [_fields(br) for br in brackets]
         entry = {
             "samples": count,

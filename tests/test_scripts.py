@@ -81,13 +81,6 @@ def test_fastest(load):
     assert scaled == pytest.approx(1.5) and wall == pytest.approx(2.0)
 
 
-def test_fastest_block_of_one(load):
-    benchlib = load("benchlib")
-    clock = _StubClock([(1.0, 1.0), (1.0, 0.5)])
-    assert benchlib.fastest(clock, lambda: "out", 1) == (500.0, 1000.0, "out")
-    assert clock.blocks == [1]
-
-
 def test_compare_hashes(load, capsys):
     benchlib = load("benchlib")
 
