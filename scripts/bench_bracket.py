@@ -10,7 +10,8 @@ the median over the samples, in ms.  Timing and storage are described in
 
 Beside each median the run records the bracket's work counts, summed over
 the samples: grid levels, points scanned in float and points evaluated
-exactly.
+exactly; and ``achieved``, the number of samples whose bracket reached the
+tolerance within the grid budget.
 
 The bracket's fields (lower, upper, grid size, spacing, achieved) of every
 sample are hashed per degree; the script exits 1 if a degree's hash
@@ -57,7 +58,8 @@ def run() -> dict:
         }
         print(
             f"d={d:5d} median {entry['median_ms']:10.3f} ms"
-            f"  levels={entry['levels']} scanned={entry['scanned']} exact={entry['exact']}",
+            f"  levels={entry['levels']} scanned={entry['scanned']} exact={entry['exact']}"
+            f" achieved={entry['achieved']}/{count}",
             flush=True,
         )
         degrees[str(d)] = entry

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,10 +100,7 @@ class ExperimentReport:
         by_d: dict = {}
         for row in self.rows:
             by_d.setdefault(row.d, []).append(row)
-        return {
-            str(d): {col: _stats([getattr(r, col) for r in group]) for col in _AGG_COLUMNS}
-            for d, group in sorted(by_d.items())
-        }
+        return {str(d): _column_stats(group) for d, group in sorted(by_d.items())}
 
     @property
     def timing(self) -> dict:
@@ -226,6 +222,9 @@ def _collect(model, trials, seed, opt, workers) -> list[TrialRecord]:
     if workers <= 1:
         rows = [measure_trial(*t) for t in tasks]
     else:
+        # imported here: ``multiprocessing`` is not needed by a one-worker run
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, trials // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_measure_star, tasks, chunksize=chunk))
@@ -244,25 +243,37 @@ def _subseed(seed: int, d: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _stats(values) -> dict:
-    vals = [v for v in values if v is not None]
-    if not vals:
-        return {"count": 0}
-    arr = np.array(vals, dtype=float)
-    finite = arr[np.isfinite(arr)]
-    if finite.size == arr.size:
-        median, p90, p99 = np.quantile(arr, (0.5, 0.9, 0.99)).tolist()
-        tail = {"p90": p90, "p99": p99}
-    else:
-        median, tail = float("inf"), {"finite_count": int(finite.size)}
-    return {
-        "count": len(vals),
-        "mean": float(np.mean(arr)),
-        "median": median,
-        "min": float(np.min(arr)),
-        "max": float(np.max(arr)),
-        **tail,
-    }
+def _column_stats(rows) -> dict:
+    """Statistics of each ``_AGG_COLUMNS`` column over ``rows``: count,
+    mean, median, min and max, then the 90th and 99th percentiles when
+    every value is finite, or else the finite count with an infinite
+    median.  A column is present (not None) in every row or in none; the
+    present ones are stacked into one array, one row per column, so that
+    each statistic is one numpy call."""
+    present = [col for col in _AGG_COLUMNS if getattr(rows[0], col) is not None]
+    assert all((getattr(r, col) is not None) == (col in present) for r in rows for col in _AGG_COLUMNS)
+    stats = {col: {"count": 0} for col in _AGG_COLUMNS}
+    if not present:
+        return stats
+    values = np.array([[getattr(r, col) for r in rows] for col in present], dtype=float)
+    finite = np.isfinite(values).sum(axis=1).tolist()
+    with np.errstate(invalid="ignore"):  # quantiles of columns with an inf are unused
+        quantiles = np.quantile(values, (0.5, 0.9, 0.99), axis=1).T.tolist()
+    columns = zip(
+        present,
+        finite,
+        quantiles,
+        np.mean(values, axis=1).tolist(),
+        np.min(values, axis=1).tolist(),
+        np.max(values, axis=1).tolist(),
+    )
+    for col, n_finite, (median, p90, p99), mean, low, high in columns:
+        if n_finite == len(rows):
+            tail = {"p90": p90, "p99": p99}
+        else:
+            median, tail = float("inf"), {"finite_count": n_finite}
+        stats[col] = {"count": len(rows), "mean": mean, "median": median, "min": low, "max": high, **tail}
+    return stats
 
 
 _AGG_COLUMNS = (

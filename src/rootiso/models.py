@@ -22,35 +22,6 @@ from dataclasses import dataclass
 from .polynomial import IntPolynomial, int_bitsize
 
 
-class _CoefficientStream:
-    """Deterministic bit source keyed by (seed, index, position)."""
-
-    def __init__(self, seed: int, index: int, position: int):
-        self._prefix = f"{seed}:{index}:{position}:".encode()
-        self._counter = 0
-        self._pool = 0
-        self._pool_bits = 0
-
-    def take_bits(self, k: int) -> int:
-        while self._pool_bits < k:
-            block = hashlib.sha256(self._prefix + str(self._counter).encode()).digest()
-            self._counter += 1
-            self._pool = (self._pool << 256) | int.from_bytes(block, "big")
-            self._pool_bits += 256
-        value = self._pool & ((1 << k) - 1)
-        self._pool >>= k
-        self._pool_bits -= k
-        return value
-
-    def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by rejection (no modulo bias)."""
-        k = (bound - 1).bit_length()
-        while True:
-            v = self.take_bits(k)
-            if v < bound:
-                return v
-
-
 @dataclass(frozen=True)
 class RandomModel:
     """A coefficient distribution for degree-d integer polynomials.
@@ -70,27 +41,58 @@ class RandomModel:
     # -- sampling -----------------------------------------------------------
 
     def sample(self, seed: int, index: int) -> IntPolynomial:
-        """Draw one polynomial; a pure function of (seed, index)."""
+        """Draw one polynomial; a pure function of (seed, index).
+
+        Each coefficient comes from its own bit source keyed by (seed,
+        index, position): the SHA-256 digests of b"seed:index:position:n"
+        for n = 0, 1, ..., each read as a big-endian 256-bit integer and
+        put below the bits still unread, which are then read from the
+        least significant end.  A uniform coefficient takes tau + 2 bits
+        until they fall below 2^(tau+1) + 1 (rejection, so no modulo
+        bias), a fixed-sign one tau bits, and an exact-bitsize one a sign
+        bit and then tau - 1 bits.
+        """
         if self.kind == "smoothed":
             noise = self.base.sample(seed, index)
             return self.shift + noise.scale(self.sigma)
-        coeffs = [self._draw(seed, index, i) for i in range(self.degree + 1)]
+        kind, tau = self.kind, self.bitsize
+        if kind in ("uniform", "support"):
+            draws = ((tau + 2, (1 << (tau + 1)) + 1),)  # (bits, accepted values)
+        elif kind == "signs":
+            draws = ((tau, 1 << tau),)
+        elif kind == "exactbits":
+            draws = ((1, 2), (tau - 1, 1 << (tau - 1)))
+        else:
+            raise ValueError(f"unknown model kind {self.kind!r}")
+        head = f"{seed}:{index}:".encode()
+        coeffs = []
+        for position in range(self.degree + 1):
+            if kind == "support" and position not in self.support:
+                coeffs.append(0)
+                continue
+            prefix = head + b"%d:" % position
+            pool = pool_bits = blocks = value = 0
+            for k, bound in draws:
+                v = bound
+                while v >= bound:
+                    while pool_bits < k:
+                        block = hashlib.sha256(prefix + b"%d" % blocks).digest()
+                        pool = (pool << 256) | int.from_bytes(block, "big")
+                        blocks += 1
+                        pool_bits += 256
+                    v = pool & ((1 << k) - 1)
+                    pool >>= k
+                    pool_bits -= k
+                value = (value << k) | v
+            if kind == "signs":
+                coeffs.append(self.signs[position] * (value + 1))
+            elif kind == "exactbits":
+                # the sign bit is the top bit of value
+                half = 1 << (tau - 1)
+                coeffs.append(value if value >= half else -(half + value))
+            else:
+                coeffs.append(value - (1 << tau))
         return IntPolynomial(coeffs)
-
-    def _draw(self, seed: int, index: int, position: int) -> int:
-        tau = self.bitsize
-        if self.kind == "support" and position not in self.support:
-            return 0
-        stream = _CoefficientStream(seed, index, position)
-        if self.kind in ("uniform", "support"):
-            return stream.below((1 << (tau + 1)) + 1) - (1 << tau)
-        if self.kind == "signs":
-            return self.signs[position] * (stream.take_bits(tau) + 1)
-        if self.kind == "exactbits":
-            sign = 1 if stream.take_bits(1) else -1
-            magnitude = (1 << (tau - 1)) + stream.take_bits(tau - 1)
-            return sign * magnitude
-        raise ValueError(f"unknown model kind {self.kind!r}")
 
     # -- ensemble parameters ---------------------------------------------------
 

@@ -161,25 +161,27 @@ class TestAnalyze:
             assert code == 0 and json.loads(out)["separation_bound"] is not None
             assert calls == [len(coeffs.split()) - 1]
 
-    # sha256 of the stdout of `rootiso analyze --coeffs ...`.  The bracket
-    # and the disk-cover count are byte-stable: work on either must leave
-    # these digests unchanged.
+    # sha256 of the stdout of `rootiso analyze --coeffs ...`.  Every field
+    # is fixed by exact arithmetic once the bracket's stop rule and bounds
+    # and the disk cover are fixed: a faster scan, solver or oracle must
+    # leave these digests unchanged, and only a change to what the bracket
+    # or the cover certifies may move them.
     GOLDEN = {
-        "quadratic": (("-1 0 4",), "75740fdd4aedf6c091f6b384c585eb3defc366fca8cf4ff2229fda26c38ce901"),
-        "degree-one": (("0 1",), "74bba2adda6948453159c72a75c45c6c7f67fa3f2daa56942d89c96bfd1816a9"),
+        "quadratic": (("-1 0 4",), "bc0da2352d16ec7e1203543eba964eca099914c4a222974529158b650a8add2b"),
+        "degree-one": (("0 1",), "d5e36b20fedccd7149ca5cff5c013f4b696e153936d4d41b82921f573a5f7c8d"),
         "double-root": (("1 -4 4",), "ff5f241b30e17b2b4a8845d160085f2fc3e88881d5fa4757bedac301d2f78542"),
         # roots 1/2, -3/4, 5/8, -1 and 0, all dyadic grid points
-        "dyadic-roots": (("0 15 -19 -58 40 64",), "b90cdee5e978fa91bc05143da5bd4919f4f7253e5b9a3a7656988b6295b13c11"),
-        "uniform-0": ((_uniform_64(0),), "eb8ba7589e0988bc613acfa424ad4df91226f37cda3bba432119aedd9c33efc8"),
-        "uniform-1": ((_uniform_64(1),), "36a50c228468c347a0170aea28c5e820c50b70354b726361e055017ab18989dd"),
-        "uniform-2": ((_uniform_64(2),), "3e62c7ba727053e444beae3b20c09798c5c9cc535fbbe166e13285a11288afb7"),
-        "uniform-3": ((_uniform_64(3),), "e6aad00b80a806e7070115870bfa792c6adec52f3d0eb833ce6981917980bc7e"),
-        "uniform-4": ((_uniform_64(4),), "bd71d5c348b1fb5cb93375c0c78422c51c7da1bdba5ade15faa334d9b8637cfc"),
-        "uniform-5": ((_uniform_64(5),), "1e877c1505123077d5027f436a395b2189008df12c11abb37cdc57b4e9336d63"),
+        "dyadic-roots": (("0 15 -19 -58 40 64",), "f029484735269ff8a2dc7a5c24c8a4186350255a2f9d6c4bce6373b4ec9a5a78"),
+        "uniform-0": ((_uniform_64(0),), "1376ef8b9dfae01fe15b129d007d1dba69ef133a7e36146466814503a86db637"),
+        "uniform-1": ((_uniform_64(1),), "53a218b755f7b0682d0a632e85e17bd02a53f93af5d0ef79ddef2e9042d0f0b9"),
+        "uniform-2": ((_uniform_64(2),), "a1b86b4987dfe329cec52b6445d14ea378179e56013d816061320478764407aa"),
+        "uniform-3": ((_uniform_64(3),), "7915f5206a62f339372d397dd81468f3747962284e7a1e465f0f6ffec442a487"),
+        "uniform-4": ((_uniform_64(4),), "15040abc217c2f7371d02bc9ff2bb2dcb296d259895c33de7b89603a648a1a62"),
+        "uniform-5": ((_uniform_64(5),), "5580a80b527751c2e0c0f375760de118f0fcf0196b280ce8c101365f5bf55528"),
         # the grid budget runs out: achieved is false
         "uniform-0-small-grid": (
-            (_uniform_64(0), "--max-grid", "4096"),
-            "85f7ca9f14f2b327f5fd1764bab4f6f3bd455c44709ddd0ad71fef9118a612f8",
+            (_uniform_64(0), "--max-grid", "2048"),
+            "23a8c3822ce9326c11a8eef57b9cd57a9cc090c3b24c1e734bf88ef6188a6e6a",
         ),
     }
 
@@ -307,12 +309,12 @@ class TestExperimentCommand:
     # leave these digests unchanged.
     GOLDEN = {
         ("steps", "--d-list", "4,8", "--trials", "6", "--bitsize", "12", "--max-grid", "4096"): {
-            "steps_scaling.csv": "33da68314077be26fa015d80f3854b13e8b475b6bbbc128e6053a801202123c3",
-            "steps_scaling.json": "ac149a8b0e50f4fcdee2f04a146ab0356da470ee8a46310b4987df52ac55f4f1",
+            "steps_scaling.csv": "8cd8a4a864ea7e62c053ad3d3c6e3c0a182dbffb49899d5995aaf457eefcf177",
+            "steps_scaling.json": "181bf150bb978ceca745b3e738e3dcb5979ebda6c030a7884c0f60720e8ee3ef",
         },
         ("cond-tail", "--degree", "8", "--bitsize", "16", "--trials", "8", "--max-grid", "4096"): {
-            "cond_tail.csv": "14977e8db693aec41fe877e7469b8b871d55444c7e91267136d93c5b8ec01241",
-            "cond_tail.json": "e1217e4c07efca22f0bbcd0c618c6f6bdbe8a7dc2e0aafa934cad1382537d031",
+            "cond_tail.csv": "6040810a4791b893fa237ff068ec9c983cf96f6b20af72dc08595d8db6bd3b9f",
+            "cond_tail.json": "12a1e80aa673f46f94c9992910dff08f3c2cc5468b75d2df4ed4ac91c54d6f28",
         },
         ("cond-tail-local", "--degree", "8", "--bitsize", "15", "--trials", "8"): {
             "cond_tail_local.csv": "870805c1225fe98855da6fb54ade0ce0e30f8d2b4888a3eeb0c31750d058e75c",
@@ -326,8 +328,8 @@ class TestExperimentCommand:
             "instance-bound", "--degree", "8", "--bitsize", "16", "--trials", "8",
             "--max-grid", "16384",
         ): {
-            "instance_bound.csv": "22272279dfc90651b890ecece7b68380a517d29fa7caa21d00b016066c426eed",
-            "instance_bound.json": "2a51656337b41dac803a99eb7b17ec48611562c4e22bdd7fa17369d657bbaadf",
+            "instance_bound.csv": "f1d005e4fe26bf393f419840e4d1a211bf0d09a201ac2e7c35c9001822f35ad2",
+            "instance_bound.json": "d4dccb5a753cad894ba499e3bd33a32e359771e572be3c138dfebbb3b28153b4",
         },
     }
 

@@ -69,11 +69,12 @@ class TestBracket:
         assert br.lower == br.upper == 1.0 and br.achieved
 
     def test_identity_closed_form(self):
-        # cond(x, .) == 1 everywhere, so upper = 1/(1 - delta)
+        # cond(x, .) == 1 everywhere and the cell slope is min(1 + r, d) = 1
+        # (capped at the global slope d = 1), so upper = 1/(1 - r)
         br = global_condition_bracket(poly(0, 1), rel_tol=0.25)
         assert br.lower == 1.0
         assert br.achieved
-        assert br.upper == pytest.approx(1.0 / (1.0 - br.delta), rel=1e-6)
+        assert br.upper == pytest.approx(1.0 / (1.0 - br.delta / 2.0), rel=1e-6)
         assert br.ratio() <= 1.25
 
     def test_known_maximum(self):
@@ -138,9 +139,9 @@ class TestBracket:
             assert pruned.achieved == full.achieved
 
     def test_pruning_scans_fewer_points(self, monkeypatch):
-        # float points scanned on one d = 64 input; the scan that kept
-        # every point of grids below 2^15 points scanned 33785, and the
-        # prune by the global slope d scanned 11.7k
+        # float points scanned on one d = 64 input; the reference, which
+        # keeps every point of grids below 2^15 points and then prunes by
+        # the global slope d, scans 3587 over the same three levels
         points = []
         scan = condition_mod._scan
 
@@ -152,7 +153,7 @@ class TestBracket:
         f = uniform_model(64, 32).sample(1, 0)
         br = global_condition_bracket(f)
         assert _bracket_fields(br) == _bracket_fields(_reference_bracket(f))
-        assert sum(points) == br.scanned <= 1004
+        assert sum(points) == br.scanned <= 946
         assert br.levels == len(points)
 
     def test_coefficients_beyond_float_range(self):
@@ -177,60 +178,96 @@ class TestBracket:
 
 
 def _reference_bracket(f, rel_tol=0.5, max_grid=1 << 22, full_scan_points=1 << 15):
-    """The scan as it stood before the refinement merge: each level is
-    ``np.unique`` over the three children of every active point, every
-    point is scanned in float afresh, and every candidate is evaluated
-    exactly, repeats included.  Grids below ``full_scan_points`` points
-    keep every point for the next level; with ``math.inf`` no point is
-    ever dropped, which is the exhaustive scan."""
+    """The bracket's stop rule, computed without the library's shortcuts:
+    each level is ``np.unique`` over the three children of every active
+    point, every point is scanned afresh with Horner's rule, every
+    candidate is evaluated exactly with ``Fraction`` arithmetic, repeats
+    included, and the exact reach is computed at every level.  Grids below
+    ``full_scan_points`` points keep every point for the next level, and
+    larger ones drop a point only by the global slope d; with ``math.inf``
+    no point is ever dropped, which is the exhaustive scan."""
     d = f.degree
     if d == 0:
         return condition_mod.ConditionBracket(1.0, 1.0, 1, 2.0, True)
     err = (4.0 * d + 16.0) * 2.0**-53
     level = max(2, (4 * d - 1).bit_length())
-    best_cond = 0.0
+    best = None  # the least exact 1/cond on any grid so far
     hf_min_running = math.inf
-    last_finite_upper = math.inf
+    upper = math.inf
     active = None
     first = True
     delta = 0.0
     while True:
         grid_size = (1 << (level + 1)) + 1
         if not first and grid_size > max_grid:
-            return condition_mod.ConditionBracket(best_cond, last_finite_upper, (1 << level) + 1, delta, False)
+            return condition_mod.ConditionBracket(_cond(best), upper, (1 << level) + 1, delta, False)
         delta = 2.0**-level
+        radius = Fraction(1, 1 << (level + 1))
         if active is None:
             ks = np.arange(-(1 << level), (1 << level) + 1, dtype=np.int64)
         else:
             ks = np.unique(np.concatenate((2 * active - 1, 2 * active, 2 * active + 1)))
             ks = ks[(ks >= -(1 << level)) & (ks <= (1 << level))]
-        inv_cond = _scan(f, ks, level)
+        inv_cond, slope = _float_h_s(f, ks.astype(float) * 2.0**-level)
         batch_min = float(inv_cond.min())
         hf_min_running = min(hf_min_running, batch_min)
         for idx in np.nonzero(inv_cond <= batch_min + 2.0 * err)[0]:
-            best_cond = max(best_cond, local_condition(f, Dyadic(int(ks[idx]), level)))
-        lower = best_cond
-        inv_m = 1.0 / (lower * condition_mod._SAFETY)
-        upper = 1.0 / (inv_m - d * delta) if inv_m > d * delta else math.inf
-        if math.isfinite(upper):
-            last_finite_upper = upper
-            if upper <= (1.0 + rel_tol) * lower:
-                return condition_mod.ConditionBracket(lower, upper, grid_size, delta, True)
+            h = _exact_h_s(f, Fraction(int(ks[idx]), 1 << level))[0]
+            best = h if best is None else min(best, h)
+        lower = _cond(best)
+        # any float error is far below 2^-20: the cell of least exact
+        # reach is among these
+        reach = inv_cond - float(radius) * np.minimum(slope + d * d * float(radius), d)
+        bound = min(
+            _exact_reach(f, Fraction(int(ks[idx]), 1 << level), radius)
+            for idx in np.nonzero(reach <= float(reach.min()) + 2.0**-20)[0]
+        )
+        upper = _least_float_at_least(1 / bound) if bound > 0 else math.inf
+        if math.isfinite(upper) and upper <= (1.0 + rel_tol) * lower:
+            return condition_mod.ConditionBracket(lower, upper, grid_size, delta, True)
         if active is not None or grid_size >= full_scan_points:
             active = ks[inv_cond <= hf_min_running + 2.0 * err + d * (delta / 2.0)]
         first = False
         level += 1
 
 
-def _scan(f, ks, level):
-    """The float 1/cond, max(|f(x)|, |f'(x)|/d) / ||f||_1, at x = k 2^-level."""
-    xs = ks.astype(float) * 2.0**-level
-    values = np.abs(_float_horner(np.array(f.coeffs[::-1], dtype=float), xs))
-    slopes = np.abs(_float_horner(np.array(f.derivative().coeffs[::-1], dtype=float), xs))
-    return np.maximum(values, slopes / f.degree) / float(f.one_norm())
+def _exact_h_s(f, x):
+    """1/cond(f, x) and max(|f'(x)|, |f''(x)|/d) / ||f||_1, exactly."""
+    d, norm = f.degree, f.one_norm()
+    fp = f.derivative()
+    f0, f1, f2 = (abs(g.evaluate_fraction(x)) for g in (f, fp, fp.derivative()))
+    return max(f0, f1 / d) / norm, max(f1, f2 / d) / norm
+
+
+def _exact_reach(f, x, radius):
+    """1/cond(f, x) - r min(s(x) + d^2 r, d): the least 1/cond over the
+    cell of radius r around x that the local slope bound certifies."""
+    d = f.degree
+    h, s = _exact_h_s(f, x)
+    return h - radius * min(s + d * d * radius, d)
+
+
+def _cond(h):
+    return math.inf if h == 0 else float(1 / h)
+
+
+def _least_float_at_least(q):
+    u = float(q)
+    return math.nextafter(u, math.inf) if Fraction(u) < q else u
+
+
+def _float_h_s(f, xs):
+    """The float 1/cond, max(|f(x)|, |f'(x)|/d) / ||f||_1, and the float
+    slope max(|f'(x)|, |f''(x)|/d) / ||f||_1 at the points ``xs``."""
+    d, norm = f.degree, float(f.one_norm())
+    fp = f.derivative()
+    f0, f1, f2 = (np.abs(_float_horner(np.array(g.coeffs[::-1], dtype=float), xs)) for g in (f, fp, fp.derivative()))
+    return np.maximum(f0, f1 / d) / norm, np.maximum(f1, f2 / d) / norm
 
 
 def _float_horner(coeffs_desc, xs):
+    if not coeffs_desc.size:
+        return np.zeros(xs.shape)
     acc = np.full(xs.shape, coeffs_desc[0])
     for c in coeffs_desc[1:]:
         acc = acc * xs + c
@@ -311,7 +348,8 @@ class TestScan:
     def test_matches_reference_random(self):
         cases = [(uniform_model(16, 32).sample(5, i), 1 << 26) for i in range(12)]
         cases += [(uniform_model(64, 32).sample(5, i), 1 << 26) for i in range(6)]
-        cases += [(uniform_model(256, 32).sample(5, i), 1 << 20) for i in range(3)]
+        # two levels at d = 256 do not reach the tolerance
+        cases += [(uniform_model(256, 32).sample(5, i), 1 << 13) for i in range(3)]
         cases += [(uniform_model(256, 32).sample(5, 3), 1 << 26)]
         achieved = set()
         for f, max_grid in cases:
@@ -402,21 +440,24 @@ class TestScan:
                     assert abs(Fraction(v) - exact) <= bound, (d, col, k)
 
     def test_each_point_scanned_and_evaluated_once(self, monkeypatch):
+        # a point is evaluated exactly once, whether the lower end (a grid
+        # maximum candidate) or the upper end (a least-reach candidate)
+        # needed it first
         scanned = []  # x per float evaluation
         evaluated = []  # exact points
         scan = condition_mod._scan
-        exact = condition_mod._local_condition
+        exact = condition_mod._exact_values
 
         def counting_scan(table, xs):
             scanned.extend(xs.tolist())
             return scan(table, xs)
 
-        def counting_local(f, fp, norm, x):
-            evaluated.append(x.to_fraction())
-            return exact(f, fp, norm, x)
+        def counting_exact(coeffs, norm, k, e):
+            evaluated.append(Fraction(k, 1 << e))
+            return exact(coeffs, norm, k, e)
 
         monkeypatch.setattr(condition_mod, "_scan", counting_scan)
-        monkeypatch.setattr(condition_mod, "_local_condition", counting_local)
+        monkeypatch.setattr(condition_mod, "_exact_values", counting_exact)
         rng = random.Random(40)
         cases = [
             (uniform_model(64, 32).sample(1, 0), 0.5, 1 << 26),
@@ -434,6 +475,145 @@ class TestScan:
             assert _bracket_fields(br) == _bracket_fields(_reference_bracket(f, rel_tol, max_grid))
             levels += br.grid_size.bit_length() - max(2, (4 * f.degree - 1).bit_length())
         assert levels > 4 * len(cases)
+
+    def test_exact_values_match_fractions(self):
+        # one integer Horner pass gives 1/cond and the slope at k/2^e
+        # exactly, at every exponent the point can be written with
+        rng = random.Random(44)
+        for _ in range(200):
+            f = make_poly(rng, rng.randint(1, 20), 24)
+            e = rng.randint(0, 30)
+            k = rng.randint(-(1 << e), 1 << e)
+            h, s = _exact_h_s(f, Fraction(k, 1 << e))
+            for shift in (0, 3):
+                inv, slope, den = condition_mod._exact_values(f.coeffs, f.one_norm(), k << shift, e + shift)
+                assert (Fraction(inv, den), Fraction(slope, den)) == (h, s)
+            assert local_condition(f, Dyadic(k, e)) == _cond(h)
+
+    def test_fields_independent_of_float_evaluator(self, monkeypatch):
+        # floats only choose the cells and points evaluated exactly, so a
+        # second evaluator within the same error budget, Horner's rule on
+        # the same table in place of the power-table product, gives the
+        # same bracket
+        rng = random.Random(45)
+        cases = [(uniform_model(d, 32).sample(2, i), 1 << 22) for d in (16, 64) for i in range(6)]
+        cases += [(uniform_model(256, 32).sample(2, 0), 1 << 22)]
+        cases += [(make_poly(rng, rng.randint(2, 40), 20), 1 << 20) for _ in range(10)]
+        cases += [(_times(poly(1, -6, 9), make_poly(rng, 9, 8)), 1 << 16), (poly(1, -4, 4), 1 << 12)]
+        brackets = [(global_condition_bracket(f, max_grid=max_grid), f, max_grid) for f, max_grid in cases]
+
+        def horner_scan(table, xs):
+            return np.stack([_float_horner(table[::-1, col], xs) for col in range(table.shape[1])], axis=1)
+
+        monkeypatch.setattr(condition_mod, "_scan", horner_scan)
+        for br, f, max_grid in brackets:
+            assert _bracket_fields(global_condition_bracket(f, max_grid=max_grid)) == _bracket_fields(br)
+
+    def test_uniform_degree_256_achieved(self):
+        # the local slope certifies a sharp upper end at the paper's
+        # degrees, where the global slope d left upper infinite
+        for i in range(4):
+            br = global_condition_bracket(uniform_model(256, 32).sample(1, i))
+            assert br.achieved and br.ratio() <= 1.5, i
+
+
+def _reach_violations(f, level, samples=64):
+    """Check each cell of the grid at ``level`` against the bound the
+    library certifies for it.
+
+    ``condition._reach`` of a cell (radius r = 2^-(level + 1) around a
+    grid point x) must lie below 1/cond at every point of the cell; this
+    samples each cell at ``samples`` + 1 evenly spaced points with Horner's
+    rule (whose own error is far below the tolerance) and returns the
+    grid indices of the cells whose bound exceeds a sample."""
+    d, norm = f.degree, f.one_norm()
+    m = level + 1
+    violations = []
+    for k in range(-(1 << level), (1 << level) + 1):
+        bound = condition_mod._reach(condition_mod._exact_values(f.coeffs, norm, k, level), d, m)
+        ys = np.clip(k * 2.0**-level + np.linspace(-1.0, 1.0, samples + 1) * 2.0**-m, -1.0, 1.0)
+        h, _ = _float_h_s(f, ys)
+        if float(bound) > float(h.min()) + 1e-12:
+            violations.append(k)
+    return violations
+
+
+def _reach_cases():
+    rng = random.Random(46)
+    cases = [make_poly(rng, rng.randint(2, 24), 16) for _ in range(6)]
+    return cases + [_times(poly(1, -6, 9), make_poly(rng, 5, 8)), _chebyshev(12)]
+
+
+def _chebyshev(n):
+    a, b = [1], [0, 1]
+    for _ in range(n - 1):
+        a, b = b, [x - y for x, y in zip([0] + [2 * c for c in b], a + [0, 0])]
+    return IntPolynomial(b)
+
+
+def _refined_max_condition(f, points=20001, minima=8, rounds=3):
+    """The maximum of cond over [-1, 1]: a float scan, refined around its
+    ``minima`` least local minima of 1/cond by ``rounds`` of 2001-point
+    scans, each over two steps of the last around its least point."""
+    xs = np.linspace(-1.0, 1.0, points)
+    h = _float_h_s(f, xs)[0]
+    local = (np.r_[True, h[1:] <= h[:-1]]) & (np.r_[h[:-1] <= h[1:], True])
+    least = float(h.min())
+    for i in sorted(np.nonzero(local)[0], key=lambda i: h[i])[:minima]:
+        centre, step = xs[i], 2.0 / (points - 1)
+        for _ in range(rounds):
+            ys = np.linspace(max(-1.0, centre - step), min(1.0, centre + step), 2001)
+            hy = _float_h_s(f, ys)[0]
+            centre, step = ys[int(hy.argmin())], ys[1] - ys[0]
+            least = min(least, float(hy.min()))
+    return math.inf if least == 0 else 1.0 / least
+
+
+class TestUpperBound:
+    """The upper end from the local slope: its cells' bounds, and the
+    bracket against a scan refined around its least points."""
+
+    def test_cell_reach_contains_cell_minimum(self):
+        for f in _reach_cases():
+            level = max(2, (4 * f.degree - 1).bit_length()) + 1
+            assert _reach_violations(f, level) == [], f
+
+    def test_containment_catches_a_reach_without_drift(self, monkeypatch):
+        # negative control: without the d^2 r drift the cell's slope is
+        # the slope at its centre only, which is unsound, and the cell
+        # containment check above must see a bound above 1/cond
+        def reach_without_drift(values, d, m):
+            inv, slope, den = values
+            return Fraction((inv << (2 * m)) - min(slope << m, (d * den) << m), den << (2 * m))
+
+        monkeypatch.setattr(condition_mod, "_reach", reach_without_drift)
+        violations = 0
+        for f in _reach_cases():
+            level = max(2, (4 * f.degree - 1).bit_length()) + 1
+            violations += len(_reach_violations(f, level))
+        assert violations
+
+    def test_upper_contains_refined_scan(self):
+        # random inputs, products with a near-double root, Chebyshev
+        # polynomials (equal minima of 1/cond at many points), over three
+        # tolerances
+        rng = random.Random(47)
+        cases = [make_poly(rng, rng.randint(2, 40), 16) for _ in range(12)]
+        for _ in range(6):
+            a, b = rng.randint(-60, 60), rng.randint(61, 90)
+            near = poly(a * a + rng.choice((-1, 1)), -2 * a * b, b * b)
+            cases.append(_times(near, make_poly(rng, rng.randint(1, 10), 8)))
+        cases += [_chebyshev(n) for n in (5, 9, 16, 24)]
+        finite = 0
+        for f in cases:
+            truth = _refined_max_condition(f)
+            for rel_tol in (0.05, 0.5, 2.0):
+                br = global_condition_bracket(f, rel_tol=rel_tol, max_grid=1 << 20)
+                assert br.lower <= truth * (1 + 1e-9), (f, rel_tol)
+                if math.isfinite(br.upper):
+                    finite += 1
+                    assert truth <= br.upper * (1 + 1e-9), (f, rel_tol)
+        assert finite >= 60
 
 
 class TestLipschitz:

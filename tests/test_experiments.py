@@ -1,10 +1,20 @@
 
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from rootiso.experiments import (
+    _AGG_COLUMNS,
     CSV_COLUMNS,
+    ExperimentReport,
     MeasureOptions,
+    TrialRecord,
     measure_trial,
     run_cond_tail,
     run_instance_bound,
@@ -186,3 +196,56 @@ def test_infinity_serialized_as_string():
     import json
 
     json.dumps(report.json_summary(), allow_nan=False)  # must not raise
+
+
+def _reference_stats(values) -> dict:
+    """One column's statistics, computed column by column."""
+    vals = [v for v in values if v is not None]
+    if not vals:
+        return {"count": 0}
+    arr = np.array(vals, dtype=float)
+    finite = arr[np.isfinite(arr)]
+    if finite.size == arr.size:
+        median, p90, p99 = np.quantile(arr, (0.5, 0.9, 0.99)).tolist()
+        tail = {"p90": p90, "p99": p99}
+    else:
+        median, tail = float("inf"), {"finite_count": int(finite.size)}
+    return {
+        "count": len(vals),
+        "mean": float(np.mean(arr)),
+        "median": median,
+        "min": float(np.min(arr)),
+        "max": float(np.max(arr)),
+        **tail,
+    }
+
+
+def test_aggregates_match_column_by_column_reference():
+    # the one-pass aggregates are bit for bit the per-column ones, with
+    # integer, float, infinite and absent columns and sizes from 1 row up
+    rng = np.random.default_rng(48)
+    for trial in range(300):
+        n = int(rng.integers(1, 60))
+        absent = {col for col in _AGG_COLUMNS if rng.random() < 0.3}
+        rows = []
+        for i in range(n):
+            row = TrialRecord(i, 8, "m", int(rng.integers(1, 500)), int(rng.integers(1, 20)), int(rng.integers(1, 9)))
+            row.cond_lower = float(rng.lognormal(3.0, 2.0))
+            row.cond_upper = math.inf if rng.random() < 0.1 * (trial % 3) else float(rng.lognormal(4.0, 2.0))
+            row.rho_bound = math.inf if rng.random() < 0.05 else float(rng.uniform(0.0, 100.0))
+            row.rho_count_max = int(rng.integers(0, 9))
+            for col in absent:
+                setattr(row, col, None)
+            rows.append(row)
+        report = ExperimentReport("steps_scaling", {}, rows)
+        expect = {"8": {col: _reference_stats([getattr(r, col) for r in rows]) for col in _AGG_COLUMNS}}
+        assert json.dumps(report.aggregates) == json.dumps(expect)
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # a one-worker run never needs the process pool, so importing the
+    # package does not load it
+    code = "import sys, rootiso, rootiso.cli, rootiso.experiments; print('multiprocessing' in sys.modules)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False", out.stderr

@@ -1,6 +1,9 @@
+import hashlib
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rootiso.models import (
     exact_bitsize_model,
@@ -145,6 +148,80 @@ class TestDeterminismAndBitsize:
         assert "A={0,1,4,5}" in support_model(5, 4, [0, 1, 4, 5]).describe()
         assert "s=+-" in signs_model(1, 4, [1, -1]).describe()
         assert "base=uniform" in smoothed_model(IntPolynomial([1]), 2, uniform_model(2, 4)).describe()
+
+
+class _ReferenceStream:
+    """The per-coefficient bit source the sampler was first written with:
+    a deterministic stream keyed by (seed, index, position)."""
+
+    def __init__(self, seed: int, index: int, position: int):
+        self._prefix = f"{seed}:{index}:{position}:".encode()
+        self._counter = 0
+        self._pool = 0
+        self._pool_bits = 0
+
+    def take_bits(self, k: int) -> int:
+        while self._pool_bits < k:
+            block = hashlib.sha256(self._prefix + str(self._counter).encode()).digest()
+            self._counter += 1
+            self._pool = (self._pool << 256) | int.from_bytes(block, "big")
+            self._pool_bits += 256
+        value = self._pool & ((1 << k) - 1)
+        self._pool >>= k
+        self._pool_bits -= k
+        return value
+
+    def below(self, bound: int) -> int:
+        k = (bound - 1).bit_length()
+        while True:
+            v = self.take_bits(k)
+            if v < bound:
+                return v
+
+
+def _reference_sample(model, seed, index):
+    tau = model.bitsize
+    coeffs = []
+    for position in range(model.degree + 1):
+        stream = _ReferenceStream(seed, index, position)
+        if model.kind == "support" and position not in model.support:
+            coeffs.append(0)
+        elif model.kind in ("uniform", "support"):
+            coeffs.append(stream.below((1 << (tau + 1)) + 1) - (1 << tau))
+        elif model.kind == "signs":
+            coeffs.append(model.signs[position] * (stream.take_bits(tau) + 1))
+        else:
+            sign = 1 if stream.take_bits(1) else -1
+            coeffs.append(sign * ((1 << (tau - 1)) + stream.take_bits(tau - 1)))
+    return IntPolynomial(coeffs)
+
+
+@st.composite
+def _models(draw):
+    degree = draw(st.integers(1, 12))
+    # widths past 256 bits refill the pool in the middle of a draw
+    tau = draw(st.sampled_from([1, 2, 3, 7, 16, 32, 62, 253, 254, 255, 256, 257, 300, 600]))
+    kind = draw(st.sampled_from(["uniform", "support", "signs", "exactbits"]))
+    if kind == "uniform":
+        return uniform_model(degree, tau)
+    if kind == "support":
+        extra = draw(st.sets(st.integers(0, degree)))
+        return support_model(degree, tau, extra | {0, 1, degree - 1, degree})
+    if kind == "signs":
+        return signs_model(degree, tau, draw(st.lists(st.sampled_from([-1, 1]), min_size=degree + 1, max_size=degree + 1)))
+    return exact_bitsize_model(degree, tau)
+
+
+class TestSamplerBits:
+    @given(_models(), st.integers(0, 2**70), st.integers(0, 10**6))
+    def test_matches_reference_stream(self, model, seed, index):
+        assert model.sample(seed, index) == _reference_sample(model, seed, index)
+
+    def test_matches_reference_stream_uniform_corpus(self):
+        for d in (16, 64, 128):
+            model = uniform_model(d, 32)
+            for i in range(8):
+                assert model.sample(1, i) == _reference_sample(model, 1, i)
 
 
 class TestModelValidation:
