@@ -57,7 +57,7 @@ class RandomModel:
             return self.shift + noise.scale(self.sigma)
         kind, tau = self.kind, self.bitsize
         if kind in ("uniform", "support"):
-            draws = ((tau + 2, (1 << (tau + 1)) + 1),)  # (bits, accepted values)
+            draws = ((tau + 2, (1 << (tau + 1)) + 1),)  # (bits, accepted if below)
         elif kind == "signs":
             draws = ((tau, 1 << tau),)
         elif kind == "exactbits":
