@@ -2,40 +2,61 @@
 
 The local condition of f at x is ||f||_1 / max(|f(x)|, |f'(x)|/d); large
 values mean f is close to a polynomial with a singular zero at x.  The
-global condition is its maximum over the closed interval [-1, 1].  Its
-reciprocal h = 1/cond moves no faster than d over [-1, 1], and over a
-cell of radius r around x no faster than
-max(|f'(x)|, |f''(x)|/d) / ||f||_1 + d^2 r, since each derivative grows
-the 1-norm by at most a factor d (Tonelli-Cueto and Tsigaridas,
-"Condition numbers for the cube. I", ISSAC 2020, give the grid method
-and the d-Lipschitz bound; this is its first-order Taylor refinement).
-That local slope does both jobs of the bracket: it prunes the grid scan
-(a cell far above the level minimum leaves the active set) and it
-certifies the upper end (h over a cell is at least its centre value less
-r times the cell's slope, so the least such reach over the active cells
-bounds h from below on all of [-1, 1]).  Near a minimum of h the local
-slope is far below d, so few levels reach a sharp upper end.
+global condition is its maximum over the closed interval [-1, 1].  The
+bracket scans dyadic grids for it (Tonelli-Cueto and Tsigaridas,
+"Condition numbers for the cube. I", ISSAC 2020, give the grid method and
+the bound d on the slope of h = 1/cond), and bounds h from below over the
+cell |y - x| <= r of each grid point x by the cell's reach, the larger of
+two exact lower bounds:
+
+* an order-K Taylor model (K = ``_ORDER``) of f and of f'/d with a
+  rigorous remainder (Makino and Berz, "Taylor models and other validated
+  functional inclusion methods", 2003; the centred forms of Neumaier,
+  "Interval methods for systems of equations", 1990).  By Taylor's theorem
+  with the Lagrange remainder, for y in the cell and in [-1, 1],
+
+      |f(y)| >= |f(x)| - sum_{k=1..K} |f^(k)(x)| r^k / k!
+                - max |f^(K+1)| r^(K+1) / (K+1)!,
+
+  and max |f^(K+1)| over [-1, 1] is at most ||f^(K+1)||_1 <= d^(K+1) ||f||_1,
+  since each derivative grows the 1-norm by at most a factor d.  The same
+  holds for f'/d, one derivative up, with the same remainder.  Over
+  ||f||_1 a term of order k is at most (d r)^k / k!, and the remainder
+  (d r)^(K+1) / (K+1)! is below 2^-15 at d r <= 1/2, where the
+  first-order drift below is (d r)^2;
+* the first-order bound h(x) - r min(s(x) + d^2 r, d), with
+  s = max(|f'|, |f''|/d) / ||f||_1 the slope of h at x and d^2 r its drift
+  over the cell.  Kept in the maximum, it makes the reach never smaller
+  than this bound.  It is the larger one only where the slope's cap at d
+  binds and the derivatives come near their 1-norm bounds, so that the
+  Taylor terms add up to more than d r: at x = +-1 for f = x^d, say.
+
+The reach does both jobs of the bracket: it prunes the grid scan (a cell
+whose reach lies above the level minimum leaves the active set) and it
+certifies the upper end (the least reach over the active cells bounds h
+from below on all of [-1, 1]).
 
 Numerics policy: condition values only matter on a log scale downstream,
 so each value is the correctly rounded float of an exactly computed
 rational.  Grid scans run in vectorized floating point with a rigorous
 error budget: one matrix product of a table of powers of x with the
-correctly rounded coefficients of f, f'/d and f''/d over ||f||_1
-(``_scan``).  Floats only choose which points are evaluated exactly: the
-few that could attain the grid maximum of the condition, and the few
-cells that could attain the least reach.  Each exact evaluation is one
-integer Horner pass for f, f' and f'' at k/2^e (``_exact_values``).  The
-scan visits each grid point once: a level is the sorted merge of the
-previous level's active points and their odd neighbours, the points
-carried over keep their scanned values and slopes, and no dyadic is
-evaluated exactly twice.
+coefficients of f^(k) / (d^k ||f||_1), k = 0..K+1 (``_scan_table``,
+``_scan``); each such column has a 1-norm of at most 1, so one budget E
+holds for all of them.  Floats only choose which points are evaluated
+exactly: the few that could attain the grid maximum of the condition, and
+the few cells that could attain the least reach.  Each exact evaluation is
+one integer Horner pass for the Taylor coefficients f^(j)(x)/j!, j <= K+1,
+at k/2^e (``_exact_values``), from which both the condition and the reach
+follow.  The scan visits each grid point once: a level is the sorted merge
+of the previous level's active points and their odd neighbours, the points
+carried over keep their scanned values, and no dyadic is evaluated exactly
+twice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -48,9 +69,17 @@ class UnboundedConditionError(ArithmeticError):
 
 
 _ONE = Dyadic(1)
-# rounds the float slope bounds up, and is the slack of the float test of
-# whether a level's exact upper end can meet the tolerance
+# the order K of a cell's Taylor model
+_ORDER = 5
+# the slack of the float test of whether a level's exact upper end can
+# meet the tolerance
 _SAFETY = 1.0 + 2.0**-30
+
+
+def _first_level(d: int) -> int:
+    """The level of the first grid: spacing 2^-level at most 1/d (and at
+    most 1/4), so that every cell has d r <= 1/2."""
+    return max(2, (d - 1).bit_length())
 
 
 def local_condition(f: IntPolynomial, x: Dyadic) -> float:
@@ -65,20 +94,18 @@ def local_condition(f: IntPolynomial, x: Dyadic) -> float:
         raise ValueError(f"point {x} outside [-1, 1]")
     if f.degree == 0:
         return 1.0
-    inv, _, den = _exact_values(f.coeffs, f.one_norm(), x.num, x.exp)
-    return _local_condition(inv, den)
+    return _local_condition(_exact_values(f.coeffs, x.num, x.exp), f.degree, f.one_norm())
 
 
-def _exact_values(coeffs: tuple, norm: int, k: int, e: int) -> tuple[int, int, int]:
-    """(H, S, D) with 1/cond(f, x) = H/D and
-    max(|f'(x)|, |f''(x)|/d) / ||f||_1 = S/D at x = k/2^e, for f of degree
-    d >= 1 with coefficients ``coeffs`` and 1-norm ``norm``.
+def _exact_values(coeffs: tuple, k: int, e: int) -> tuple[int, list[int]]:
+    """(e', T) for f with coefficients ``coeffs``, of degree d >= 1, at
+    x = k/2^e: the exponent e' of x in lowest terms and, with q = 2^e',
+    T[j] = q^(d-j) f^(j)(x)/j! for j = 0..K+1.
 
-    One integer Horner pass, with q = 2^e, gives F0 = q^d f(x),
-    F1 = q^(d-1) f'(x) and F2 = q^(d-2) f''(x)/2; then
-    H = max(d |F0|, q |F1|), S = max(d q |F1|, 2 q^2 |F2|) and
-    D = d ||f||_1 q^d.  The exponent is reduced first, so that the same
-    point gives the same integers at every level.
+    One integer Horner pass with K + 2 accumulators (the repeated
+    synthetic division by x - k/q, scaled by powers of q).  The exponent is
+    reduced first, so that the same point gives the same integers at every
+    level.
     """
     if k:
         shift = min(e, (k & -k).bit_length() - 1)
@@ -86,50 +113,90 @@ def _exact_values(coeffs: tuple, norm: int, k: int, e: int) -> tuple[int, int, i
     else:
         e = 0
     d = len(coeffs) - 1
-    f0, f1, f2 = coeffs[d], 0, 0
+    taylor = [coeffs[d]] + [0] * (_ORDER + 1)
+    upward = range(_ORDER + 1, 0, -1)
     for i in range(d - 1, -1, -1):
-        f2 = f2 * k + f1
-        f1 = f1 * k + f0
-        f0 = f0 * k + (coeffs[i] << (e * (d - i)))
-    f1 = abs(f1)
-    inv = max(d * abs(f0), f1 << e)
-    slope = max((d * f1) << e, abs(f2) << (2 * e + 1))
-    return inv, slope, (d * norm) << (e * d)
+        for j in upward:
+            taylor[j] = taylor[j] * k + taylor[j - 1]
+        taylor[0] = taylor[0] * k + (coeffs[i] << (e * (d - i)))
+    return e, taylor
 
 
-def _local_condition(inv: int, den: int) -> float:
-    """The condition D/H from ``_exact_values``, correctly rounded (int
-    true division), +inf when H = 0 or the quotient exceeds the float
-    range."""
+def _local_condition(values: tuple[int, list[int]], d: int, norm: int) -> float:
+    """cond(f, x) from ``_exact_values``: D/H with H = max(d |T0|, q |T1|)
+    and D = d ||f||_1 q^d, correctly rounded (one int true division); +inf
+    when H = 0 or the quotient exceeds the float range."""
+    e, taylor = values
+    inv = max(d * abs(taylor[0]), abs(taylor[1]) << e)
     if not inv:
         return math.inf
     try:
-        return den / inv
+        return ((d * norm) << (e * d)) / inv
     except OverflowError:
         return math.inf
 
 
-def _reach(values: tuple[int, int, int], d: int, m: int) -> Fraction:
-    """h(x) - r min(s(x) + d^2 r, d), exactly, for a cell of radius
-    r = 2^-m around x, where h = H/D and s = S/D are ``_exact_values``:
-    a lower bound of 1/cond over the cell (``_cell_slope``)."""
-    inv, slope, den = values
-    drop = min((slope << m) + d * d * den, (d * den) << m)
-    return Fraction((inv << (2 * m)) - drop, den << (2 * m))
+def _reach(values: tuple[int, list[int]], d: int, norm: int, m: int) -> tuple[int, int]:
+    """(A, s) such that A / (c 2^s), c = (K+1)! d ||f||_1, is the exact
+    reach of the cell of radius r = 2^-m around x, given
+    ``_exact_values`` at x: the larger of the Taylor model's and the
+    first-order lower bound of 1/cond over the cell (module docstring).
+
+    With T and q = 2^e from ``_exact_values``, f^(k)(x) r^k / k! is
+    T_k q^k / (q^d 2^(mk)).  So over the denominator d ||f||_1 q^d 2^(mK)
+    the model of |f| is d (|T_0| 2^(mK) - sum_k |T_k| q^k 2^(m(K-k))) and
+    that of |f'|/d is |T_1| q 2^(mK) - sum_k (k+1) |T_(k+1)| q^(k+1)
+    2^(m(K-k)), the sums over k = 1..K.  The larger of the two, the
+    remainder d^(K+1) r^(K+1) / (K+1)! and the first-order bound are
+    brought to the common denominator c q^d 2^(m(K+1)); no gcd is taken.
+    """
+    e, taylor = values
+    order = _ORDER
+    t = [abs(v) for v in taylor]
+    model_f = t[0] << (m * order)
+    model_g = t[1] << (e + m * order)
+    for k in range(1, order + 1):
+        model_f -= t[k] << (e * k + m * (order - k))
+        model_g -= ((k + 1) * t[k + 1]) << (e * (k + 1) + m * (order - k))
+    fact = math.factorial(order + 1)
+    den = (d * norm) << (e * d)
+    taylor_reach = ((fact * max(d * model_f, model_g)) << m) - d ** (order + 1) * den
+    inv = max(d * t[0], t[1] << e)
+    slope = max((d * t[1]) << e, t[2] << (2 * e + 1))
+    first = (inv << (2 * m)) - min((slope << m) + d * d * den, (d * den) << m)
+    return max(taylor_reach, (fact * first) << (m * (order - 1))), e * d + m * (order + 1)
 
 
-def _round_up_reciprocal(bound: Fraction) -> float:
-    """The least float >= 1/bound; +inf when bound <= 0 or 1/bound
-    exceeds the float range."""
-    if bound <= 0:
+def _float_reach(values: np.ndarray, inv_cond: np.ndarray, d: int, radius: float) -> np.ndarray:
+    """The reach of each cell of ``radius`` from the absolute scanned
+    columns ``values`` (``_scan_table``) and the scanned 1/cond
+    ``inv_cond``: the float counterpart of ``_reach``, within reach_err of
+    it (``global_condition_bracket``)."""
+    t = d * radius
+    weights = [t**k / math.factorial(k) for k in range(1, _ORDER + 2)]
+    # the Taylor terms of f (column 0) and of f'/d (column 1), k = 1..K
+    models = np.zeros((_ORDER + 1, 2))
+    models[:-1, 0] = models[1:, 1] = weights[:-1]
+    taylor = (values[:, :2] - values[:, 1:] @ models).max(axis=1)
+    taylor -= weights[-1]
+    slope = np.maximum(values[:, 1], values[:, 2])
+    slope *= d
+    slope += d * t
+    np.minimum(slope, d, out=slope)
+    return np.maximum(taylor, inv_cond - radius * slope)
+
+
+def _round_up_quotient(num: int, den: int) -> float:
+    """The least float >= num/den for num > 0; +inf when den <= 0 or the
+    quotient exceeds the float range."""
+    if den <= 0:
         return math.inf
-    num, den = bound.numerator, bound.denominator
     try:
-        upper = den / num
+        quotient = num / den
     except OverflowError:
         return math.inf
-    a, b = upper.as_integer_ratio()
-    return math.nextafter(upper, math.inf) if a * num < den * b else upper
+    a, b = quotient.as_integer_ratio()
+    return math.nextafter(quotient, math.inf) if a * den < num * b else quotient
 
 
 @dataclass
@@ -180,39 +247,56 @@ def global_condition_bracket(
     """Bracket the maximum condition over [-1, 1].
 
     Scans dyadic grids x = k 2^-level, |k| <= 2^level, starting at
-    spacing at most 1/(4 d) and halving until upper <= (1 + rel_tol)
-    lower or the grid would exceed ``max_grid`` points (the initial grid
-    is always evaluated).  Write h = 1/cond, delta for the spacing and
-    r = delta/2 for the radius of a grid point's cell.
+    spacing at most 1/d (``_first_level``) and halving until
+    upper <= (1 + rel_tol) lower or the grid would exceed ``max_grid``
+    points (the initial grid is always evaluated).  Write h = 1/cond,
+    delta for the spacing, r = delta/2 for the radius of a grid point's
+    cell and t = d r <= 1/2.
+
+    The reach of a cell is the larger of its order-K Taylor model and its
+    first-order bound (module docstring; ``_reach`` exactly,
+    ``_float_reach`` in floats).  In the scaled Taylor coefficients
+    c_k = f^(k)(x) / (d^k ||f||_1) it reads
+
+        max(|c_0| - sum_k |c_k| w_k, |c_1| - sum_k |c_(k+1)| w_k) - w_(K+1),
+
+    with w_k = t^k / k! and k = 1..K, and the first-order bound is
+    max(|c_0|, |c_1|) - r min(d max(|c_1|, |c_2|) + d t, d).  Since every
+    |c_k| <= 1, the Taylor terms past the first sum to at most
+    e^t - 1 - t < t^2, below the first-order drift t^2, so the Taylor
+    model is the larger unless the slope's cap at d binds; the first-order
+    bound stays in the maximum for those cells (f = x^d at +-1).
+
+    The float scan carries the budget E of ``_scan`` on each c_k.  So the
+    float Taylor term is within E (1 + sum_k w_k) < E e^t of the exact one,
+    the float first-order term within E + r d E = E (1 + t) <= E e^t, and
+    the rounding of either computation adds less than 2^-46: every float
+    reach lies within reach_err = E e^t + 2^-46 of the exact reach.
 
     ``lower`` is the exact maximum of the condition over the final grid.
     Three devices keep that affordable without changing it:
 
-    * the float scan carries the rigorous error budget E of ``_scan``,
-      and only points whose scanned h is within 2E of the level minimum
-      are evaluated exactly; no other point can attain the grid minimum
-      of h, and a point evaluated at a coarser level is not evaluated
-      again, since its value is already in the maximum;
+    * the float h = max(|c_0|, |c_1|) is within E of h, and only points
+      whose float h is within 2E of the level minimum are evaluated
+      exactly; no other point can attain the grid minimum of h, and a
+      point evaluated at a coarser level is not evaluated again, since its
+      value is already in the maximum;
     * each level is the refinement of an active set of the previous one
       (``_children``): the even child 2a of a point a is that point
-      itself, so it keeps the scanned h and slope, and only the odd
-      children are scanned in float;
-    * a cell leaves the active set once its float reach hf(x) - L r
-      exceeds the level minimum by 2E, where L is the cell's own slope
-      bound (``_cell_slope``) and hf the scanned h.  Every point y of the
-      cell then has h(y) >= hf(x) - E - L r > level minimum + E, which is
-      at least the exact grid minimum, so dropped cells cannot change the
-      maximum at any later level.  The point attaining the minimum stays
-      and carries its value.  An even child's cell lies inside its
-      parent's, so the parent's slope, taken at the child's radius, still
-      holds for it.
+      itself, so it keeps the scanned values, and only the odd children
+      are scanned in float;
+    * a cell leaves the active set once its float reach exceeds the level
+      minimum by E + reach_err.  Every point y of the cell then has
+      h(y) >= its exact reach > level minimum + E, which is at least the
+      exact grid minimum, so dropped cells cannot change the maximum at
+      any later level.  The point attaining the minimum stays, since its
+      reach is at most its h.  An even child's cell lies inside its
+      parent's, so its reach, taken at the child's radius, still holds.
 
-    ``upper`` is 1/B for B the least exact reach h(x) - r S(x) over the
-    active cells of the final level, where S(x) = min(s(x) + d^2 r, d)
-    is the exact slope bound of ``_cell_slope`` and
-    s = max(|f'|, |f''|/d) / ||f||_1.  Why h >= B on all of [-1, 1]:
+    ``upper`` is 1/B for B the least exact reach over the active cells of
+    the final level.  Why h >= B on all of [-1, 1]:
 
-    * on an active cell, h >= its reach >= B (``_cell_slope``);
+    * on an active cell, h >= its reach >= B;
     * the exact grid minimum G of the level is attained at an active
       point, and its reach is at most G, so B <= G;
     * a cell dropped at an earlier level l lies above m_l + E, and
@@ -223,28 +307,18 @@ def global_condition_bracket(
       dropped cells do not.
 
     B is a rational; ``upper`` is the least float >= 1/B, so rounding
-    never makes it smaller, and +inf when B <= 0.
+    never makes it smaller, and +inf when B <= 0.  The exact reach is
+    evaluated only for the cells whose float reach is within 2 reach_err
+    of the least float reach, which include the cell of least exact reach,
+    and only where it can stop the loop: when the bound least float reach
+    + reach_err >= B could meet the tolerance (with the slack ``_SAFETY``
+    for rounding), and at the last level the budget allows.
 
-    The float reach chooses which cells are evaluated exactly.  Its error
-    budget: hf is within E of h; the scanned slope, with its budget
-    d^2 E added, is at least s and at most s + (d^2 + d) E + 2 d u, so L
-    is at least S and r (L - S) is below (d + 2) E / 8 + 2^-33 for
-    r <= 1/(8 d) (the second term is the 2^-30 rounding-up of
-    ``_cell_slope``); r is a power of two and the reach's one subtraction
-    rounds by at most u < E / 8.  The float reach is thus at most
-    E + E/8 above the exact one and at most (11/8 + d/8) E + 2^-33 below
-    it, and every cell whose float reach is within
-    reach_err = (3 + d/4) E + 2^-32 of the least float reach is
-    evaluated: the cell of least exact reach is among them, and B is at
-    most the least float reach plus reach_err.  The exact reach is
-    computed only where it can stop the loop, that is when that bound on
-    B could meet the tolerance (with the slack ``_SAFETY`` for rounding),
-    and at the last level the budget allows.
-
-    Floats thus decide the active set as well as the exact evaluations.
-    Two float evaluators within the budget E can keep different cells
-    only where a cell's exact reach lies within 5E + d E/8 + 2^-33 of the
-    level's grid minimum, so every field is a function of exact
+    Floats thus decide the active set, and nothing else: ``lower``, B and
+    the stopping level are functions of the exact values over it.  Two
+    float evaluators within the budget E can keep different cells only
+    where a cell's exact reach lies between a level's exact grid minimum G
+    and G + 2E + 2 reach_err, so every field is a function of exact
     arithmetic unless such a coincidence occurs; the tests check the
     fields under a second evaluator.
     """
@@ -256,35 +330,25 @@ def global_condition_bracket(
     if d == 0:
         return ConditionBracket(1.0, 1.0, 1, 2.0, True)
 
-    table = _scan_table(f)
     coeffs, norm = f.coeffs, f.one_norm()
+    table = _scan_table(coeffs, norm)
+    scale = math.factorial(_ORDER + 1) * d * norm  # c of ``_reach``
     err = (4.0 * d + 16.0) * 2.0**-53  # the budget E of ``_scan``
-    # d |f'/d| and |f''/d| (over ||f||_1) are each off by at most d E,
-    # well inside the slope budget d^2 E
-    slope_err = d * d * err
-    reach_err = (3.0 + d / 4.0) * err + 2.0**-32
 
     def scan(ks: np.ndarray, level: int) -> np.ndarray:
-        """Columns: the scanned h and the slope at the point, both over
-        ||f||_1, the slope with its float budget."""
-        values = np.abs(_scan(table, ks.astype(float) * 2.0**-level))
-        cells = np.empty((ks.size, 2))
-        np.maximum(values[:, 0], values[:, 1], out=cells[:, 0])
-        np.maximum(d * values[:, 1], values[:, 2], out=cells[:, 1])
-        cells[:, 1] += slope_err
-        return cells
+        return np.abs(_scan(table, ks.astype(float) * 2.0**-level))
 
     evaluated = {}  # x -> ``_exact_values`` at x, for every point evaluated
 
-    def exact(k: int, level: int) -> tuple[int, int, int]:
+    def exact(k: int, level: int) -> tuple[int, list[int]]:
         x = k * 2.0**-level
         if x not in evaluated:
-            evaluated[x] = _exact_values(coeffs, norm, k, level)
+            evaluated[x] = _exact_values(coeffs, k, level)
         return evaluated[x]
 
-    level = max(2, (4 * d - 1).bit_length())
+    level = _first_level(d)
     ks = np.arange(-(1 << level), (1 << level) + 1, dtype=np.int64)
-    cells = scan(ks, level)
+    values = scan(ks, level)
     levels, scanned = 1, ks.size
     lower = 0.0
 
@@ -292,19 +356,23 @@ def global_condition_bracket(
         grid_size = (1 << (level + 1)) + 1
         delta = 2.0**-level
         radius = delta / 2.0
-        inv_cond = cells[:, 0]
+        inv_cond = np.maximum(values[:, 0], values[:, 1])
         level_min = float(inv_cond.min())
         for idx in np.nonzero(inv_cond <= level_min + 2.0 * err)[0]:
-            inv, _, den = exact(int(ks[idx]), level)
-            lower = max(lower, _local_condition(inv, den))
+            lower = max(lower, _local_condition(exact(int(ks[idx]), level), d, norm))
 
-        reach = inv_cond - _cell_slope(cells[:, 1], d, radius) * radius
+        reach = _float_reach(values, inv_cond, d, radius)
+        reach_err = err * math.exp(d * radius) + 2.0**-46
         least = float(reach.min()) + reach_err  # at least B
         last = (1 << (level + 2)) + 1 > max_grid
         upper = math.inf
         if math.isfinite(lower) and least > 0 and (last or least * (1.0 + rel_tol) * lower * _SAFETY >= 1.0):
-            bound = min(_reach(exact(int(ks[idx]), level), d, level + 1) for idx in np.nonzero(reach <= least)[0])
-            upper = _round_up_reciprocal(bound)
+            reaches = [
+                _reach(exact(int(ks[idx]), level), d, norm, level + 1)
+                for idx in np.nonzero(reach <= least + reach_err)[0]
+            ]
+            shift = max(s for _, s in reaches)
+            upper = _round_up_quotient(scale << shift, min(a << (shift - s) for a, s in reaches))
         work = (levels, scanned, len(evaluated))
         if math.isfinite(upper) and upper <= (1.0 + rel_tol) * lower:
             return ConditionBracket(lower, upper, grid_size, delta, True, *work)
@@ -312,29 +380,15 @@ def global_condition_bracket(
             # report the last evaluated grid
             return ConditionBracket(lower, upper, grid_size, delta, False, *work)
 
-        keep = reach <= level_min + 2.0 * err
-        ks, cells = ks[keep], cells[keep]
+        keep = reach <= level_min + err + reach_err
+        ks, values = ks[keep], values[keep]
         level += 1
         ks, odd = _children(ks, level)
-        parents, cells = cells, np.empty((ks.size, 2))
-        cells[odd] = scan(ks[odd], level)
-        cells[~odd] = parents
+        parents, values = values, np.empty((ks.size, values.shape[1]))
+        values[odd] = scan(ks[odd], level)
+        values[~odd] = parents
         levels += 1
         scanned += int(odd.sum())
-
-
-def _cell_slope(slope: np.ndarray, d: int, radius: float) -> np.ndarray:
-    """Slope bound of 1/cond over the cells of ``radius`` around points
-    whose scanned slope, float budget included, is ``slope``.
-
-    With h = max(|f|, |f'|/d) / ||f||_1, |h(y) - h(x)| is at most |y - x|
-    times the largest max(|f'|, |f''|/d) / ||f||_1 between x and y.  Since
-    ||f^(k+1)||_1 <= d ||f^(k)||_1, |f'(y)| <= |f'(x)| + r d^2 ||f||_1 and
-    |f''(y)|/d <= |f''(x)|/d + r d^2 ||f||_1 for |y - x| <= r, so over the
-    cell the slope exceeds its value at x by at most d^2 r.  The result is
-    rounded up and never above the global slope d.
-    """
-    return np.minimum((slope + d * d * radius) * _SAFETY, d)
 
 
 def _children(ks: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -361,16 +415,28 @@ def _children(ks: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
     return out, (out & 1) == 1
 
 
-def _scan_table(f: IntPolynomial) -> np.ndarray:
-    """The (d+1) x 3 table whose row j holds the coefficients of x^j in
-    f, f'/d and f''/d, each divided by ||f||_1 and correctly rounded (one
-    integer true division each).  Its columns have 1-norms of at most 1,
-    1 and d - 1."""
-    c, d, norm = f.coeffs, f.degree, f.one_norm()
-    table = np.zeros((d + 1, 3))
-    table[:, 0] = [ck / norm for ck in c]
-    table[:-1, 1] = [k * c[k] / (d * norm) for k in range(1, d + 1)]
-    table[:-2, 2] = [k * (k - 1) * c[k] / (d * norm) for k in range(2, d + 1)]
+def _scan_table(coeffs: tuple, norm: int) -> np.ndarray:
+    """The (d+1) x (K+2) table whose row j, column k holds the coefficient
+    of x^j in f^(k) / (d^k ||f||_1), k = 0..K+1, for f of degree d >= 1
+    with coefficients ``coeffs`` and 1-norm ``norm``.
+
+    Column 0 is correctly rounded: one integer true division per entry,
+    or one float division where the norm, and so every coefficient, is an
+    exact float.  Column k is column k-1 shifted up one row, its row j
+    times (j+1)/d (x^(j+1) differentiates to (j+1) x^j): two roundings per
+    column.  So an entry of column k is within gamma_(2k+1) of its exact
+    value (gamma_n = n u / (1 - n u), u = 2^-53), and the exact column has
+    a 1-norm of at most 1, since ||f^(k)||_1 <= d^k ||f||_1.
+    """
+    d = len(coeffs) - 1
+    table = np.zeros((d + 1, _ORDER + 2))
+    if norm <= 1 << 53:
+        np.divide(np.array(coeffs, dtype=float), norm, out=table[:, 0])
+    else:
+        table[:, 0] = [c / norm for c in coeffs]
+    steps = np.arange(1, d + 1) / d
+    for k in range(1, min(_ORDER + 1, d) + 1):
+        np.multiply(table[1 : d + 2 - k, k - 1], steps[: d + 1 - k], out=table[: d + 1 - k, k])
     return table
 
 
@@ -386,12 +452,11 @@ def _scan(table: np.ndarray, xs: np.ndarray) -> np.ndarray:
     columns, then takes one matrix product with ``table``.
 
     Error budget, at |x| <= 1 and d + 1 table rows, for the table built
-    by ``_scan_table``: each value is within E S of the exact value of
-    the unrounded column, where E = (4d + 16) u, u = 2^-53, and S >= 1
-    bounds the column's 1-norm (1 for f and f'/d, d - 1 for f''/d, all
-    over ||f||_1).
+    by ``_scan_table``: each value is within E of the exact value of its
+    unrounded column, where E = (4d + 16) u and u = 2^-53 (every column
+    has a 1-norm of at most 1).
 
-    * The table's entries round once each: u S.
+    * The table's entries are within gamma_(2K+3) of their exact values.
     * Each power x^j is the product of two earlier ones, and the chain
       behind it holds at most j - 1 roundings, so it is within gamma_j of
       x^j, gamma_n = n u / (1 - n u).
@@ -399,10 +464,10 @@ def _scan(table: np.ndarray, xs: np.ndarray) -> np.ndarray:
       sum of its products, in any summation order and with or without
       fused multiply-adds.
     * Gradual underflow in the table, the powers and the products adds
-      less than (2d + 2) S 2^-1074 in all.
+      less than (2d + 2K + 6) 2^-1074 in all.
 
-    Together that is below (2d + 3) u S + (2d + 2) S 2^-1074 for
-    d <= 2^20, well inside E S.
+    Together that is below (2d + 2K + 5) u = (2d + 15) u for d <= 2^20,
+    inside E.
     """
     n = table.shape[0]
     out = np.empty((xs.size, table.shape[1]))

@@ -167,21 +167,22 @@ class TestAnalyze:
     # leave these digests unchanged, and only a change to what the bracket
     # or the cover certifies may move them.
     GOLDEN = {
-        "quadratic": (("-1 0 4",), "bc0da2352d16ec7e1203543eba964eca099914c4a222974529158b650a8add2b"),
-        "degree-one": (("0 1",), "d5e36b20fedccd7149ca5cff5c013f4b696e153936d4d41b82921f573a5f7c8d"),
+        "quadratic": (("-1 0 4",), "7b3f188e0596072cf648b3bff40d7c18a91140dc7ad2a08734e36ee79a0e022d"),
+        "degree-one": (("0 1",), "78a5c6cd66bcfe4647ee89a0a0569cb450b00e0abb3ee60927685c862430e35d"),
         "double-root": (("1 -4 4",), "ff5f241b30e17b2b4a8845d160085f2fc3e88881d5fa4757bedac301d2f78542"),
         # roots 1/2, -3/4, 5/8, -1 and 0, all dyadic grid points
-        "dyadic-roots": (("0 15 -19 -58 40 64",), "f029484735269ff8a2dc7a5c24c8a4186350255a2f9d6c4bce6373b4ec9a5a78"),
-        "uniform-0": ((_uniform_64(0),), "1376ef8b9dfae01fe15b129d007d1dba69ef133a7e36146466814503a86db637"),
-        "uniform-1": ((_uniform_64(1),), "53a218b755f7b0682d0a632e85e17bd02a53f93af5d0ef79ddef2e9042d0f0b9"),
-        "uniform-2": ((_uniform_64(2),), "a1b86b4987dfe329cec52b6445d14ea378179e56013d816061320478764407aa"),
-        "uniform-3": ((_uniform_64(3),), "7915f5206a62f339372d397dd81468f3747962284e7a1e465f0f6ffec442a487"),
-        "uniform-4": ((_uniform_64(4),), "15040abc217c2f7371d02bc9ff2bb2dcb296d259895c33de7b89603a648a1a62"),
-        "uniform-5": ((_uniform_64(5),), "5580a80b527751c2e0c0f375760de118f0fcf0196b280ce8c101365f5bf55528"),
-        # the grid budget runs out: achieved is false
+        "dyadic-roots": (("0 15 -19 -58 40 64",), "70134a54ed0c36959ecb4bc3e981ca68caafd2f55708929ee1ae4afd84d66383"),
+        "uniform-0": ((_uniform_64(0),), "cfd4341871149c89da26819e72e86ab16c8e954ed4cd852b77f31cfb8e82fb69"),
+        "uniform-1": ((_uniform_64(1),), "df5360f4dde1bc3a0beeb393148abde2112415a6c1fe53efb0d151d755b9924c"),
+        "uniform-2": ((_uniform_64(2),), "be885ed3019ab7703caf5dfeae332fcdaf084bf84a50b07af27267f81cec1d87"),
+        "uniform-3": ((_uniform_64(3),), "c6c04740eda398dc260397ff45745e2abd8426d15ae9283255ea003324b3910f"),
+        "uniform-4": ((_uniform_64(4),), "2734fa1065c6566cb5c869d9023219cd790d6e8fed9a62760d9de2372d591f59"),
+        "uniform-5": ((_uniform_64(5),), "028afb508e27589be32af6610dc2148218385bfc269468995d97cb03d050a97b"),
+        # the grid budget runs out before the tolerance is met: achieved is
+        # false, with a finite upper end
         "uniform-0-small-grid": (
-            (_uniform_64(0), "--max-grid", "2048"),
-            "23a8c3822ce9326c11a8eef57b9cd57a9cc090c3b24c1e734bf88ef6188a6e6a",
+            (_uniform_64(0), "--max-grid", "2048", "--rel-tol", "0.01"),
+            "00f0f172b0bcd99fa46a414e1231692cbfc7109a9db439c8daffebb53fb1945c",
         ),
     }
 
@@ -309,12 +310,12 @@ class TestExperimentCommand:
     # leave these digests unchanged.
     GOLDEN = {
         ("steps", "--d-list", "4,8", "--trials", "6", "--bitsize", "12", "--max-grid", "4096"): {
-            "steps_scaling.csv": "8cd8a4a864ea7e62c053ad3d3c6e3c0a182dbffb49899d5995aaf457eefcf177",
-            "steps_scaling.json": "181bf150bb978ceca745b3e738e3dcb5979ebda6c030a7884c0f60720e8ee3ef",
+            "steps_scaling.csv": "0b7c79b77822dacd05448b94ffafcc3923223575ea6a0b2daf0b3fa4c8ce5872",
+            "steps_scaling.json": "ff547fb09744fd4eb8b989e8b12d7fd8405b197ac8d1584724437d5ceadfb19d",
         },
         ("cond-tail", "--degree", "8", "--bitsize", "16", "--trials", "8", "--max-grid", "4096"): {
-            "cond_tail.csv": "6040810a4791b893fa237ff068ec9c983cf96f6b20af72dc08595d8db6bd3b9f",
-            "cond_tail.json": "12a1e80aa673f46f94c9992910dff08f3c2cc5468b75d2df4ed4ac91c54d6f28",
+            "cond_tail.csv": "c11bf9c3157cbb335a12aae23569a0dc4d25ea20b55afce7e7a15bb3f8218220",
+            "cond_tail.json": "d2f5161d73e6a9b7e3b8a6e9c300c920b33e144831f0526d6eef92b949a7b472",
         },
         ("cond-tail-local", "--degree", "8", "--bitsize", "15", "--trials", "8"): {
             "cond_tail_local.csv": "870805c1225fe98855da6fb54ade0ce0e30f8d2b4888a3eeb0c31750d058e75c",
@@ -328,8 +329,8 @@ class TestExperimentCommand:
             "instance-bound", "--degree", "8", "--bitsize", "16", "--trials", "8",
             "--max-grid", "16384",
         ): {
-            "instance_bound.csv": "f1d005e4fe26bf393f419840e4d1a211bf0d09a201ac2e7c35c9001822f35ad2",
-            "instance_bound.json": "d4dccb5a753cad894ba499e3bd33a32e359771e572be3c138dfebbb3b28153b4",
+            "instance_bound.csv": "e8936da7c84911684fea2f8f815f4ec260b79112d2212c4b78b3dc31aa99d56f",
+            "instance_bound.json": "186ef776143297a64db203c0e7a57bc77ec4fd6ec25a4cb995b602fab7069523",
         },
     }
 
