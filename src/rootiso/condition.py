@@ -6,30 +6,30 @@ global condition is its maximum over the closed interval [-1, 1].  The
 bracket scans dyadic grids for it (Tonelli-Cueto and Tsigaridas,
 "Condition numbers for the cube. I", ISSAC 2020, give the grid method and
 the bound d on the slope of h = 1/cond), and bounds h from below over the
-cell |y - x| <= r of each grid point x by the cell's reach, the larger of
-two exact lower bounds:
+cell |y - x| <= r of each grid point x by the cell's reach: the larger of
+order-K Taylor models (K = ``_ORDER``) of |f| and of |f'|/d with a
+rigorous remainder (Makino and Berz, "Taylor models and other validated
+functional inclusion methods", 2003; the centred forms of Neumaier,
+"Interval methods for systems of equations", 1990).  By Taylor's theorem
+with the Lagrange remainder, for y in the cell and in [-1, 1],
 
-* an order-K Taylor model (K = ``_ORDER``) of f and of f'/d with a
-  rigorous remainder (Makino and Berz, "Taylor models and other validated
-  functional inclusion methods", 2003; the centred forms of Neumaier,
-  "Interval methods for systems of equations", 1990).  By Taylor's theorem
-  with the Lagrange remainder, for y in the cell and in [-1, 1],
+    |f(y)| >= |f(x)| - sum_{k=1..K} |f^(k)(x)| r^k / k!
+              - max |f^(K+1)| r^(K+1) / (K+1)!,
 
-      |f(y)| >= |f(x)| - sum_{k=1..K} |f^(k)(x)| r^k / k!
-                - max |f^(K+1)| r^(K+1) / (K+1)!,
+and max |f^(K+1)| over [-1, 1] is at most ||f^(K+1)||_1 <= d^(K+1) ||f||_1,
+since each derivative grows the 1-norm by at most a factor d.  The same
+holds for f'/d, one derivative up, with the same remainder.  Over ||f||_1
+a term of order k is at most (d r)^k / k!, and the remainder
+(d r)^(K+1) / (K+1)! is below 2^-15 at d r <= 1/2.
 
-  and max |f^(K+1)| over [-1, 1] is at most ||f^(K+1)||_1 <= d^(K+1) ||f||_1,
-  since each derivative grows the 1-norm by at most a factor d.  The same
-  holds for f'/d, one derivative up, with the same remainder.  Over
-  ||f||_1 a term of order k is at most (d r)^k / k!, and the remainder
-  (d r)^(K+1) / (K+1)! is below 2^-15 at d r <= 1/2, where the
-  first-order drift below is (d r)^2;
-* the first-order bound h(x) - r min(s(x) + d^2 r, d), with
-  s = max(|f'|, |f''|/d) / ||f||_1 the slope of h at x and d^2 r its drift
-  over the cell.  Kept in the maximum, it makes the reach never smaller
-  than this bound.  It is the larger one only where the slope's cap at d
-  binds and the derivatives come near their 1-norm bounds, so that the
-  Taylor terms add up to more than d r: at x = +-1 for f = x^d, say.
+The first-order bound of the same papers, h(x) - r min(s(x) + d^2 r, d)
+with s = max(|f'|, |f''|/d) / ||f||_1 the slope of h at x, is not used:
+the Taylor model is at least as large wherever the slope's cap at d does
+not bind (``global_condition_bracket``), and the cap binds only where
+|f'(x)|/d or |f''(x)|/d^2 exceeds ||f||_1 (1 - d r) >= ||f||_1 / 2, as at
+x = +-1 for f = x^d.  On the ``mc-steps`` mix, the ``analyze`` corpus,
+the CLI goldens and the ``scripts/bench_bracket.py`` inputs no cell's
+first-order bound exceeds its Taylor model.
 
 The reach does both jobs of the bracket: it prunes the grid scan (a cell
 whose reach lies above the level minimum leaves the active set) and it
@@ -139,16 +139,16 @@ def _local_condition(values: tuple[int, list[int]], d: int, norm: int) -> float:
 def _reach(values: tuple[int, list[int]], d: int, norm: int, m: int) -> tuple[int, int]:
     """(A, s) such that A / (c 2^s), c = (K+1)! d ||f||_1, is the exact
     reach of the cell of radius r = 2^-m around x, given
-    ``_exact_values`` at x: the larger of the Taylor model's and the
-    first-order lower bound of 1/cond over the cell (module docstring).
+    ``_exact_values`` at x: the Taylor model's lower bound of 1/cond over
+    the cell (module docstring).
 
     With T and q = 2^e from ``_exact_values``, f^(k)(x) r^k / k! is
     T_k q^k / (q^d 2^(mk)).  So over the denominator d ||f||_1 q^d 2^(mK)
     the model of |f| is d (|T_0| 2^(mK) - sum_k |T_k| q^k 2^(m(K-k))) and
     that of |f'|/d is |T_1| q 2^(mK) - sum_k (k+1) |T_(k+1)| q^(k+1)
-    2^(m(K-k)), the sums over k = 1..K.  The larger of the two, the
-    remainder d^(K+1) r^(K+1) / (K+1)! and the first-order bound are
-    brought to the common denominator c q^d 2^(m(K+1)); no gcd is taken.
+    2^(m(K-k)), the sums over k = 1..K.  The larger of the two and the
+    remainder d^(K+1) r^(K+1) / (K+1)! are brought to the common
+    denominator c q^d 2^(m(K+1)); no gcd is taken.
     """
     e, taylor = values
     order = _ORDER
@@ -160,30 +160,19 @@ def _reach(values: tuple[int, list[int]], d: int, norm: int, m: int) -> tuple[in
         model_g -= ((k + 1) * t[k + 1]) << (e * (k + 1) + m * (order - k))
     fact = math.factorial(order + 1)
     den = (d * norm) << (e * d)
-    taylor_reach = ((fact * max(d * model_f, model_g)) << m) - d ** (order + 1) * den
-    inv = max(d * t[0], t[1] << e)
-    slope = max((d * t[1]) << e, t[2] << (2 * e + 1))
-    first = (inv << (2 * m)) - min((slope << m) + d * d * den, (d * den) << m)
-    return max(taylor_reach, (fact * first) << (m * (order - 1))), e * d + m * (order + 1)
+    return ((fact * max(d * model_f, model_g)) << m) - d ** (order + 1) * den, e * d + m * (order + 1)
 
 
-def _float_reach(values: np.ndarray, inv_cond: np.ndarray, d: int, radius: float) -> np.ndarray:
+def _float_reach(values: np.ndarray, d: int, radius: float) -> np.ndarray:
     """The reach of each cell of ``radius`` from the absolute scanned
-    columns ``values`` (``_scan_table``) and the scanned 1/cond
-    ``inv_cond``: the float counterpart of ``_reach``, within reach_err of
-    it (``global_condition_bracket``)."""
+    columns ``values`` (``_scan_table``): the float counterpart of
+    ``_reach``, within reach_err of it (``global_condition_bracket``)."""
     t = d * radius
     weights = [t**k / math.factorial(k) for k in range(1, _ORDER + 2)]
     # the Taylor terms of f (column 0) and of f'/d (column 1), k = 1..K
     models = np.zeros((_ORDER + 1, 2))
     models[:-1, 0] = models[1:, 1] = weights[:-1]
-    taylor = (values[:, :2] - values[:, 1:] @ models).max(axis=1)
-    taylor -= weights[-1]
-    slope = np.maximum(values[:, 1], values[:, 2])
-    slope *= d
-    slope += d * t
-    np.minimum(slope, d, out=slope)
-    return np.maximum(taylor, inv_cond - radius * slope)
+    return (values[:, :2] - values[:, 1:] @ models).max(axis=1) - weights[-1]
 
 
 def _round_up_quotient(num: int, den: int) -> float:
@@ -253,25 +242,24 @@ def global_condition_bracket(
     delta for the spacing, r = delta/2 for the radius of a grid point's
     cell and t = d r <= 1/2.
 
-    The reach of a cell is the larger of its order-K Taylor model and its
-    first-order bound (module docstring; ``_reach`` exactly,
-    ``_float_reach`` in floats).  In the scaled Taylor coefficients
-    c_k = f^(k)(x) / (d^k ||f||_1) it reads
+    The reach of a cell is its order-K Taylor model (module docstring;
+    ``_reach`` exactly, ``_float_reach`` in floats).  In the scaled
+    Taylor coefficients c_k = f^(k)(x) / (d^k ||f||_1) it reads
 
         max(|c_0| - sum_k |c_k| w_k, |c_1| - sum_k |c_(k+1)| w_k) - w_(K+1),
 
-    with w_k = t^k / k! and k = 1..K, and the first-order bound is
-    max(|c_0|, |c_1|) - r min(d max(|c_1|, |c_2|) + d t, d).  Since every
-    |c_k| <= 1, the Taylor terms past the first sum to at most
-    e^t - 1 - t < t^2, below the first-order drift t^2, so the Taylor
-    model is the larger unless the slope's cap at d binds; the first-order
-    bound stays in the maximum for those cells (f = x^d at +-1).
+    with w_k = t^k / k! and k = 1..K.  Since every |c_k| <= 1, the terms
+    past the first, the remainder included, sum to at most
+    e^t - 1 - t < t^2.  So the reach is at least the first-order bound
+    max(|c_0|, |c_1|) - r (d max(|c_1|, |c_2|) + d t) = h - t max(|c_1|,
+    |c_2|) - t^2, whose drift t^2 is d^2 r over the cell; only where that
+    bound's slope is capped at d, at max(|c_1|, |c_2|) + t > 1, can the
+    first-order bound be the larger.
 
     The float scan carries the budget E of ``_scan`` on each c_k.  So the
-    float Taylor term is within E (1 + sum_k w_k) < E e^t of the exact one,
-    the float first-order term within E + r d E = E (1 + t) <= E e^t, and
-    the rounding of either computation adds less than 2^-46: every float
-    reach lies within reach_err = E e^t + 2^-46 of the exact reach.
+    float Taylor term is within E (1 + sum_k w_k) < E e^t of the exact
+    one, and its rounding adds less than 2^-46: every float reach lies
+    within reach_err = E e^t + 2^-46 of the exact reach.
 
     ``lower`` is the exact maximum of the condition over the final grid.
     Three devices keep that affordable without changing it:
@@ -361,7 +349,7 @@ def global_condition_bracket(
         for idx in np.nonzero(inv_cond <= level_min + 2.0 * err)[0]:
             lower = max(lower, _local_condition(exact(int(ks[idx]), level), d, norm))
 
-        reach = _float_reach(values, inv_cond, d, radius)
+        reach = _float_reach(values, d, radius)
         reach_err = err * math.exp(d * radius) + 2.0**-46
         least = float(reach.min()) + reach_err  # at least B
         last = (1 << (level + 2)) + 1 > max_grid
@@ -420,9 +408,8 @@ def _scan_table(coeffs: tuple, norm: int) -> np.ndarray:
     of x^j in f^(k) / (d^k ||f||_1), k = 0..K+1, for f of degree d >= 1
     with coefficients ``coeffs`` and 1-norm ``norm``.
 
-    Column 0 is correctly rounded: one integer true division per entry,
-    or one float division where the norm, and so every coefficient, is an
-    exact float.  Column k is column k-1 shifted up one row, its row j
+    Column 0 is correctly rounded: one integer true division per entry.
+    Column k is column k-1 shifted up one row, its row j
     times (j+1)/d (x^(j+1) differentiates to (j+1) x^j): two roundings per
     column.  So an entry of column k is within gamma_(2k+1) of its exact
     value (gamma_n = n u / (1 - n u), u = 2^-53), and the exact column has
@@ -430,10 +417,7 @@ def _scan_table(coeffs: tuple, norm: int) -> np.ndarray:
     """
     d = len(coeffs) - 1
     table = np.zeros((d + 1, _ORDER + 2))
-    if norm <= 1 << 53:
-        np.divide(np.array(coeffs, dtype=float), norm, out=table[:, 0])
-    else:
-        table[:, 0] = [c / norm for c in coeffs]
+    table[:, 0] = [c / norm for c in coeffs]
     steps = np.arange(1, d + 1) / d
     for k in range(1, min(_ORDER + 1, d) + 1):
         np.multiply(table[1 : d + 2 - k, k - 1], steps[: d + 1 - k], out=table[: d + 1 - k, k])

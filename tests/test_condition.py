@@ -63,8 +63,7 @@ class TestBracket:
         # cond(x, .) == 1 everywhere.  On the first grid (spacing 1/4,
         # r = 1/8) the Taylor model of f'/d = 1 is exact but for its
         # remainder d^6 r^6 / 6!, so the reach of every cell is
-        # 1 - r^6/720; the first-order reach, 1 - r min(1 + r, d) = 1 - r,
-        # is smaller.  upper is the least float >= 1/(1 - r^6/720).
+        # 1 - r^6/720.  upper is the least float >= 1/(1 - r^6/720).
         br = global_condition_bracket(poly(0, 1), rel_tol=0.25)
         assert br.lower == 1.0
         assert br.achieved and br.levels == 1 and br.delta == 0.25
@@ -245,14 +244,13 @@ def _exact_taylor(f, x):
     return [abs(g.evaluate_fraction(x)) / (d**k * norm) for k, g in enumerate(_derivatives(f))]
 
 
-def _cell_reach(c, d, radius, order=_ORDER, remainder=True, first_order=True):
+def _cell_reach(c, d, radius, order=_ORDER, remainder=True):
     """The reach of the cell of ``radius`` around a point with scaled
     Taylor coefficients ``c`` (``_exact_taylor``; Fractions or float
     columns): the larger of the order-K Taylor models of |f| and |f'|/d,
-    less the remainder (d r)^(K+1)/(K+1)!, and the first-order bound
-    1/cond - r min(s + d^2 r, d), s = max(|f'|, |f''|/d) / ||f||_1.
-    ``remainder`` and ``first_order`` False leave those terms out."""
-    hi, lo = (np.maximum, np.minimum) if isinstance(c[0], np.ndarray) else (max, min)
+    less the remainder (d r)^(K+1)/(K+1)!; ``remainder`` False leaves the
+    remainder out."""
+    hi = np.maximum if isinstance(c[0], np.ndarray) else max
     t = d * radius
     weights = [t**k / math.factorial(k) for k in range(1, order + 1)]
     taylor = hi(
@@ -261,14 +259,12 @@ def _cell_reach(c, d, radius, order=_ORDER, remainder=True, first_order=True):
     )
     if remainder:
         taylor = taylor - t ** (order + 1) / math.factorial(order + 1)
-    if not first_order:
-        return taylor
-    return hi(taylor, hi(c[0], c[1]) - radius * lo(d * hi(c[1], c[2]) + d * t, d))
+    return taylor
 
 
-def _exact_reach(f, x, radius, order=_ORDER, remainder=True, first_order=True):
+def _exact_reach(f, x, radius, order=_ORDER, remainder=True):
     """The reach of the cell of ``radius`` around x, exactly."""
-    return _cell_reach(_exact_taylor(f, x), f.degree, radius, order, remainder, first_order)
+    return _cell_reach(_exact_taylor(f, x), f.degree, radius, order, remainder)
 
 
 def _cond(h):
@@ -439,7 +435,7 @@ class TestScan:
         # margin check above must see a prune by it drop cells it may not
         kept = _record_kept(monkeypatch)
 
-        def reach_without_remainder(values, inv_cond, d, radius):
+        def reach_without_remainder(values, d, radius):
             return _cell_reach(values.T, d, radius, order=1, remainder=False)
 
         monkeypatch.setattr(condition_mod, "_float_reach", reach_without_remainder)
@@ -651,23 +647,21 @@ class TestUpperBound:
         violations = _reach_violations(f, condition_mod._first_level(f.degree), reach_without_remainder)
         assert violations == list(range(8, 15))
 
-    def test_first_order_reach_where_the_slope_cap_binds(self):
+    def test_cell_reach_contains_cell_minimum_where_the_slope_cap_binds(self):
         # f = x^20 at x = +-1: every scaled derivative is near its 1-norm
-        # bound, so the Taylor terms add up to more than d r, while the
-        # first-order slope is capped at d; the first-order reach
-        # 1 - d r = 11/16 is the cell's reach there and nowhere else
+        # bound, so the Taylor terms add up to more than d r, and the
+        # first-order bound 1 - d r = 11/16, whose slope is capped at d,
+        # lies above the cell's reach; the reach is still a bound there and
+        # on every other cell, on the first grid and the next, and equals
+        # the reference on each cell of the first
         f = poly(*([0] * 20 + [1]))
         level = condition_mod._first_level(f.degree)
+        for finer in (0, 1):
+            assert _reach_violations(f, level + finer) == [], finer
         radius = Fraction(1, 1 << (level + 1))
         for k in range(-(1 << level), (1 << level) + 1):
-            x = Fraction(k, 1 << level)
-            taylor_only = _exact_reach(f, x, radius, remainder=True, first_order=False)
-            reach = _library_reach(f, k, level)
-            assert reach == _exact_reach(f, x, radius)
-            if abs(k) == 1 << level:
-                assert reach == Fraction(11, 16) > taylor_only
-            else:
-                assert reach == taylor_only
+            assert _library_reach(f, k, level) == _exact_reach(f, Fraction(k, 1 << level), radius)
+        assert 0 < _library_reach(f, 1 << level, level) < Fraction(11, 16)
 
     def test_upper_contains_refined_scan(self):
         # random inputs, products with a near-double root, Chebyshev
