@@ -22,15 +22,6 @@ holds for f'/d, one derivative up, with the same remainder.  Over ||f||_1
 a term of order k is at most (d r)^k / k!, and the remainder
 (d r)^(K+1) / (K+1)! is below 2^-15 at d r <= 1/2.
 
-The first-order bound of the same papers, h(x) - r min(s(x) + d^2 r, d)
-with s = max(|f'|, |f''|/d) / ||f||_1 the slope of h at x, is not used:
-the Taylor model is at least as large wherever the slope's cap at d does
-not bind (``global_condition_bracket``), and the cap binds only where
-|f'(x)|/d or |f''(x)|/d^2 exceeds ||f||_1 (1 - d r) >= ||f||_1 / 2, as at
-x = +-1 for f = x^d.  On the ``mc-steps`` mix, the ``analyze`` corpus,
-the CLI goldens and the ``scripts/bench_bracket.py`` inputs no cell's
-first-order bound exceeds its Taylor model.
-
 The reach does both jobs of the bracket: it prunes the grid scan (a cell
 whose reach lies above the level minimum leaves the active set) and it
 certifies the upper end (the least reach over the active cells bounds h
@@ -72,7 +63,9 @@ _ONE = Dyadic(1)
 # the order K of a cell's Taylor model
 _ORDER = 5
 # the slack of the float test of whether a level's exact upper end can
-# meet the tolerance
+# meet the tolerance, so that rounding never skips a level that stops; the
+# test skips the exact reach at 6 of the 14 levels of uniform d = 512
+# samples 0-7, though their times stay within 2 % (Python 3.11, 2-vCPU VM)
 _SAFETY = 1.0 + 2.0**-30
 
 
@@ -252,9 +245,12 @@ def global_condition_bracket(
     past the first, the remainder included, sum to at most
     e^t - 1 - t < t^2.  So the reach is at least the first-order bound
     max(|c_0|, |c_1|) - r (d max(|c_1|, |c_2|) + d t) = h - t max(|c_1|,
-    |c_2|) - t^2, whose drift t^2 is d^2 r over the cell; only where that
-    bound's slope is capped at d, at max(|c_1|, |c_2|) + t > 1, can the
-    first-order bound be the larger.
+    |c_2|) - t^2, whose drift t^2 is d^2 r over the cell.  That bound, with
+    its slope capped at d, is not used: only where the cap binds, at
+    max(|c_1|, |c_2|) + t > 1, as at x = +-1 for f = x^d, can it be the
+    larger, and on the ``mc-steps`` mix, the ``analyze`` corpus, the CLI
+    goldens and the ``scripts/bench_bracket.py`` inputs no cell's
+    first-order bound exceeds its Taylor model.
 
     The float scan carries the budget E of ``_scan`` on each c_k.  So the
     float Taylor term is within E (1 + sum_k w_k) < E e^t of the exact
@@ -385,20 +381,13 @@ def _children(ks: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
     odd ones.
 
     Point a has the children 2a - 1, 2a, 2a + 1.  Laid out row by row they
-    are sorted, and the only repeats are 2a_i + 1 = 2a_(i+1) - 1 where
-    a_(i+1) - a_i = 1; the left one of each pair is dropped, and so are
-    the two children past -1 and 1.  The even child 2a is the point a
+    are sorted, so an entry is kept when it lies in [-2^level, 2^level]
+    and differs from its left neighbour.  The even child 2a is the point a
     itself, and every parent keeps it, so the even entries follow ``ks``.
     """
-    half = 1 << (level - 1)
-    children = np.empty((ks.size, 3), dtype=np.int64)
-    children[:, 1] = 2 * ks
-    children[:, 0] = children[:, 1] - 1
-    children[:, 2] = children[:, 1] + 1
-    kept = np.ones((ks.size, 3), dtype=bool)
-    kept[1:, 0] = np.diff(ks) != 1
-    kept[0, 0] = ks[0] > -half
-    kept[-1, 2] = ks[-1] < half
+    children = (2 * ks[:, None] + np.array([-1, 0, 1])).ravel()
+    kept = np.abs(children) <= 1 << level
+    kept[1:] &= children[1:] != children[:-1]
     out = children[kept]
     return out, (out & 1) == 1
 
@@ -460,8 +449,7 @@ def _scan(table: np.ndarray, xs: np.ndarray) -> np.ndarray:
         x = xs[start : start + _BLOCK]
         powers = buffer[: x.size]
         powers[:, 0] = 1.0
-        if n > 1:
-            powers[:, 1] = x
+        powers[:, 1] = x
         m = 2
         while m < n:
             top = powers[:, m // 2] * powers[:, m // 2]

@@ -24,6 +24,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -211,25 +212,17 @@ def measure_trial(model: RandomModel, seed: int, index: int, opt: MeasureOptions
     return row
 
 
-def _measure_star(args) -> TrialRecord:
-    return measure_trial(*args)
-
-
 def _collect(model, trials, seed, opt, workers) -> list[TrialRecord]:
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    tasks = [(model, seed, i, opt) for i in range(trials)]
+    args = (repeat(model), repeat(seed), range(trials), repeat(opt))
     if workers <= 1:
-        rows = [measure_trial(*t) for t in tasks]
-    else:
-        # imported here: ``multiprocessing`` is not needed by a one-worker run
-        from concurrent.futures import ProcessPoolExecutor
+        return list(map(measure_trial, *args))
+    # imported here: ``multiprocessing`` is not needed by a one-worker run
+    from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, trials // (8 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_measure_star, tasks, chunksize=chunk))
-    rows.sort(key=lambda r: r.trial_index)
-    return rows
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(measure_trial, *args, chunksize=max(1, trials // (8 * workers))))
 
 
 def _subseed(seed: int, d: int) -> int:
@@ -318,26 +311,23 @@ def run_steps_scaling(
     seed: int,
     *,
     workers: int = 1,
-    with_condition: bool = True,
     rel_tol: float = 0.5,
     max_grid: int = 1 << 22,
 ) -> ExperimentReport:
     """Subdivision-step counts across degrees.
 
     ``model_for`` maps a degree to its model.  Reports per-degree step and
-    depth statistics next to a (lg d)^3 reference column; when condition
-    brackets are enabled, each trial's certified upper bound feeds the
-    depth check ceil(lg(12 d U)) + 2.
+    depth statistics next to a (lg d)^3 reference column; each trial's
+    certified condition upper bound feeds the depth check
+    ceil(lg(12 d U)) + 2.
     """
-    opt = MeasureOptions(with_condition=with_condition, rel_tol=rel_tol, max_grid=max_grid)
+    opt = MeasureOptions(with_condition=True, rel_tol=rel_tol, max_grid=max_grid)
     rows = []
     models = {}
     for d in d_list:
         model = model_for(d)
         models[d] = model.describe()
-        block = _collect(model, trials, _subseed(seed, d), opt, workers)
-        for row in block:
-            rows.append(row)
+        rows.extend(_collect(model, trials, _subseed(seed, d), opt, workers))
 
     per_d = {}
     for d in d_list:
@@ -350,15 +340,14 @@ def run_steps_scaling(
             "node_count_over_lg3_d": mean_nodes / ref,
             "max_depth": max(r.depth for r in group),
         }
-        if with_condition:
-            checks = [
-                (r.depth, _depth_allowance(r.d, r.cond_upper))
-                for r in group
-                if r.cond_upper is not None
-            ]
-            finite = [(dep, bound) for dep, bound in checks if bound is not None]
-            entry["depth_bound_trials"] = len(finite)
-            entry["depth_bound_ok"] = all(dep <= bound for dep, bound in finite)
+        checks = [
+            (r.depth, _depth_allowance(r.d, r.cond_upper))
+            for r in group
+            if r.cond_upper is not None
+        ]
+        finite = [(dep, bound) for dep, bound in checks if bound is not None]
+        entry["depth_bound_trials"] = len(finite)
+        entry["depth_bound_ok"] = all(dep <= bound for dep, bound in finite)
         per_d[str(d)] = entry
 
     return ExperimentReport(
@@ -368,7 +357,7 @@ def run_steps_scaling(
             "d_list": list(d_list),
             "trials": trials,
             "seed": seed,
-            "with_condition": with_condition,
+            "with_condition": True,
         },
         rows=rows,
         extras={"per_d": per_d},

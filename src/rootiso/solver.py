@@ -297,6 +297,7 @@ def _subdivide(fsq: IntPolynomial):
     return leaves, midpoints, nodes, ends
 
 
+@dataclass(slots=True, eq=False)
 class _Node:
     """A subdivision node: a float image of its Bernstein vector, with the
     exact integer vector held only where its count needed it.
@@ -310,19 +311,16 @@ class _Node:
     ``exact_splits`` the exact transforms that building it took.
     """
 
-    __slots__ = ("interval", "depth", "f", "err", "peak", "lo", "hi", "variations", "exact", "exact_splits")
-
-    def __init__(self, interval, depth, f, err, peak, lo, hi, variations):
-        self.interval = interval
-        self.depth = depth
-        self.f = f
-        self.err = err
-        self.peak = peak
-        self.lo = lo
-        self.hi = hi
-        self.variations = variations
-        self.exact = None
-        self.exact_splits = 0
+    interval: DyadicInterval
+    depth: int
+    f: np.ndarray
+    err: float
+    peak: float
+    lo: int
+    hi: int
+    variations: int
+    exact: list[int] | None = None
+    exact_splits: int = 0
 
 
 def _read_exact(node: _Node, b: list[int], transforms: int) -> None:
@@ -436,25 +434,23 @@ def _split(node: _Node, g: IntPolynomial):
     return children, mid, evaluated
 
 
-_halving = None  # L of the largest size built so far
+_halving = None  # L of the largest size asked for so far
 
 
 def _halving_matrix(n: int):
     """L of size n, L[k, j] = C(k, j) / 2^k correctly rounded.
 
     L of size n is the leading block of any larger L, so one matrix serves
-    every smaller size as a view.  It is built on first use, at the size
-    asked for, and grows by at least a quarter when a larger size comes,
-    so rising sizes rebuild it O(log n) times.  It is read-only; a
+    every smaller size as a view.  It is built at the size asked for, on
+    first use and whenever a larger size comes.  It is read-only; a
     concurrent caller at worst builds it twice.
     """
     global _halving
     built = _halving
     if built is None or len(built) < n:
-        size = max(n, 0 if built is None else len(built) * 5 // 4)
-        built = np.zeros((size, size))
+        built = np.zeros((n, n))
         row = [1]
-        for k in range(size):
+        for k in range(n):
             # C(k, j) < 2^1023 converts with one rounding and 2^-k scales
             # it exactly while the results stay normal (k < 1023); beyond,
             # int division rounds correctly, subnormals included
@@ -575,7 +571,7 @@ def _build_bernstein_matrix(n: int) -> np.ndarray:
     """
     d = n - 1
     half = (n + 1) // 2
-    head = list(accumulate(range(half - 1), lambda c, i: c * (d - i) // (i + 1), initial=1))
+    head = _binomials(d)[:half]
     u = [c if i % 2 == 0 else -c for i, c in enumerate(head)]
     quarter = np.empty((half, half))
     for j in range(half):
@@ -588,6 +584,11 @@ def _build_bernstein_matrix(n: int) -> np.ndarray:
     m[half:, :half] = m[:low, :half][::-1] * sign[:half]
     m[:, half:] = (sign if d % 2 == 0 else -sign)[:, None] * m[:, :low][:, ::-1]
     return m
+
+
+def _binomials(d: int) -> list[int]:
+    """C(d, 0), ..., C(d, d)."""
+    return list(accumulate(range(d), lambda c, i: c * (d - i) // (i + 1), initial=1))
 
 
 def _sign(x: int) -> int:
@@ -617,7 +618,7 @@ def _exact_vector(g: IntPolynomial, interval: DyadicInterval) -> list[int]:
     """
     test = pascal_rounds(list(unit_rescale(g, interval).coeffs))
     d = len(test) - 1
-    binomials = list(accumulate(range(d), lambda c, i: c * (d - i) // (i + 1), initial=1))
+    binomials = _binomials(d)
     lcm = math.lcm(*binomials)
     b = [t * (lcm // c) for t, c in zip(reversed(test), binomials)]
     content = math.gcd(*b)

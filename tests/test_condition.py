@@ -336,6 +336,24 @@ def _record_kept(monkeypatch):
     return kept
 
 
+def _mask_children(ks, level):
+    """``_children`` by a mask over the 3 x n table of children: the left
+    child of a point adjacent to its left neighbour, the left child of
+    -2^(level-1) and the right child of 2^(level-1) are dropped.  The
+    reference for the library's neighbour rule."""
+    half = 1 << (level - 1)
+    children = np.empty((ks.size, 3), dtype=np.int64)
+    children[:, 1] = 2 * ks
+    children[:, 0] = children[:, 1] - 1
+    children[:, 2] = children[:, 1] + 1
+    kept = np.ones((ks.size, 3), dtype=bool)
+    kept[1:, 0] = np.diff(ks) != 1
+    kept[0, 0] = ks[0] > -half
+    kept[-1, 2] = ks[-1] < half
+    out = children[kept]
+    return out, (out & 1) == 1
+
+
 def _prune_violations(f, kept, reach=_cell_reach):
     """Check each cell the library dropped against the level minimum.
 
@@ -550,6 +568,30 @@ class TestScan:
         monkeypatch.setattr(condition_mod, "_scan", horner_scan)
         for br, f, max_grid in brackets:
             assert _bracket_fields(global_condition_bracket(f, max_grid=max_grid)) == _bracket_fields(br)
+
+    def test_children_match_mask_rule(self):
+        # seeded sorted distinct index sets, of every density, with and
+        # without each grid end; dropping either the range test or the
+        # neighbour test from ``_children`` fails this
+        rng = np.random.default_rng(46)
+        seen = {"both ends": 0, "adjacent": 0, "isolated": 0}
+        for _ in range(3000):
+            level = int(rng.integers(1, 10))
+            half = 1 << (level - 1)
+            grid = np.arange(-half, half + 1, dtype=np.int64)
+            chosen = rng.random(grid.size) < rng.random()
+            chosen[0] |= rng.random() < 0.5
+            chosen[-1] |= rng.random() < 0.5
+            chosen[rng.integers(grid.size)] = True
+            ks = grid[chosen]
+            seen["both ends"] += bool(chosen[0] and chosen[-1])
+            gaps = np.diff(ks)
+            seen["adjacent"] += bool((gaps == 1).any())
+            seen["isolated"] += bool((gaps > 1).any())
+            out, odd = condition_mod._children(ks, level)
+            ref_out, ref_odd = _mask_children(ks, level)
+            assert out.tolist() == ref_out.tolist() and odd.tolist() == ref_odd.tolist(), (level, ks)
+        assert min(seen.values()) > 500, seen
 
     def test_uniform_degree_256_achieved(self):
         # the local slope certifies a sharp upper end at the paper's

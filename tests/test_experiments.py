@@ -27,7 +27,7 @@ from rootiso.regions import count_roots_in_cover
 
 def test_row_count_structure():
     report = run_steps_scaling(
-        lambda d: uniform_model(d, 16), [4, 8], trials=1, seed=5, with_condition=False
+        lambda d: uniform_model(d, 16), [4, 8], trials=1, seed=5
     )
     assert len(report.rows) == 2
     assert [r.d for r in report.rows] == [4, 8]
@@ -40,11 +40,21 @@ def test_csv_deterministic_across_runs_and_workers():
     c = run_cond_tail(uniform_model(8, 16), workers=3, **kwargs)
     assert a.csv_text() == b.csv_text() == c.csv_text()
     assert a.json_summary() == b.json_summary() == c.json_summary()
+    # steps with brackets: one worker and two give equal rows, in trial
+    # order within each degree
+    one, two = (
+        run_steps_scaling(lambda d: uniform_model(d, 16), [4, 8], trials=12, seed=9, workers=w, max_grid=1 << 12)
+        for w in (1, 2)
+    )
+    assert [row.csv_cells() for row in one.rows] == [row.csv_cells() for row in two.rows]
+    assert [(row.d, row.trial_index) for row in two.rows] == [(d, i) for d in (4, 8) for i in range(12)]
+    assert all(row.cond_upper is not None for row in two.rows)
+    assert one.json_summary() == two.json_summary()
 
 
 def test_csv_header_fixed():
     report = run_steps_scaling(
-        lambda d: uniform_model(d, 8), [4], trials=2, seed=1, with_condition=False
+        lambda d: uniform_model(d, 8), [4], trials=2, seed=1
     )
     lines = report.csv_text().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
@@ -57,7 +67,7 @@ def test_csv_header_fixed():
 
 def test_timing_excluded_from_serializations():
     report = run_steps_scaling(
-        lambda d: uniform_model(d, 8), [4], trials=2, seed=1, with_condition=False
+        lambda d: uniform_model(d, 8), [4], trials=2, seed=1
     )
     assert report.timing["total_seconds"] > 0
     assert "wall" not in report.csv_text()
@@ -67,7 +77,7 @@ def test_timing_excluded_from_serializations():
 
 def test_aggregates_recomputable_from_rows():
     report = run_steps_scaling(
-        lambda d: uniform_model(d, 16), [8], trials=25, seed=3, with_condition=False
+        lambda d: uniform_model(d, 16), [8], trials=25, seed=3
     )
     nodes = [r.node_count for r in report.rows]
     agg = report.aggregates["8"]["node_count"]
@@ -180,7 +190,7 @@ def test_trial_measure_options():
 
 def test_write_outputs(tmp_path):
     report = run_steps_scaling(
-        lambda d: uniform_model(d, 8), [4], trials=2, seed=1, with_condition=False
+        lambda d: uniform_model(d, 8), [4], trials=2, seed=1
     )
     paths = report.write(tmp_path, fmt="both")
     assert len(paths) == 2
