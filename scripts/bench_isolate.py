@@ -10,8 +10,9 @@ the median over the samples, in ms.  Timing and storage are described in
 The first call per degree, ``isolate_all`` on sample 0, is timed on its
 own as ``cold_ms`` (and ``cold_wall_ms``): it is the first call of that
 size in the process, so it includes building the solver's matrices for
-that size (the halving matrix when it grows, and the power-to-Bernstein
-matrix where the solver has one).  The medians that follow are warm.
+that size (the halving matrix, when that size is the largest so far, and
+the power-to-Bernstein matrix where the solver has one).  The medians
+that follow are warm.
 
 Beside each median the run records the work counters of the subdivision
 trace, summed over the samples: nodes, float splits, nodes whose count
