@@ -20,6 +20,8 @@ required.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import time
 import warnings
@@ -115,10 +117,11 @@ class ExperimentReport:
         }
 
     def csv_text(self) -> str:
-        lines = [",".join(CSV_COLUMNS)]
-        for row in self.rows:
-            lines.append(",".join(row.csv_cells()))
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(row.csv_cells() for row in self.rows)
+        return out.getvalue()
 
     def json_summary(self) -> dict:
         return _jsonable(

@@ -310,26 +310,26 @@ class TestExperimentCommand:
     # leave these digests unchanged.
     GOLDEN = {
         ("steps", "--d-list", "4,8", "--trials", "6", "--bitsize", "12", "--max-grid", "4096"): {
-            "steps_scaling.csv": "0b7c79b77822dacd05448b94ffafcc3923223575ea6a0b2daf0b3fa4c8ce5872",
+            "steps_scaling.csv": "5f77a3462498d9cca5461a989437ec1144ec0cf0f4f8ae20b19de3465455aada",
             "steps_scaling.json": "ff547fb09744fd4eb8b989e8b12d7fd8405b197ac8d1584724437d5ceadfb19d",
         },
         ("cond-tail", "--degree", "8", "--bitsize", "16", "--trials", "8", "--max-grid", "4096"): {
-            "cond_tail.csv": "c11bf9c3157cbb335a12aae23569a0dc4d25ea20b55afce7e7a15bb3f8218220",
+            "cond_tail.csv": "4772ba981fa4d889606d91f5f8376e1f45674cc4451a597ee454e808a8efe977",
             "cond_tail.json": "d2f5161d73e6a9b7e3b8a6e9c300c920b33e144831f0526d6eef92b949a7b472",
         },
         ("cond-tail-local", "--degree", "8", "--bitsize", "15", "--trials", "8"): {
-            "cond_tail_local.csv": "870805c1225fe98855da6fb54ade0ce0e30f8d2b4888a3eeb0c31750d058e75c",
+            "cond_tail_local.csv": "270c3f95b749269cfa21b2adac52d58764b55ef55d500ef5e2dee8ac74c3b517",
             "cond_tail_local.json": "9bfa2aa56ffa1443a4bd1bd71e76c7aabe839d88af29f674ec01813bfed3b12b",
         },
         ("rho-check", "--degree", "8", "--bitsize", "48", "--trials", "8"): {
-            "rho_check.csv": "d76fa190d13e7d2247e2c2876acea9119d9f5ae202622bf65afacfe8fe3b957f",
+            "rho_check.csv": "770471054c073567fdd60c2559514ea4c95c198b812f10cd5531ff4f4b96faf1",
             "rho_check.json": "5d3823685122eca03783aab672732912117ad03cd4e42dd70e8de7679c059971",
         },
         (
             "instance-bound", "--degree", "8", "--bitsize", "16", "--trials", "8",
             "--max-grid", "16384",
         ): {
-            "instance_bound.csv": "e8936da7c84911684fea2f8f815f4ec260b79112d2212c4b78b3dc31aa99d56f",
+            "instance_bound.csv": "8b3ac3e45cebbaf16269aca1c86863c559ba324e5f3db772414511923a5bf94a",
             "instance_bound.json": "186ef776143297a64db203c0e7a57bc77ec4fd6ec25a4cb995b602fab7069523",
         },
     }

@@ -1,4 +1,6 @@
 
+import csv
+import io
 import json
 import math
 import os
@@ -63,6 +65,30 @@ def test_csv_header_fixed():
         "cond_lower,cond_upper,rho_bound,rho_count_min,rho_count_max"
     )
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: run_steps_scaling(lambda d: uniform_model(d, 8), [4, 8], trials=3, seed=1, max_grid=1 << 12),
+        lambda: run_cond_tail(uniform_model(8, 16), 4, [4.0], seed=2, max_grid=1 << 12),
+        lambda: run_cond_tail(uniform_model(8, 16), 4, [4.0], seed=2, local_point=(1, 2)),
+        lambda: run_rho_check(uniform_model(8, 48), 4, seed=3),
+        lambda: run_instance_bound(uniform_model(8, 16), 4, seed=4, max_grid=1 << 12),
+    ],
+    ids=["steps", "cond_tail", "cond_tail_local", "rho_check", "instance_bound"],
+)
+def test_csv_reads_back_one_field_per_column(run):
+    # the model cell, uniform(d=8,tau=16), holds a comma: it is quoted, so
+    # every row reads back with exactly the header's fields
+    report = run()
+    rows = list(csv.DictReader(io.StringIO(report.csv_text())))
+    assert len(rows) == len(report.rows)
+    for read, record in zip(rows, report.rows):
+        assert list(read) == list(CSV_COLUMNS) and None not in read.values()
+        assert read["model"] == record.model and "," in read["model"]
+        assert read["cond_upper"] == ("" if record.cond_upper is None else repr(record.cond_upper))
+        assert list(read.values()) == record.csv_cells()
 
 
 def test_timing_excluded_from_serializations():
