@@ -25,6 +25,7 @@ import io
 import math
 import time
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -243,33 +244,43 @@ def _column_stats(rows) -> dict:
     """Statistics of each ``_AGG_COLUMNS`` column over ``rows``: count,
     mean, median, min and max, then the 90th and 99th percentiles when
     every value is finite, or else the finite count with an infinite
-    median.  A column is present (not None) in every row or in none; the
-    present ones are stacked into one array, one row per column, so that
-    each statistic is one numpy call."""
+    median.  A column is present (not None) in every row or in none.  The
+    present ones are stacked into one array, one row per column: the mean
+    is one ``np.mean`` over it (numpy's pairwise sum), and the rest comes
+    from one sort of each column.  Row values are never NaN."""
     present = [col for col in _AGG_COLUMNS if getattr(rows[0], col) is not None]
     assert all((getattr(r, col) is not None) == (col in present) for r in rows for col in _AGG_COLUMNS)
     stats = {col: {"count": 0} for col in _AGG_COLUMNS}
     if not present:
         return stats
     values = np.array([[getattr(r, col) for r in rows] for col in present], dtype=float)
-    finite = np.isfinite(values).sum(axis=1).tolist()
-    with np.errstate(invalid="ignore"):  # quantiles of columns with an inf are unused
-        quantiles = np.quantile(values, (0.5, 0.9, 0.99), axis=1).T.tolist()
-    columns = zip(
-        present,
-        finite,
-        quantiles,
-        np.mean(values, axis=1).tolist(),
-        np.min(values, axis=1).tolist(),
-        np.max(values, axis=1).tolist(),
-    )
-    for col, n_finite, (median, p90, p99), mean, low, high in columns:
-        if n_finite == len(rows):
-            tail = {"p90": p90, "p99": p99}
+    n = len(rows)
+    for col, ordered, mean in zip(present, np.sort(values, axis=1).tolist(), np.mean(values, axis=1).tolist()):
+        finite = bisect_left(ordered, math.inf) - bisect_right(ordered, -math.inf)
+        if finite == n:
+            median = _quantile(ordered, 0.5)
+            tail = {"p90": _quantile(ordered, 0.9), "p99": _quantile(ordered, 0.99)}
         else:
-            median, tail = float("inf"), {"finite_count": n_finite}
-        stats[col] = {"count": len(rows), "mean": mean, "median": median, "min": low, "max": high, **tail}
+            median, tail = math.inf, {"finite_count": finite}
+        stats[col] = {"count": n, "mean": mean, "median": median, "min": ordered[0], "max": ordered[-1], **tail}
     return stats
+
+
+def _quantile(ordered: list, q: float) -> float:
+    """The q-quantile of the sorted finite floats ``ordered`` by numpy's
+    "linear" method (type 7 of Hyndman and Fan, 1996), in numpy's own
+    arithmetic, so that it equals ``np.quantile(ordered, q)`` bit for bit.
+    The virtual index v = (n - 1) q has integer part i and fractional part
+    t; the quantile is a + (b - a) t, or b - (b - a)(1 - t) when t >= 1/2,
+    for a and b the values at i and i + 1.  An index v >= n - 1 takes the
+    last value."""
+    v = (len(ordered) - 1) * q
+    i = math.floor(v)
+    if i >= len(ordered) - 1:
+        return ordered[-1]
+    a, b = ordered[i], ordered[i + 1]
+    t = v - i
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
 
 
 _AGG_COLUMNS = (

@@ -56,42 +56,50 @@ class RandomModel:
             noise = self.base.sample(seed, index)
             return self.shift + noise.scale(self.sigma)
         kind, tau = self.kind, self.bitsize
+        # one draw of k bits per coefficient, repeated until below bound
         if kind in ("uniform", "support"):
-            draws = ((tau + 2, (1 << (tau + 1)) + 1),)  # (bits, accepted if below)
+            k, bound = tau + 2, (1 << (tau + 1)) + 1
         elif kind == "signs":
-            draws = ((tau, 1 << tau),)
+            k, bound = tau, 1 << tau
         elif kind == "exactbits":
-            draws = ((1, 2), (tau - 1, 1 << (tau - 1)))
+            k, bound = tau - 1, 1 << (tau - 1)  # after the sign bit
         else:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        head = f"{seed}:{index}:".encode()
-        coeffs = []
-        for position in range(self.degree + 1):
-            if kind == "support" and position not in self.support:
-                coeffs.append(0)
-                continue
+        signed, mask = kind == "exactbits", (1 << k) - 1
+        positions = sorted(self.support) if kind == "support" else range(self.degree + 1)
+        sha256, from_bytes = hashlib.sha256, int.from_bytes
+        head = b"%d:%d:" % (seed, index)
+        values, sign_bits = [], []
+        for position in positions:
             prefix = head + b"%d:" % position
-            pool = pool_bits = blocks = value = 0
-            for k, bound in draws:
-                v = bound
-                while v >= bound:
-                    while pool_bits < k:
-                        block = hashlib.sha256(prefix + b"%d" % blocks).digest()
-                        pool = (pool << 256) | int.from_bytes(block, "big")
-                        blocks += 1
-                        pool_bits += 256
-                    v = pool & ((1 << k) - 1)
-                    pool >>= k
-                    pool_bits -= k
-                value = (value << k) | v
-            if kind == "signs":
-                coeffs.append(self.signs[position] * (value + 1))
-            elif kind == "exactbits":
-                # the sign bit is the top bit of value
-                half = 1 << (tau - 1)
-                coeffs.append(value if value >= half else -(half + value))
-            else:
-                coeffs.append(value - (1 << tau))
+            # every coefficient reads block 0; an exact-bitsize one reads
+            # its sign bit first
+            pool, pool_bits, blocks = from_bytes(sha256(prefix + b"0").digest(), "big"), 256, 1
+            if signed:
+                sign_bits.append(pool & 1)
+                pool >>= 1
+                pool_bits = 255
+            while True:
+                while pool_bits < k:
+                    pool = (pool << 256) | from_bytes(sha256(prefix + b"%d" % blocks).digest(), "big")
+                    blocks += 1
+                    pool_bits += 256
+                value = pool & mask
+                if value < bound:
+                    break
+                pool >>= k
+                pool_bits -= k
+            values.append(value)
+        if kind == "signs":
+            coeffs = [s * (v + 1) for s, v in zip(self.signs, values)]
+        elif kind == "exactbits":
+            half = 1 << (tau - 1)
+            coeffs = [half + v if s else -(half + v) for s, v in zip(sign_bits, values)]
+        else:
+            offset = 1 << tau
+            coeffs = [0] * (self.degree + 1)
+            for position, v in zip(positions, values):
+                coeffs[position] = v - offset
         return IntPolynomial(coeffs)
 
     # -- ensemble parameters ---------------------------------------------------

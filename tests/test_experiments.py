@@ -257,21 +257,39 @@ def _reference_stats(values) -> dict:
 
 
 def test_aggregates_match_column_by_column_reference():
-    # the one-pass aggregates are bit for bit the per-column ones, with
-    # integer, float, infinite and absent columns and sizes from 1 row up
+    # the one-sort aggregates are bit for bit the per-column ones, with
+    # integer, float, infinite, absent, tied and constant columns; sizes
+    # run from 1 row to past numpy's pairwise-sum block of 128 values, and
+    # at n = 101 the 99th percentile falls on a row exactly
     rng = np.random.default_rng(48)
-    for trial in range(300):
-        n = int(rng.integers(1, 60))
+    sizes = [int(rng.integers(1, 60)) for _ in range(300)]
+    sizes += [101, 101, 101, 127, 128, 129, 256, 257, 400] + [int(rng.integers(60, 401)) for _ in range(30)]
+    for trial, n in enumerate(sizes):
         absent = {col for col in _AGG_COLUMNS if rng.random() < 0.3}
+        mode = (trial // 3) % 3  # every value drawn, three values per column, or one
+
+        def column(draw):
+            if mode == 0:
+                return [draw() for _ in range(n)]
+            levels = [draw() for _ in range(3 if mode == 1 else 1)]
+            return [levels[int(rng.integers(0, len(levels)))] for _ in range(n)]
+
+        columns = {
+            "node_count": column(lambda: int(rng.integers(1, 500))),
+            "depth": column(lambda: int(rng.integers(1, 20))),
+            "max_width": column(lambda: int(rng.integers(1, 9))),
+            "cond_lower": column(lambda: float(rng.lognormal(3.0, 2.0))),
+            "cond_upper": column(
+                lambda: math.inf if rng.random() < 0.1 * (trial % 3) else float(rng.lognormal(4.0, 2.0))
+            ),
+            "rho_bound": column(lambda: math.inf if rng.random() < 0.05 else float(rng.uniform(0.0, 100.0))),
+            "rho_count_max": column(lambda: int(rng.integers(0, 9))),
+        }
         rows = []
         for i in range(n):
-            row = TrialRecord(i, 8, "m", int(rng.integers(1, 500)), int(rng.integers(1, 20)), int(rng.integers(1, 9)))
-            row.cond_lower = float(rng.lognormal(3.0, 2.0))
-            row.cond_upper = math.inf if rng.random() < 0.1 * (trial % 3) else float(rng.lognormal(4.0, 2.0))
-            row.rho_bound = math.inf if rng.random() < 0.05 else float(rng.uniform(0.0, 100.0))
-            row.rho_count_max = int(rng.integers(0, 9))
-            for col in absent:
-                setattr(row, col, None)
+            row = TrialRecord(i, 8, "m", 0, 0, 0)
+            for col, values in columns.items():
+                setattr(row, col, None if col in absent else values[i])
             rows.append(row)
         report = ExperimentReport("steps_scaling", {}, rows)
         expect = {"8": {col: _reference_stats([getattr(r, col) for r in rows]) for col in _AGG_COLUMNS}}
