@@ -226,7 +226,15 @@ def _collect(model, trials, seed, opt, workers) -> list[TrialRecord]:
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(measure_trial, *args, chunksize=max(1, trials // (8 * workers))))
+        return list(pool.map(_measure_by_name, *args, chunksize=max(1, trials // (8 * workers))))
+
+
+def _measure_by_name(model, seed, index, opt) -> TrialRecord:
+    """``measure_trial``, looked up by its global name in the worker.  The
+    pool pickles this function by name, which still works where
+    ``measure_trial`` has been rebound to a wrapper (the benchmark's tracer
+    does so)."""
+    return measure_trial(model, seed, index, opt)
 
 
 def _subseed(seed: int, d: int) -> int:

@@ -53,3 +53,22 @@ def test_install_and_uninstall_restore_every_binding():
         assert _same(modules[name], after_modules[name]), name
     for cls in classes:
         assert _same(classes[cls], after_classes[cls]), cls
+
+
+def test_traced_multi_worker_run_matches_untraced_one():
+    # the process pool pickles the function it maps by name, so a traced
+    # run, whose measure_trial is the tracer's closure, still fans out
+    from rootiso.experiments import run_steps_scaling
+    from rootiso.models import uniform_model
+
+    def run(workers):
+        report = run_steps_scaling(lambda d: uniform_model(d, 16), [8], 4, 3, workers=workers, max_grid=1 << 12)
+        return [row.csv_cells() for row in report.rows]
+
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        traced = run(2)
+    finally:
+        tracer.uninstall()
+    assert traced == run(1)
