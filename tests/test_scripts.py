@@ -1,11 +1,11 @@
 """The layer benchmarks ``scripts/bench_*.py`` wrap private library names
 (``polynomial._gcd_with_derivative_mod_p``, ``polynomial._root_exponent``,
-``polynomial._coprime_with_derivative``, ``regions._evaluate``) to count
-work, and share their timing loop and hash comparison through
-``scripts/benchlib.py``; a wrapped name that is renamed or deleted, or a
-broken ``run()``, would otherwise break only a benchmark run.  Each script
-is loaded by path; its counting helpers run on small inputs, and its
-``main()`` runs end to end on a one-sample plan."""
+``polynomial._coprime_with_derivative``, ``regions._evaluate``,
+``models.hashlib``) to count work, and share their timing loop and hash
+comparison through ``scripts/benchlib.py``; a wrapped name that is renamed
+or deleted, or a broken ``run()``, would otherwise break only a benchmark
+run.  Each script is loaded by path; its counting helpers run on small
+inputs, and its ``main()`` runs end to end on a one-sample plan."""
 
 import importlib.util
 import json
@@ -140,6 +140,18 @@ def test_isolate_counters(load):
     assert counters["node_count"] >= 2
 
 
+def test_trial_blocks(load):
+    bench = load("bench_trial")
+    import rootiso.models as models
+
+    hashlib = models.hashlib
+    # each coefficient takes at least one digest of its own stream; a
+    # tau = 300 coefficient takes two
+    assert bench._blocks(uniform_model(16, 32), 2) >= 2 * 17
+    assert bench._blocks(uniform_model(4, 300), 1) >= 2 * 5
+    assert models.hashlib is hashlib
+
+
 _TIMES = {"samples", "repeats", "median_ms", "wall_median_ms"}
 
 # script: (one-sample plan, {section: (an entry's keys, its hash key)})
@@ -165,6 +177,24 @@ _MAIN = {
                 "outputs_sha256",
             ),
             "families": (_TIMES | {"mean_ms", "counters", "outputs_sha256"}, "outputs_sha256"),
+        },
+    ),
+    "bench_trial": (
+        {"MODELS": {"uniform-16": (uniform_model(16, 32), 1, 1)}, "ROWS": (1,), "REPEATS": 1},
+        {
+            "models": (_TIMES | {"blocks", "outputs_sha256"}, "outputs_sha256"),
+            "reports": (
+                {
+                    "samples",
+                    "repeats",
+                    "json_summary_ms",
+                    "json_summary_wall_ms",
+                    "csv_text_ms",
+                    "csv_text_wall_ms",
+                    "outputs_sha256",
+                },
+                "outputs_sha256",
+            ),
         },
     ),
     "bench_sqfree": (
