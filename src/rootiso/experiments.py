@@ -256,14 +256,14 @@ def _column_stats(rows) -> dict:
     present ones are stacked into one array, one row per column: the mean
     is one ``np.mean`` over it (numpy's pairwise sum), and the rest comes
     from one sort of each column.  Row values are never NaN."""
+    n = len(rows)
     stats = {col: {"count": 0} for col in _AGG_COLUMNS}
     columns = {col: [getattr(r, col) for r in rows] for col in _AGG_COLUMNS}
     present = [col for col, column in columns.items() if column[0] is not None]
-    assert all(column.count(None) == (0 if col in present else len(rows)) for col, column in columns.items())
+    assert all(column.count(None) == (0 if col in present else n) for col, column in columns.items())
     if not present:
         return stats
     values = np.array([columns[col] for col in present], dtype=float)
-    n = len(rows)
     for col, ordered, mean in zip(present, np.sort(values, axis=1).tolist(), np.mean(values, axis=1).tolist()):
         finite = bisect_left(ordered, math.inf) - bisect_right(ordered, -math.inf)
         if finite == n:

@@ -65,7 +65,8 @@ class RandomModel:
             k, bound = tau - 1, 1 << (tau - 1)  # after the sign bit
         else:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        signed, mask = kind == "exactbits", (1 << k) - 1
+        signed = kind == "exactbits"
+        mask = (1 << k) - 1
         positions = sorted(self.support) if kind == "support" else range(self.degree + 1)
         sha256, from_bytes = hashlib.sha256, int.from_bytes
         head = b"%d:%d:" % (seed, index)

@@ -7,10 +7,10 @@ import sys
 from pathlib import Path
 
 import rootiso.cli  # noqa: F401  (the tracer rebinds names in every rootiso module)
-import rootiso.experiments  # noqa: F401
 import rootiso.polynomial as polynomial
 import rootiso.regions as regions
-from rootiso.models import RandomModel
+from rootiso.experiments import run_steps_scaling
+from rootiso.models import RandomModel, uniform_model
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -58,9 +58,6 @@ def test_install_and_uninstall_restore_every_binding():
 def test_traced_multi_worker_run_matches_untraced_one():
     # the process pool pickles the function it maps by name, so a traced
     # run, whose measure_trial is the tracer's closure, still fans out
-    from rootiso.experiments import run_steps_scaling
-    from rootiso.models import uniform_model
-
     def run(workers):
         report = run_steps_scaling(lambda d: uniform_model(d, 16), [8], 4, 3, workers=workers, max_grid=1 << 12)
         return [row.csv_cells() for row in report.rows]
