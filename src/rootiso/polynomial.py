@@ -342,8 +342,7 @@ def square_free_part(f: IntPolynomial) -> IntPolynomial:
     if f.degree == 0:
         return IntPolynomial([1])
     # f / gcd(f, f') of a primitive f is primitive (Gauss's lemma)
-    g = _gcd_with_derivative(f.primitive_part())[1]
-    return g if g.leading_coefficient > 0 else g.scale(-1)
+    return _gcd_with_derivative(f.primitive_part())[1]
 
 
 def repeated_root_part(f: IntPolynomial) -> IntPolynomial:
@@ -373,8 +372,11 @@ def repeated_root_part(f: IntPolynomial) -> IntPolynomial:
 
 
 def _gcd_with_derivative(fp: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
-    """gcd(f, f') with a positive leading coefficient, and f / gcd(f, f'),
-    for a primitive f of degree at least 1 (see ``repeated_root_part``)."""
+    """gcd(f, f') and f / gcd(f, f'), each with a positive leading
+    coefficient, for a primitive f of degree at least 1 (see
+    ``repeated_root_part``)."""
+    if fp.leading_coefficient < 0:
+        fp = fp.scale(-1)
     if _coprime_with_derivative(fp):
         return IntPolynomial([1]), fp
     gamma = abs(fp.leading_coefficient)  # gcd(lc f, lc f') = gcd(lc f, d lc f)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .dyadic import Dyadic, DyadicInterval
 from .polynomial import (
     IntPolynomial,
     ZeroPolynomialError,
+    _gcd_with_derivative,
     repeated_root_part,
     square_free_part,
 )
@@ -83,19 +85,25 @@ class DiskCover:
         for i, (c, r) in enumerate(zip(self.centers, self.radii)):
             yield i - self.N, c, r
 
+    @cached_property
+    def _floats(self) -> tuple[np.ndarray, np.ndarray]:
+        """The centers and radii as float arrays, built once per cover."""
+        return np.array([float(c) for c in self.centers]), np.array([float(r) for r in self.radii])
+
     def contains(self, z, margin: float = 0.0):
         """Open-union membership with a symmetric margin: positive margin
         shrinks every disk, negative margin grows it.  ``z`` is a point or
         an array of points, and the answer has its shape."""
         z = np.asarray(z, dtype=complex)[..., None]
-        centers = np.array([float(c) for c in self.centers])
-        radii = np.array([float(r) for r in self.radii])
+        centers, radii = self._floats
         # np.hypot is the libm hypot behind abs() of a Python complex;
         # numpy's complex abs can differ from it in the last bit
         return np.any(np.hypot(z.real - centers, z.imag) < radii - margin, axis=-1)
 
 
+@cache
 def disk_cover(d: int) -> DiskCover:
+    """The cover for degree d, built once per degree (it is immutable)."""
     if d < 2:
         raise ValueError("disk cover requires degree >= 2")
     N = max(1, (d - 1).bit_length())  # ceil(lg d)
@@ -283,7 +291,11 @@ def _square_free_roots(g: IntPolynomial) -> ComplexRootSet:
     """``numeric_roots`` of a g of degree >= 1 that is its own square-free
     part, such as ``isolate_unit(f).trace.square_free``."""
     z = _initial_points(g)
-    table = _horner_table(g, z.size)
+    n = z.size
+    table = _horner_table(g, n)
+    # the sweep's difference matrix, overwritten in place by its reciprocal
+    diff = np.empty((n, n), dtype=complex)
+    diagonal = diff.reshape(-1)[:: n + 1]  # a strided view
 
     residual = math.inf
     for sweeps in range(1, _MAX_SWEEPS + 1):
@@ -294,9 +306,10 @@ def _square_free_roots(g: IntPolynomial) -> ComplexRootSet:
         pv, _, dv = values
         dv = np.where(dv == 0, 1e-300, dv)
         newton = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        repulse = np.sum(1.0 / diff, axis=1)
+        np.subtract(z[:, None], z, diff)
+        diagonal[:] = np.inf
+        np.divide(1.0, diff, diff)
+        repulse = np.add.reduce(diff, axis=1)
         denom = 1.0 - newton * repulse
         denom = np.where(denom == 0, 1e-300, denom)
         step = newton / denom
@@ -306,27 +319,30 @@ def _square_free_roots(g: IntPolynomial) -> ComplexRootSet:
         raise NoConvergenceError(g.degree, _MAX_SWEEPS, residual, _TOL)
 
     # Newton polish (roots are simple after square-freeing); keep the
-    # polished points only if they do not degrade the residual
+    # polished points only if they do not degrade the residual.  The first
+    # step starts from the last sweep's values, which are those at z.
     polished = z
     for _ in range(3):
-        pv, _, dv = _evaluate(table, polished)
+        pv, _, dv = values
         dv = np.where(dv == 0, 1e-300, dv)
         polished = polished - pv / dv
-    polished_residual = _residual(_evaluate(table, polished))
+        values = _evaluate(table, polished)
+    polished_residual = _residual(values)
     if polished_residual <= residual:
         z, residual = polished, polished_residual
 
     order = np.lexsort((z.imag, z.real))
     return ComplexRootSet(
-        roots=tuple(complex(v) for v in z[order]),
+        roots=tuple(z[order].tolist()),
         residual_bound=residual,
         sweeps=sweeps,
     )
 
 
-def _horner_table(g: IntPolynomial, n: int) -> np.ndarray:
-    """The (d + 1, 3, n) complex coefficient table of ``_evaluate`` at n
-    points.
+def _horner_table(g: IntPolynomial, n: int) -> list[np.ndarray]:
+    """The d + 1 coefficient rows of ``_evaluate`` at n points, each a
+    (3, n) complex view into one table, so that the Horner loop makes no
+    view of its own.
 
     Row k, highest degree first, holds g_(d-k), |g_(d-k)| and the
     coefficient of x^(d-k) in g' (row 0 has no g' entry), each repeated
@@ -342,10 +358,10 @@ def _horner_table(g: IntPolynomial, n: int) -> np.ndarray:
     table[:, 0] = coeffs
     table[:, 1] = np.abs(coeffs)
     table[1:, 2] = np.array(g.derivative().coeffs[::-1], dtype=float)[:, None]
-    return table
+    return list(table)
 
 
-def _evaluate(table: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _evaluate(table: list[np.ndarray], z: np.ndarray) -> np.ndarray:
     """Rows g(z), sum_k |g_k| |z|^k (in the real part) and g'(z) at the
     points z, from one Horner loop over a (3, n) accumulator.
 
@@ -364,13 +380,14 @@ def _evaluate(table: np.ndarray, z: np.ndarray) -> np.ndarray:
     pts[1] = np.abs(z)
     acc = np.empty_like(pts)
     head = acc[:2]
-    head[...] = table[0, :2]
-    np.multiply(head, pts[:2], out=head)
-    np.add(head, table[1, :2], out=head)
-    acc[2] = table[1, 2]
+    head[...] = table[0][:2]
+    np.multiply(head, pts[:2], head)
+    np.add(head, table[1][:2], head)
+    acc[2] = table[1][2]
+    multiply, add = np.multiply, np.add  # looked up once for the 2d calls
     for col in table[2:]:
-        np.multiply(acc, pts, out=acc)
-        np.add(acc, col, out=acc)
+        multiply(acc, pts, acc)
+        add(acc, col, acc)
     return acc
 
 
@@ -379,7 +396,7 @@ def _residual(values: np.ndarray) -> float:
     from the rows of ``_evaluate``."""
     # the scale vanishes only where the value does (e.g. an exact root at 0)
     scale = np.maximum(values[1].real, 1e-300)
-    return float(np.max(np.abs(values[0]) / scale))
+    return float(np.maximum.reduce(np.abs(values[0]) / scale))
 
 
 def _log_abs(n: int) -> float:
@@ -447,28 +464,40 @@ def eps_real_separation(f: IntPolynomial, eps: float) -> float:
     Counts every complex root in the eps-neighborhood.  Returns +inf when
     fewer than two roots are that close, and 0 when f has a repeated root
     there (detected exactly through gcd(f, f'), below oracle resolution).
+    One gcd gives both the repeated part and the square-free part that
+    the oracle runs on.
     """
-    if repeated_root_near(f, eps):
-        return 0.0
+    _check_separation_args(f, eps)
     if f.degree == 0:
         return math.inf
-    return root_set_separation(numeric_roots(f), eps)
+    multiple, square_free = _gcd_with_derivative(f.primitive_part())
+    if _has_root_near(multiple, eps):
+        return 0.0
+    return root_set_separation(_square_free_roots(square_free), eps)
 
 
 def repeated_root_near(f: IntPolynomial, eps: float) -> bool:
     """Whether f has a repeated root within eps of [-1, 1].
 
     The repeated part gcd(f, f') is exact; the oracle runs on it only
-    when it has a root.  Validates f and eps for ``eps_real_separation``.
+    when it has a root.  Validates f and eps as ``eps_real_separation``
+    does.
     """
+    _check_separation_args(f, eps)
+    return f.degree >= 1 and _has_root_near(repeated_root_part(f), eps)
+
+
+def _check_separation_args(f: IntPolynomial, eps: float) -> None:
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
     d = max(f.degree, 1)
     if not 0.0 <= eps < 1.0 / d:
         raise ValueError("eps must lie in [0, 1/d)")
-    if f.degree == 0:
-        return False
-    multiple = repeated_root_part(f)
+
+
+def _has_root_near(multiple: IntPolynomial, eps: float) -> bool:
+    """Whether the repeated part gcd(f, f') of some f has a root within
+    eps of [-1, 1]; the oracle runs only when it is not constant."""
     return multiple.degree >= 1 and any(
         distance_to_interval(z) <= eps for z in numeric_roots(multiple).roots
     )

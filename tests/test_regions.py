@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import rootiso.polynomial as polynomial
 import rootiso.regions as regions
 from conftest import make_poly
 from rootiso.dyadic import Dyadic, DyadicInterval
@@ -52,6 +53,9 @@ class TestDiskCover:
             for n in range(1, cover.N + 1):
                 assert by_n[-n][0] == -by_n[n][0]
                 assert by_n[-n][1] == by_n[n][1]
+
+    def test_built_once_per_degree(self):
+        assert disk_cover(16) is disk_cover(16)
 
     def test_small_degree_rejected(self):
         with pytest.raises(ValueError):
@@ -358,6 +362,23 @@ class TestSeparationNearInterval:
 
     def test_constant_has_no_roots(self):
         assert eps_real_separation(poly(7), 0.5) == math.inf
+
+    def test_one_gcd_of_f(self, monkeypatch):
+        # the repeated part and the square-free part come from one gcd
+        calls = []
+        gcd = polynomial._gcd_with_derivative
+
+        def counting_gcd(fp):
+            calls.append(fp)
+            return gcd(fp)
+
+        monkeypatch.setattr(polynomial, "_gcd_with_derivative", counting_gcd)
+        monkeypatch.setattr(regions, "_gcd_with_derivative", counting_gcd)
+        square = _mul(poly(-1, 0, 4), poly(-1, 0, 4))
+        for f in (poly(-1, 0, 4), uniform_model(16, 32).sample(1, 0), square, square.scale(-3)):
+            calls.clear()
+            eps_real_separation(f, 0.5 / f.degree)
+            assert calls.count(f.primitive_part()) == 1
 
     def test_repeated_root_near(self):
         assert repeated_root_near(poly(1, -4, 4), 0.3)
