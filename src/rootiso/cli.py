@@ -42,7 +42,6 @@ from .regions import (
     cover_root_count_bound,
     disk_cover,
     numeric_roots,
-    repeated_root_near,
     root_set_separation,
     roots_in_cover,
 )
@@ -231,8 +230,6 @@ def _cmd_isolate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     f = _parse_poly_args(args)[0]
-    if f.is_zero:
-        raise ZeroPolynomialError("zero polynomial")
     bracket = global_condition_bracket(f, rel_tol=args.rel_tol, max_grid=args.max_grid)
 
     def stats(sweeps: int) -> None:
@@ -256,10 +253,8 @@ def _cmd_analyze(args) -> int:
     if separate:
         doc["separation_bound"] = separation_lower_bound(f, cond_upper=bracket.upper)
         eps = separation_epsilon(f, bracket.upper)
-        # the oracle ran on the square-free part, so it returned fewer than
-        # f.degree roots exactly when f has a repeated root
-        near_repeat = len(roots.roots) < f.degree and repeated_root_near(f, eps)
-        doc["separation"] = 0.0 if near_repeat else _finite_or_none(root_set_separation(roots, eps))
+        # no repeated root lies within eps of the interval (separation_epsilon)
+        doc["separation"] = _finite_or_none(root_set_separation(roots, eps))
     else:
         doc["separation_bound"] = None
         doc["separation"] = None

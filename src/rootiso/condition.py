@@ -487,6 +487,17 @@ def separation_lower_bound(f: IntPolynomial, cond_upper: float) -> float:
 
 
 def separation_epsilon(f: IntPolynomial, cond_upper: float) -> float:
-    """The neighborhood radius for which ``separation_lower_bound`` holds."""
+    """The neighborhood radius for which ``separation_lower_bound`` holds.
+
+    No repeated root of f lies within eps = 1/(e d U) of [-1, 1] when U
+    bounds the global condition from above.  Suppose z did, with
+    f(z) = f'(z) = 0 and d >= 2, and let x be the point of [-1, 1]
+    nearest to z.  U >= cond >= 1, so (d - 2) eps < 1/e, and on the
+    segment [z, x] |f''| <= d (d - 1) ||f||_1 (1 + eps)^(d-2)
+    < 1.45 d^2 ||f||_1.  Taylor's theorem at z then gives
+    |f'(x)|/d < 1.45 d eps ||f||_1 < 0.54 ||f||_1 / U and
+    |f(x)| < 0.73 d^2 eps^2 ||f||_1 < 0.1 ||f||_1 / U, so
+    cond(f, x) > 1.8 U, against U.
+    """
     d = max(f.degree, 1)
     return 1.0 / (math.e * d * cond_upper)

@@ -363,11 +363,7 @@ def run_steps_scaling(
             "node_count_over_lg3_d": mean_nodes / ref,
             "max_depth": max(r.depth for r in group),
         }
-        checks = [
-            (r.depth, _depth_allowance(r.d, r.cond_upper))
-            for r in group
-            if r.cond_upper is not None
-        ]
+        checks = [(r.depth, _depth_allowance(r.d, r.cond_upper)) for r in group]
         finite = [(dep, bound) for dep, bound in checks if bound is not None]
         entry["depth_bound_trials"] = len(finite)
         entry["depth_bound_ok"] = all(dep <= bound for dep, bound in finite)
@@ -389,7 +385,7 @@ def run_steps_scaling(
 
 def _depth_allowance(d: int, cond_upper: float) -> int | None:
     """ceil(lg(12 d U)) + 2, the certified cap on subdivision depth."""
-    if cond_upper is None or not math.isfinite(cond_upper):
+    if not math.isfinite(cond_upper):
         return None
     return math.ceil(math.log2(12.0 * d * cond_upper)) + 2
 

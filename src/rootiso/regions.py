@@ -28,7 +28,6 @@ from .polynomial import (
     IntPolynomial,
     ZeroPolynomialError,
     _gcd_with_derivative,
-    repeated_root_part,
     square_free_part,
 )
 
@@ -298,38 +297,41 @@ def _square_free_roots(g: IntPolynomial) -> ComplexRootSet:
     diagonal = diff.reshape(-1)[:: n + 1]  # a strided view
 
     residual = math.inf
-    for sweeps in range(1, _MAX_SWEEPS + 1):
-        values = _evaluate(table, z)
-        residual = _residual(values)
-        if residual <= _TOL:
-            break
-        pv, _, dv = values
-        dv = np.where(dv == 0, 1e-300, dv)
-        newton = pv / dv
-        np.subtract(z[:, None], z, diff)
-        diagonal[:] = np.inf
-        np.divide(1.0, diff, diff)
-        repulse = np.add.reduce(diff, axis=1)
-        denom = 1.0 - newton * repulse
-        denom = np.where(denom == 0, 1e-300, denom)
-        step = newton / denom
-        step = np.where(np.isfinite(step), step, newton)
-        z = z - step
-    else:
-        raise NoConvergenceError(g.degree, _MAX_SWEEPS, residual, _TOL)
+    # a diverging iterate overflows to inf and NaN, which the residual
+    # test reports as non-convergence; numpy need not warn about it
+    with np.errstate(all="ignore"):
+        for sweeps in range(1, _MAX_SWEEPS + 1):
+            values = _evaluate(table, z)
+            residual = _residual(values)
+            if residual <= _TOL:
+                break
+            pv, _, dv = values
+            dv = np.where(dv == 0, 1e-300, dv)
+            newton = pv / dv
+            np.subtract(z[:, None], z, diff)
+            diagonal[:] = np.inf
+            np.divide(1.0, diff, diff)
+            repulse = np.add.reduce(diff, axis=1)
+            denom = 1.0 - newton * repulse
+            denom = np.where(denom == 0, 1e-300, denom)
+            step = newton / denom
+            step = np.where(np.isfinite(step), step, newton)
+            z = z - step
+        else:
+            raise NoConvergenceError(g.degree, _MAX_SWEEPS, residual, _TOL)
 
-    # Newton polish (roots are simple after square-freeing); keep the
-    # polished points only if they do not degrade the residual.  The first
-    # step starts from the last sweep's values, which are those at z.
-    polished = z
-    for _ in range(3):
-        pv, _, dv = values
-        dv = np.where(dv == 0, 1e-300, dv)
-        polished = polished - pv / dv
-        values = _evaluate(table, polished)
-    polished_residual = _residual(values)
-    if polished_residual <= residual:
-        z, residual = polished, polished_residual
+        # Newton polish (roots are simple after square-freeing); keep the
+        # polished points only if they do not degrade the residual.  The first
+        # step starts from the last sweep's values, which are those at z.
+        polished = z
+        for _ in range(3):
+            pv, _, dv = values
+            dv = np.where(dv == 0, 1e-300, dv)
+            polished = polished - pv / dv
+            values = _evaluate(table, polished)
+        polished_residual = _residual(values)
+        if polished_residual <= residual:
+            z, residual = polished, polished_residual
 
     order = np.lexsort((z.imag, z.real))
     return ComplexRootSet(
@@ -467,40 +469,18 @@ def eps_real_separation(f: IntPolynomial, eps: float) -> float:
     One gcd gives both the repeated part and the square-free part that
     the oracle runs on.
     """
-    _check_separation_args(f, eps)
+    if f.is_zero:
+        raise ZeroPolynomialError("zero polynomial")
+    if not 0.0 <= eps < 1.0 / max(f.degree, 1):
+        raise ValueError("eps must lie in [0, 1/d)")
     if f.degree == 0:
         return math.inf
     multiple, square_free = _gcd_with_derivative(f.primitive_part())
-    if _has_root_near(multiple, eps):
+    if multiple.degree >= 1 and any(
+        distance_to_interval(z) <= eps for z in numeric_roots(multiple).roots
+    ):
         return 0.0
     return root_set_separation(_square_free_roots(square_free), eps)
-
-
-def repeated_root_near(f: IntPolynomial, eps: float) -> bool:
-    """Whether f has a repeated root within eps of [-1, 1].
-
-    The repeated part gcd(f, f') is exact; the oracle runs on it only
-    when it has a root.  Validates f and eps as ``eps_real_separation``
-    does.
-    """
-    _check_separation_args(f, eps)
-    return f.degree >= 1 and _has_root_near(repeated_root_part(f), eps)
-
-
-def _check_separation_args(f: IntPolynomial, eps: float) -> None:
-    if f.is_zero:
-        raise ZeroPolynomialError("zero polynomial")
-    d = max(f.degree, 1)
-    if not 0.0 <= eps < 1.0 / d:
-        raise ValueError("eps must lie in [0, 1/d)")
-
-
-def _has_root_near(multiple: IntPolynomial, eps: float) -> bool:
-    """Whether the repeated part gcd(f, f') of some f has a root within
-    eps of [-1, 1]; the oracle runs only when it is not constant."""
-    return multiple.degree >= 1 and any(
-        distance_to_interval(z) <= eps for z in numeric_roots(multiple).roots
-    )
 
 
 def root_set_separation(roots: ComplexRootSet, eps: float) -> float:
@@ -508,7 +488,9 @@ def root_set_separation(roots: ComplexRootSet, eps: float) -> float:
     [-1, 1]; +inf when fewer than two are that close.
 
     With ``roots = numeric_roots(f)`` this is ``eps_real_separation``
-    for an f without a repeated root near the interval.
+    for an f without a repeated root near the interval, such as any f at
+    eps = ``separation_epsilon(f, U)`` for a finite upper bound U on its
+    condition (see there).
     """
     near = [z for z in roots.roots if distance_to_interval(z) <= eps]
     if len(near) < 2:

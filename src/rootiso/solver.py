@@ -227,7 +227,7 @@ def isolate_all(f: IntPolynomial) -> IsolationResult:
     of fsq(+-1)), and subdivides (-1, 1) for the reciprocal's square-free
     part, whose roots in (-1, 0) and (0, 1) are the reciprocals of the
     roots of f outside [-1, 1].  That part is fsq reversed (dropping a
-    root at 0) and sign-normalized, so fsq is computed once.
+    root at 0), so fsq is computed once.
     Reciprocal-phase intervals are bisected from their vectors until they
     avoid 0, so every reported pre-image interval maps to a bounded
     interval under x -> 1/x.
@@ -236,8 +236,6 @@ def isolate_all(f: IntPolynomial) -> IsolationResult:
         raise ZeroPolynomialError("zero polynomial")
     fsq = square_free_part(f)
     rsq = fsq.reciprocal()
-    if rsq.leading_coefficient < 0:
-        rsq = rsq.scale(-1)
 
     leaves, midpoints, nodes, (lo, hi) = _subdivide(fsq)
     intervals = [RootInterval(leaf.interval) for leaf in leaves]

@@ -47,8 +47,9 @@ class TestIsolate:
         roots = {(r["num"], r["exp"], r["inverted"]) for r in doc["exact_roots"]}
         assert roots == {("-2", 0, False), ("2", 0, False)}
 
-    def test_zero_polynomial_exit_code(self, capsys):
-        code, _, err = run_cli(capsys, "isolate", "--coeffs", "0 0 0")
+    @pytest.mark.parametrize("command", ["isolate", "analyze"])
+    def test_zero_polynomial_exit_code(self, capsys, command):
+        code, _, err = run_cli(capsys, command, "--coeffs", "0 0 0")
         assert code == 2
         assert "zero polynomial" in err
 
@@ -131,16 +132,33 @@ class TestAnalyze:
 
         monkeypatch.setattr(rootiso.cli, "numeric_roots", counting_oracle)
         monkeypatch.setattr(rootiso.regions, "numeric_roots", counting_oracle)
-        for coeffs, degree in (("-1 0 4", 2), ("3 -1 -7 2 5 1", 5), ("1 2", 1)):
+        # (x - 3)^2 included: its repeated part gets no oracle pass of its own
+        for coeffs, degree in (("-1 0 4", 2), ("3 -1 -7 2 5 1", 5), ("1 2", 1), ("9 -6 1", 2)):
             calls.clear()
             code, out, _ = run_cli(capsys, "analyze", "--coeffs", coeffs, "--max-grid", "65536")
             assert code == 0 and json.loads(out)["separation_bound"] is not None
             assert calls == [degree]
 
+    def test_one_gcd_of_a_repeated_root_input(self, capsys, monkeypatch):
+        # the oracle's square-free part is the only gcd(f, f') taken of f:
+        # no repeated-root check runs next to it
+        calls = []
+        gcd = rootiso.polynomial._gcd_with_derivative
+
+        def counting_gcd(fp):
+            calls.append(fp)
+            return gcd(fp)
+
+        monkeypatch.setattr(rootiso.polynomial, "_gcd_with_derivative", counting_gcd)
+        monkeypatch.setattr(rootiso.regions, "_gcd_with_derivative", counting_gcd)
+        code, out, _ = run_cli(capsys, "analyze", "--coeffs", "9 -6 1")
+        assert code == 0 and json.loads(out)["separation_bound"] is not None
+        assert calls.count(rootiso.IntPolynomial.from_text("9 -6 1")) == 1
+
     def test_one_certificate_per_square_free_input(self, capsys, monkeypatch):
-        # the oracle's root count tells a square-free input apart, so the
-        # repeated-root check and its certificate run only for the others;
-        # the certificate is the pre-test, and no modular Euclid runs
+        # one square-free certificate per square-free input, taken by the
+        # oracle's square_free_part: the certificate is the pre-test, and no
+        # modular Euclid runs
         calls = []
         certify = rootiso.polynomial._coprime_with_derivative
         euclid = rootiso.polynomial._gcd_with_derivative_mod_p
@@ -184,6 +202,11 @@ class TestAnalyze:
             (_uniform_64(0), "--max-grid", "2048", "--rel-tol", "0.01"),
             "00f0f172b0bcd99fa46a414e1231692cbfc7109a9db439c8daffebb53fb1945c",
         ),
+        # repeated roots: (8x - 9)^2 (4x^2 - 1) just outside the interval,
+        # (16x^2 + 1)^2 at +-i/4 and (x - 3)^2 far from it
+        "repeated-near": (("-81 144 260 -576 256",), "df4eea9a60465424292c1729b0aa6a85e20c05acc68ac6b2745593d9f8441103"),
+        "repeated-complex": (("1 0 32 0 256",), "bcfa2d5f17705394330b483d265ef4356edfb6793f5ad0e1b1e22ee92480993c"),
+        "repeated-far": (("9 -6 1",), "47558ad7be3c67eefbfec0ee4ff345808065241e6116814736ea828f089cd180"),
     }
 
     @pytest.mark.parametrize("name", list(GOLDEN))
@@ -211,7 +234,6 @@ class TestAnalyze:
         code, out, err = run_cli(capsys, "analyze", "--coeffs", "5", "--stats")
         assert code == 0 and err == "stats levels=0 scanned=0 exact=0 sweeps=0\n"
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_stats_of_a_failed_oracle(self, capsys):
         f = rootiso.uniform_model(256, 32).sample(1, 6)
         code, out, err = run_cli(capsys, "analyze", "--coeffs", " ".join(map(str, f.coeffs)), "--stats")
@@ -220,7 +242,6 @@ class TestAnalyze:
         assert stats.startswith("stats levels=") and stats.endswith(" sweeps=500")
         assert message.startswith("rootiso: computational error: no convergence: degree 256, 500 sweeps")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_convergence_diagnostics_on_stderr(self, capsys):
         f = rootiso.uniform_model(256, 32).sample(1, 6)
         code, out, err = run_cli(capsys, "analyze", "--coeffs", " ".join(map(str, f.coeffs)))

@@ -3,15 +3,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import rootiso.polynomial as polynomial
 import rootiso.regions as regions
 from conftest import make_poly
+from rootiso.condition import global_condition_bracket, separation_epsilon
 from rootiso.dyadic import Dyadic, DyadicInterval
 from rootiso.models import uniform_model
 from rootiso.polynomial import (
     IntPolynomial,
     ZeroPolynomialError,
+    repeated_root_part,
     square_free_part,
     variations_in_interval,
 )
@@ -24,7 +28,6 @@ from rootiso.regions import (
     eps_real_separation,
     numeric_roots,
     obreshkoff_discs,
-    repeated_root_near,
     root_set_separation,
     roots_in_cover,
 )
@@ -187,7 +190,6 @@ class TestNumericRoots:
                 if abs(z) <= 1.0:
                     assert abs(np.polyval(cs, z)) <= rs.residual_bound * norm * (1 + 1e-9)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_convergence_diagnostics(self):
         with pytest.raises(NoConvergenceError) as info:
             numeric_roots(NON_CONVERGENT)
@@ -380,12 +382,37 @@ class TestSeparationNearInterval:
             eps_real_separation(f, 0.5 / f.degree)
             assert calls.count(f.primitive_part()) == 1
 
-    def test_repeated_root_near(self):
-        assert repeated_root_near(poly(1, -4, 4), 0.3)
-        assert not repeated_root_near(_mul(poly(-3, 1), poly(-3, 1)), 0.2)
-        assert not repeated_root_near(poly(-1, 0, 4), 0.3)
-        with pytest.raises(ValueError):
-            repeated_root_near(poly(-1, 0, 4), 0.5)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            # a x - b with the real root b / a just outside [-1, 1]
+            st.builds(
+                lambda a, k, sign: poly(-sign * (a + k), a),
+                st.integers(1, 64), st.integers(1, 4), st.sampled_from([1, -1]),
+            ),
+            # (a x - c)^2 + s^2 with the complex roots (c +- i s) / a near it
+            st.builds(
+                lambda a, c, s: poly(c * c + s * s, -2 * a * c, a * a),
+                st.integers(2, 64), st.integers(-64, 64), st.integers(1, 4),
+            ).filter(lambda h: abs(h.coeffs[1]) <= 2 * h.coeffs[2]),
+        ),
+        st.integers(2, 3),
+        st.lists(st.integers(-16, 16), min_size=1, max_size=6).filter(lambda c: c[-1] != 0),
+    )
+    def test_no_repeated_root_within_the_certified_epsilon(self, h, multiplicity, cofactor):
+        # separation_epsilon's argument: for a finite certified upper end U
+        # of the condition, no repeated root lies within 1/(e d U) of the
+        # interval, so the oracle's square-free root set gives the separation
+        f = IntPolynomial(cofactor)
+        for _ in range(multiplicity):
+            f = _mul(f, h)
+        upper = global_condition_bracket(f, max_grid=1 << 16).upper
+        assume(math.isfinite(upper))
+        eps = separation_epsilon(f, upper)
+        repeated = repeated_root_part(f)
+        assert repeated.degree >= 1
+        assert all(distance_to_interval(z) > eps for z in numeric_roots(repeated).roots)
+        assert root_set_separation(numeric_roots(f), eps) == eps_real_separation(f, eps)
 
 
 class TestRootSetFunctions:
@@ -400,9 +427,11 @@ class TestRootSetFunctions:
             roots, cover = numeric_roots(f), disk_cover(f.degree)
             assert roots_in_cover(roots, cover) == count_roots_in_cover(f)
             assert roots_in_cover(roots, cover) == _reference_roots_in_cover(roots, cover)
+            # random inputs have no repeated root, so the equality holds at
+            # every eps
+            assert len(roots.roots) == f.degree
             for eps in (0.0, 0.25 / f.degree, 0.99 / f.degree):
-                if not repeated_root_near(f, eps):
-                    assert root_set_separation(roots, eps) == eps_real_separation(f, eps)
+                assert root_set_separation(roots, eps) == eps_real_separation(f, eps)
 
     def test_cover_count_matches_at_disk_boundaries(self):
         # points at distance r +- margin from each centre, and one ulp to
