@@ -26,7 +26,6 @@ from __future__ import annotations
 import hashlib
 import statistics
 import sys
-import warnings
 
 import benchlib  # first: it pins the BLAS threads and puts src/ on the path
 from speed import Clock
@@ -96,8 +95,6 @@ def run() -> dict:
 
 
 def main(argv=None) -> int:
-    # a failing sample overflows on its way; the failure itself is recorded
-    warnings.simplefilter("ignore", RuntimeWarning)
     runs, label, record = benchlib.run_and_store(__doc__, "BENCH_oracle.json", run, argv=argv)
     return benchlib.compare_hashes(runs, label, record, "degrees", "roots_sha256", "roots")
 

@@ -62,14 +62,6 @@ class UnboundedConditionError(ArithmeticError):
 _ONE = Dyadic(1)
 # the order K of a cell's Taylor model
 _ORDER = 5
-# the slack of the float test of whether a level's exact upper end can
-# meet the tolerance, so that rounding never skips a level that stops.
-# The test changes no field of a bracket, but it saves exact evaluations:
-# without it, 64 of 880 uniform tau = 32 brackets evaluate one more point
-# exactly (one of them two more): 49 of 600 at d = 16, 64, 64 with
-# rel_tol = 0.5 and max_grid = 2^26, 13 of 248 at d = 64 and 256 with the
-# ``analyze`` defaults, and 2 of 32 at d = 256 and 512
-_SAFETY = 1.0 + 2.0**-30
 
 
 def _first_level(d: int) -> int:
@@ -294,12 +286,10 @@ def global_condition_bracket(
       dropped cells do not.
 
     B is a rational; ``upper`` is the least float >= 1/B, so rounding
-    never makes it smaller, and +inf when B <= 0.  The exact reach is
-    evaluated only for the cells whose float reach is within 2 reach_err
-    of the least float reach, which include the cell of least exact reach,
-    and only where it can stop the loop: when the bound least float reach
-    + reach_err >= B could meet the tolerance (with the slack ``_SAFETY``
-    for rounding), and at the last level the budget allows.
+    never makes it smaller, and +inf when B <= 0.  At every level the
+    exact reach is evaluated only for the cells whose float reach is
+    within 2 reach_err of the least float reach, which include the cell of
+    least exact reach.
 
     Floats thus decide the active set, and nothing else: ``lower``, B and
     the stopping level are functions of the exact values over it.  Two
@@ -311,7 +301,7 @@ def global_condition_bracket(
     """
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
-    if rel_tol <= 0:
+    if not rel_tol > 0:
         raise ValueError("rel_tol must be positive")
     d = f.degree
     if d == 0:
@@ -351,15 +341,13 @@ def global_condition_bracket(
         reach = _float_reach(values, d, radius)
         reach_err = err * math.exp(d * radius) + 2.0**-46
         least = float(reach.min()) + reach_err  # at least B
+        reaches = [
+            _reach(exact(int(ks[idx]), level), d, norm, level + 1)
+            for idx in np.nonzero(reach <= least + reach_err)[0]
+        ]
+        shift = max(s for _, s in reaches)
+        upper = _round_up_quotient(scale << shift, min(a << (shift - s) for a, s in reaches))
         last = (1 << (level + 2)) + 1 > max_grid
-        upper = math.inf
-        if math.isfinite(lower) and least > 0 and (last or least * (1.0 + rel_tol) * lower * _SAFETY >= 1.0):
-            reaches = [
-                _reach(exact(int(ks[idx]), level), d, norm, level + 1)
-                for idx in np.nonzero(reach <= least + reach_err)[0]
-            ]
-            shift = max(s for _, s in reaches)
-            upper = _round_up_quotient(scale << shift, min(a << (shift - s) for a, s in reaches))
         work = (levels, scanned, len(evaluated))
         if math.isfinite(upper) and upper <= (1.0 + rel_tol) * lower:
             return ConditionBracket(lower, upper, grid_size, delta, True, *work)

@@ -165,15 +165,11 @@ def _fmt(v) -> str:
 def _jsonable(obj):
     """Strict-JSON-safe copy: non-finite floats become strings."""
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, list):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
     return obj
 
 
@@ -558,7 +554,7 @@ def run_instance_bound(
         )
         ratios.append(row.node_count / budget)
     arr = np.array(ratios, dtype=float)
-    p99 = float(np.quantile(arr, 0.99)) if arr.size else math.inf
+    p99 = _quantile(sorted(ratios), 0.99) if ratios else math.inf
 
     return ExperimentReport(
         kind="instance_bound",

@@ -354,12 +354,22 @@ def _horner_table(g: IntPolynomial, n: int) -> list[np.ndarray]:
     bytes, three times a sweep's d x d difference matrix.  Every entry is
     a float with imaginary part +0.0, the value numpy gives a float added
     to or multiplied with a complex array.
+
+    Coefficients of g or g' too wide for a float are truncated as
+    ``solver._unit_scaled`` truncates: all of them lose the same low bits,
+    so that the widest keeps 1000.  The roots and the backward error do
+    not depend on that common power of two.
     """
-    coeffs = np.array(g.coeffs[::-1], dtype=float)[:, None]
+    rows = [g.coeffs[::-1], g.derivative().coeffs[::-1]]
+    try:
+        coeffs, slope = (np.array(row, dtype=float)[:, None] for row in rows)
+    except OverflowError:
+        s = max(abs(c) for row in rows for c in row).bit_length() - 1000
+        coeffs, slope = (np.array([c >> s for c in row], dtype=float)[:, None] for row in rows)
     table = np.zeros((coeffs.size, 3, n), dtype=complex)
     table[:, 0] = coeffs
     table[:, 1] = np.abs(coeffs)
-    table[1:, 2] = np.array(g.derivative().coeffs[::-1], dtype=float)[:, None]
+    table[1:, 2] = slope
     return list(table)
 
 

@@ -121,6 +121,19 @@ class TestAnalyze:
         doc = json.loads(out)
         assert code == 0 and doc["rho_bound"] is None and doc["rho_count"] is None
 
+    def test_coefficients_beyond_float_range(self, capsys):
+        # A x^2 + 3x - A, A = 2^1100 + 1: neither A nor 2A converts to a float
+        a = (1 << 1100) + 1
+        text = f"{-a} 3 {a}"
+        code, out, _ = run_cli(capsys, "analyze", "--coeffs", text)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["rho_count"] == {"min": 2, "max": 2}
+        assert doc["separation"] == pytest.approx(2.0, abs=1e-9)
+        roots = rootiso.regions.numeric_roots(rootiso.IntPolynomial.from_text(text)).roots
+        assert [z.imag for z in roots] == [0.0, 0.0]
+        assert [z.real for z in roots] == pytest.approx([-1.0, 1.0], abs=1e-9)
+
     def test_one_oracle_pass(self, capsys, monkeypatch):
         # the separation and the cover count share one root set
         calls = []

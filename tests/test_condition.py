@@ -97,8 +97,9 @@ class TestBracket:
     def test_validation(self):
         with pytest.raises(ZeroPolynomialError):
             global_condition_bracket(IntPolynomial([]))
-        with pytest.raises(ValueError):
-            global_condition_bracket(poly(1, 1), rel_tol=0.0)
+        for rel_tol in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                global_condition_bracket(poly(1, 1), rel_tol=rel_tol)
 
     def test_bracket_contains_dense_scan(self):
         rng = random.Random(32)
