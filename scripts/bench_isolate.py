@@ -2,9 +2,10 @@
 
     python3 scripts/bench_isolate.py --label change
 
-Inputs are ``benchlib.uniform`` samples for d in 16, 64, 256, 512 and
-1024, each timed per entry point by ``benchlib.fastest``; the figure is
-the median over the samples, in ms.  Timing and storage are described in
+Inputs are ``benchlib.uniform`` samples for d in 16, 64, 128, 256, 512
+and 1024 (128 is the degree of ``perfbench``'s ``iso-random``), each
+timed per entry point by ``benchlib.fastest``; the figure is the median
+over the samples, in ms.  Timing and storage are described in
 ``scripts/benchlib.py``; the run goes to ``BENCH_isolate.json``.
 
 The first call per degree, ``isolate_all`` on sample 0, is timed on its
@@ -43,7 +44,7 @@ from rootiso.polynomial import IntPolynomial
 from rootiso.solver import isolate_all, isolate_unit
 
 # degree: (samples, repeats per sample)
-PLAN = {16: (100, 7), 64: (50, 7), 256: (16, 3), 512: (8, 1), 1024: (8, 1)}
+PLAN = {16: (100, 7), 64: (50, 7), 128: (32, 5), 256: (16, 3), 512: (8, 1), 1024: (8, 1)}
 COUNTERS = ("node_count", "splits", "exact_nodes", "exact_splits", "midpoint_evaluations")
 ROUNDS = 40
 REPEATS = 3

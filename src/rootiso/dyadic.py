@@ -164,11 +164,15 @@ class DyadicInterval:
     def midpoint(self) -> Dyadic:
         # (lo + hi) / 2 is exactly representable: dyadics are closed
         # under addition and halving
-        return (self.lo + self.hi).half()
+        lo, hi = self.lo, self.hi
+        e = max(lo.exp, hi.exp)
+        return Dyadic((lo.num << (e - lo.exp)) + (hi.num << (e - hi.exp)), e + 1)
 
     def split(self) -> "tuple[DyadicInterval, DyadicInterval]":
+        """The halves (lo, m) and (m, hi) at the midpoint m, which lies
+        strictly between the ends, so neither half is checked again."""
         m = self.midpoint()
-        return DyadicInterval(self.lo, m), DyadicInterval(m, self.hi)
+        return _interval(self.lo, m), _interval(m, self.hi)
 
     def contains(self, x: Dyadic | int) -> bool:
         x = _coerce(x)
@@ -194,3 +198,11 @@ class DyadicInterval:
 
     def __repr__(self) -> str:
         return f"DyadicInterval({self.lo!r}, {self.hi!r})"
+
+
+def _interval(lo: Dyadic, hi: Dyadic) -> DyadicInterval:
+    """The interval (lo, hi) for dyadics known to satisfy lo < hi."""
+    out = object.__new__(DyadicInterval)
+    out.lo = lo
+    out.hi = hi
+    return out

@@ -24,15 +24,18 @@ Pascal rounds, Kronecker wins only at low degree with narrow coefficients
 (d <= 64, 32 bits), and both lose from d = 256 on and with wide
 coefficients.  The square-free part divides out gcd(f, f').  Most
 square-free inputs are certified by one integer gcd, of f and f' at a
-point beyond their roots, and run no Euclid.  The others, and every input
-with a repeated root, run the small-primes modular gcd, each image a
-Euclid loop in numpy int64 modulo a prime below 2^31.
+point beyond their roots, and run no Euclid.  Both values come from one
+pass, Horner on runs of 32 coefficients combined pairwise, with no
+derivative built.  The others, and every input with a repeated root, run
+the small-primes modular gcd, each image a Euclid loop in numpy int64
+modulo a prime below 2^31.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul, ne
@@ -57,10 +60,13 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [int(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        # operator.index takes int, bool and numpy integers, and raises
+        # TypeError on floats and strings rather than truncating them
+        cs = tuple(map(operator.index, coeffs))
+        n = len(cs)
+        while n and not cs[n - 1]:
+            n -= 1
+        self.coeffs = cs if n == len(cs) else cs[:n]
 
     # -- basic structure -----------------------------------------------------
 
@@ -444,8 +450,7 @@ def _coprime_with_derivative(fp: IntPolynomial) -> bool:
         return False
     k = r + _MARGIN
     xi = (1 << k) + 1
-    derivative = [i * c for i, c in enumerate(fp.coeffs)][1:]
-    gamma = math.gcd(_estrin(fp.coeffs, xi), _estrin(derivative, xi))
+    gamma = math.gcd(*_value_and_slope(fp.coeffs, xi))
     return gamma <= 1 << (k - 1)
 
 
@@ -458,22 +463,45 @@ def _root_exponent(coeffs) -> int:
     r = 1 + max(0, max_i ceil((bl f_(d-i) - bl f_d + 1) / i)); the terms
     that are not positive, zero coefficients among them, are skipped.
     """
-    top = coeffs[-1].bit_length() - 1
-    excess = [c.bit_length() - top for c in reversed(coeffs[:-1])]
+    lengths = list(map(int.bit_length, coeffs))
+    top = lengths.pop() - 1
+    excess = [b - top for b in reversed(lengths)]
     return 1 + max((-(-e // i) for i, e in enumerate(excess, 1) if e > 0), default=0)
 
 
-def _estrin(coeffs, x: int) -> int:
-    """The polynomial's value at x by pairwise combination (Estrin): the
-    pairs c_(2i) + c_(2i+1) x, then the same on those at x^2."""
-    values = list(coeffs)
-    while len(values) > 1:
-        if len(values) & 1:
-            values.append(0)
-        values = [a + b * x for a, b in zip(values[::2], values[1::2])]
-        if len(values) > 1:
-            x *= x
-    return values[0]
+# The run length of ``_value_and_slope``'s Horner passes.
+_RUN = 32
+
+
+def _value_and_slope(coeffs, x: int) -> tuple[int, int]:
+    """f(x) and f'(x) for f with the coefficients ``coeffs``, in one pass.
+
+    Horner over each run of ``_RUN`` coefficients carries (value, slope).
+    Neighbouring blocks, each left one m coefficients long, then combine
+    pairwise (Estrin): with X = x^m and X' = m x^(m - 1), the block
+    L + X^m R has value V_L + X V_R and slope S_L + X S_R + X' V_R, and
+    (X, X') for 2m is (X^2, 2 X X').  Wide operands meet in a few large
+    products, not in d products of one wide and one narrow operand.
+    """
+    blocks = []
+    for start in range(0, len(coeffs), _RUN):
+        value = slope = 0
+        for c in reversed(coeffs[start : start + _RUN]):
+            slope = slope * x + value
+            value = value * x + c
+        blocks.append((value, slope))
+    power, dpower = x**_RUN, _RUN * x ** (_RUN - 1)
+    while len(blocks) > 1:
+        paired = [
+            (vl + power * vr, sl + power * sr + dpower * vr)
+            for (vl, sl), (vr, sr) in zip(blocks[::2], blocks[1::2])
+        ]
+        if len(blocks) & 1:
+            paired.append(blocks[-1])
+        blocks = paired
+        if len(blocks) > 1:
+            power, dpower = power * power, 2 * power * dpower
+    return blocks[0]
 
 
 def _gcd_with_derivative_mod_p(f: IntPolynomial, p: int) -> list | None:

@@ -23,11 +23,15 @@ drops its exact vector.  The sign at a midpoint comes from the float apex
 when certified and otherwise from one exact evaluation, which also finds
 a dyadic root there.  So the tree and every output are those of exact
 arithmetic.  The off-zero refinement splits the same way.  The root
-(-1, 1) of each phase starts from one float product, its power
+(-1, 1) of the direct phase starts from one float product, its power
 coefficients times the cached power-to-Bernstein matrix, under a bound
 of the same kind, and its ends are the exact signs of two integer sums.
 Its exact vector, a Taylor shift, is built only when the root's own
-signs need it.
+signs need it.  The reciprocal phase's root is the direct root with the
+signs of alternate entries flipped, image, bound and exact vector alike,
+and takes no product or transform of its own; only when the square-free
+part vanishes at 0, so that the reciprocal has a lower degree, does it
+start from its own product.
 Roots outside [-1, 1] are reached through the reciprocal polynomial and the
 map x -> 1/x; since 1/x is not dyadic in general, those results carry an
 ``inverted`` flag together with the dyadic pre-image.
@@ -45,6 +49,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, repeat
 from operator import add, lshift, or_, rshift, truediv
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +64,7 @@ from .polynomial import (
 )
 
 
-@dataclass(frozen=True)
-class NodeRecord:
+class NodeRecord(NamedTuple):
     """One processed subdivision node: its interval, variation count and
     depth (the root interval (-1, 1) has depth 0).
 
@@ -69,8 +73,10 @@ class NodeRecord:
     were uncertain); ``exact_splits``, the exact transforms that building
     that vector took, 1 for an integer de Casteljau pass of the parent's
     vector or for a direct build from the phase polynomial, and 0 for a
-    half that its sibling's pass left; ``evaluated_midpoint`` when the node
-    was split and the sign at its midpoint came from an exact evaluation.
+    half that its sibling's pass left, or for the reciprocal phase's root
+    when it mirrors the direct root's vector (``_mirrored_root``), which
+    takes no transform; ``evaluated_midpoint`` when the node was split and
+    the sign at its midpoint came from an exact evaluation.
     """
 
     interval: DyadicInterval
@@ -211,7 +217,7 @@ def isolate_unit(f: IntPolynomial) -> IsolationResult:
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
     fsq = square_free_part(f)
-    leaves, midpoints, nodes, _ = _subdivide(fsq)
+    leaves, midpoints, nodes = _subdivide(fsq, _phase_root(fsq))
     return IsolationResult(
         intervals=[RootInterval(leaf.interval) for leaf in leaves],
         exact_roots=[ExactRoot(m) for m in midpoints],
@@ -227,7 +233,8 @@ def isolate_all(f: IntPolynomial) -> IsolationResult:
     of fsq(+-1)), and subdivides (-1, 1) for the reciprocal's square-free
     part, whose roots in (-1, 0) and (0, 1) are the reciprocals of the
     roots of f outside [-1, 1].  That part is fsq reversed (dropping a
-    root at 0), so fsq is computed once.
+    root at 0), so fsq is computed once, and when fsq(0) != 0 its root
+    node is fsq's with alternate signs flipped (``_mirrored_root``).
     Reciprocal-phase intervals are bisected from their vectors until they
     avoid 0, so every reported pre-image interval maps to a bounded
     interval under x -> 1/x.
@@ -236,16 +243,19 @@ def isolate_all(f: IntPolynomial) -> IsolationResult:
         raise ZeroPolynomialError("zero polynomial")
     fsq = square_free_part(f)
     rsq = fsq.reciprocal()
+    root = _phase_root(fsq)
+    # read before the root is split, which drops its exact vector
+    recip_root = _mirrored_root(root) if rsq.degree == fsq.degree else _phase_root(rsq)
 
-    leaves, midpoints, nodes, (lo, hi) = _subdivide(fsq)
+    leaves, midpoints, nodes = _subdivide(fsq, root)
     intervals = [RootInterval(leaf.interval) for leaf in leaves]
     exact = [ExactRoot(m) for m in midpoints]
 
-    for endpoint, sign in ((Dyadic(1), hi), (Dyadic(-1), lo)):
+    for endpoint, sign in ((Dyadic(1), root.hi), (Dyadic(-1), root.lo)):
         if sign == 0:
             exact.append(ExactRoot(endpoint))
 
-    recip_leaves, recip_midpoints, recip_nodes, _ = _subdivide(rsq)
+    recip_leaves, recip_midpoints, recip_nodes = _subdivide(rsq, recip_root)
     exact.extend(_invert_exact(m) for m in recip_midpoints)
     for leaf in recip_leaves:
         found = _refine_off_zero(leaf, rsq)
@@ -261,18 +271,15 @@ def isolate_all(f: IntPolynomial) -> IsolationResult:
     )
 
 
-def _subdivide(fsq: IntPolynomial):
-    """Descartes subdivision of (-1, 1) for a square-free fsq.
+def _subdivide(fsq: IntPolynomial, root: _Node):
+    """Descartes subdivision of (-1, 1) for a square-free fsq, from its
+    counted root node.
 
     A node's Descartes count is the sign variations of its Bernstein
-    vector.  A split is a float pass with exact fallback (``_split``), and
-    the root starts from ``_phase_root``; both return counted nodes.
-    Returns the var = 1 leaves in order, the midpoints found to be roots,
-    the records of every node popped, and the exact signs of fsq at -1
-    and 1.
+    vector.  A split is a float pass with exact fallback (``_split``),
+    which returns counted nodes.  Returns the var = 1 leaves in order, the
+    midpoints found to be roots and the records of every node popped.
     """
-    root = _phase_root(fsq)
-    ends = root.lo, root.hi
     queue = deque([root])
     leaves: list[_Node] = []
     midpoints: list[Dyadic] = []
@@ -292,7 +299,7 @@ def _subdivide(fsq: IntPolynomial):
             queue.extend(children)
         nodes.append(NodeRecord(node.interval, v, node.depth, counted_exactly, node.exact_splits, evaluated))
 
-    return leaves, midpoints, nodes, ends
+    return leaves, midpoints, nodes
 
 
 @dataclass(slots=True, eq=False)
@@ -473,13 +480,45 @@ def _phase_root(g: IntPolynomial) -> _Node:
     coeffs = g.coeffs
     lo, hi = _sign(sum(coeffs[::2]) - sum(coeffs[1::2])), _sign(sum(coeffs))
     f, err, peak, _ = _root_image(coeffs)
-    signs = np.sign(f)
-    signs[0], signs[-1] = lo, hi
-    count = int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
-    root = _Node(DyadicInterval(Dyadic(-1), Dyadic(1)), 0, f, err, peak, lo, hi, count)
+    root = _Node(DyadicInterval(Dyadic(-1), Dyadic(1)), 0, f, err, peak, lo, hi, _float_count(f, lo, hi))
     if np.abs(f[1:-1]).min(initial=math.inf) <= err:
         _read_exact(root, _exact_vector(g, root.interval), 1)
     return root
+
+
+def _float_count(f: np.ndarray, lo: int, hi: int) -> int:
+    """The sign variations of a root image f with the exact end signs lo
+    and hi; exact when every interior entry clears the image's bound."""
+    signs = np.sign(f)
+    signs[0], signs[-1] = lo, hi
+    return int(np.count_nonzero(signs[1:] * signs[:-1] < 0))
+
+
+def _mirrored_root(root: _Node) -> _Node:
+    """The reciprocal phase's root node, from the direct phase's root
+    ``root`` for a g with g(0) != 0, before that root is split.
+
+    With s = (1 + X)/2 and t = (1 - X)/2, g = sum_i b_i C(d, i) s^i t^(d-i)
+    has X^d g(1/X) = sum_i b_i C(d, i) s^i (-t)^(d-i), since s(1/X) = s/X
+    and t(1/X) = -t/X.  So the reciprocal, of degree d when g(0) != 0, has
+    the Bernstein coefficients (-1)^(d-i) b_i on [-1, 1]: the image flips
+    sign at alternate entries, exactly, under the same bound and peak, and
+    the ends' signs become (-1)^d g(-1) and g(1).  A held exact vector
+    flips the same way and stays primitive and a positive multiple, so it
+    is the reciprocal's own (``_exact_vector``) bit for bit, and it took
+    no transform.
+    """
+    d = len(root.f) - 1
+    odd = slice(1 - d % 2, None, 2)  # the entries i with d - i odd
+    f = root.f.copy()
+    f[odd] *= -1.0
+    lo = -root.lo if d & 1 else root.lo
+    mirrored = _Node(root.interval, 0, f, root.err, root.peak, lo, root.hi, _float_count(f, lo, root.hi))
+    if root.exact is not None:
+        b = root.exact[:]
+        b[odd] = [-x for x in b[odd]]
+        _read_exact(mirrored, b, 0)
+    return mirrored
 
 
 def _root_image(coeffs) -> tuple[np.ndarray, float, float, int]:

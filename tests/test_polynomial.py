@@ -19,6 +19,7 @@ from rootiso.polynomial import (
     _descending_primes,
     _gcd_with_derivative_mod_p,
     _root_exponent,
+    _value_and_slope,
     mobius_test_poly,
     repeated_root_part,
     square_free_part,
@@ -633,7 +634,7 @@ class TestCoprimeWithDerivative:
         }
         for f, common in cases.items():
             assert _root_exponent(f.coeffs) > _MARGIN
-            monkeypatch.setattr(polynomial, "_estrin", no_evaluation)
+            monkeypatch.setattr(polynomial, "_value_and_slope", no_evaluation)
             assert not _coprime(f)
             monkeypatch.undo()
             assert repeated_root_part(f) == common
@@ -669,6 +670,40 @@ class TestCoprimeWithDerivative:
     def test_certifies_uniform_samples(self, degree):
         model = uniform_model(degree, 32)
         assert all(_coprime(model.sample(1, i)) for i in range(40))
+
+
+class TestValueAndSlope:
+    """One pass gives f(x) and f'(x), as Horner does for each."""
+
+    @staticmethod
+    def _horner(coeffs, x):
+        value = slope = 0
+        for c in reversed(coeffs):
+            value = value * x + c
+        for i in range(len(coeffs) - 1, 0, -1):
+            slope = slope * x + i * coeffs[i]
+        return value, slope
+
+    def test_run_boundaries(self):
+        # one run, one short of a run, exactly one, one over, two, two and
+        # one, four and one
+        rng = random.Random(62)
+        for n in (2, 31, 32, 33, 64, 65, 129):
+            for x in (0, 1, -1, 3, (1 << 20) + 1, -(1 << 33) - 1):
+                coeffs = [rng.randint(-(1 << 32), 1 << 32) for _ in range(n)]
+                assert _value_and_slope(coeffs, x) == self._horner(coeffs, x), (n, x)
+
+    def test_wide_coefficients(self):
+        rng = random.Random(63)
+        for n in (3, 40, 100):
+            coeffs = [rng.randint(-(1 << 3000), 1 << 3000) for _ in range(n)]
+            x = (1 << rng.randint(1, 40)) + 1
+            assert _value_and_slope(coeffs, x) == self._horner(coeffs, x)
+
+    def test_degree_one_has_a_constant_slope(self):
+        for b, a in ((0, 1), (5, -3), (1 << 100, 7)):
+            for x in (0, 2, -(1 << 17) - 1):
+                assert _value_and_slope((b, a), x) == (b + a * x, a)
 
 
 def _ruffini_shift(f, c):
@@ -725,6 +760,18 @@ def _multiply(a, b):
 
 
 class TestFormats:
+    def test_constructor_takes_integers_only(self):
+        # a float or a string is never truncated or parsed into a
+        # coefficient: x - 1/2 must not become x
+        for bad in ([-0.5, 1], [1.7, 2.2], [1, 2.0], ["3", 1], [1, "x"]):
+            with pytest.raises(TypeError):
+                IntPolynomial(bad)
+        f = IntPolynomial([True, np.int64(-3), np.uint8(2), 1 << 80, False, 0])
+        assert f.coeffs == (1, -3, 2, 1 << 80)
+        assert all(type(c) is int for c in f.coeffs)
+        assert IntPolynomial(np.array([0, 4, 0], dtype=np.int32)) == poly(0, 4)
+        assert IntPolynomial([0, 0]).coeffs == () and IntPolynomial(()).is_zero
+
     def test_text_round_trip(self):
         f = poly(-1, 0, 4)
         assert f.to_text() == "-1 0 4"

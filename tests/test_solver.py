@@ -674,6 +674,44 @@ def adversarial_inputs():
     return cases
 
 
+FAMILIES = ["dyadic", "midpoints", "cluster", "square", "mignotte", "pair", "huge", "chebyshev", "low"]
+
+
+def family_input(family, seed):
+    """An input of one of the adversarial ``FAMILIES``, drawn from ``seed``."""
+    rng = random.Random(seed)
+    if family == "dyadic":
+        # dyadic roots inside and outside [-1, 1], at +-1 and 0, some repeated
+        roots = [poly(-rng.randint(-40, 40), 1 << rng.randint(0, 5)) for _ in range(rng.randint(1, 7))]
+        f = product(*roots, make_poly(rng, rng.randint(0, 5), 8))
+    elif family == "midpoints":
+        # a run of roots at consecutive dyadic midpoints j / 2^e
+        e, count = rng.randint(2, 7), rng.randint(2, 11)
+        count = min(count, 2 << e)  # no more than fit in [-1, 1]
+        first = rng.randint(-(1 << e), (1 << e) - count)
+        f = product(*(poly(-j, 1 << e) for j in range(first, first + count)), make_poly(rng, rng.randint(0, 3), 8))
+    elif family == "cluster":
+        # close roots near c / a, 2^-k apart
+        k, a = rng.randint(10, 40), rng.choice([3, 5, 7])
+        c = rng.randrange(1, a)
+        offsets = rng.sample(range(-20, 20), rng.randint(2, 4))
+        f = product(*(poly(-(c << k) - j, a << k) for j in offsets), make_poly(rng, rng.randint(0, 4), 8))
+    elif family == "square":
+        g = make_poly(rng, rng.randint(1, 10), 12)
+        f = product(g, g, poly(-rng.randint(-8, 8), 1 << rng.randint(0, 4)))
+    elif family == "mignotte":
+        f = mignotte(rng.randint(3, 30), rng.randint(2, 200))
+    elif family == "pair":
+        f = product(close_pair(rng.randint(4, 70)), make_poly(rng, rng.randint(0, 4), 8))
+    elif family == "huge":
+        f = make_poly(rng, rng.randint(1, 24), rng.randint(200, 3000))
+    elif family == "chebyshev":
+        f = chebyshev(rng.randint(1, 40))
+    else:
+        f = make_poly(rng, rng.randint(0, 1), 20)
+    return f
+
+
 class TestFloatFilter:
     """Splits run in float64 with an exact fallback; the tree and every
     output must equal those of the exact integer loop kept above."""
@@ -692,44 +730,11 @@ class TestFloatFilter:
         assert midpoint_roots >= 6 and evaluations >= midpoint_roots
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        st.sampled_from(
-            ["dyadic", "midpoints", "cluster", "square", "mignotte", "pair", "huge", "chebyshev", "low"]
-        ),
-        st.integers(0, 1 << 30),
-    )
+    @given(st.sampled_from(FAMILIES), st.integers(0, 1 << 30))
     def test_families_match_exact_reference(self, family, seed):
         # both entry points equal the exact reference, node for node, and
         # their intervals and exact roots certify by exact arithmetic
-        rng = random.Random(seed)
-        if family == "dyadic":
-            # dyadic roots inside and outside [-1, 1], at +-1 and 0, some repeated
-            roots = [poly(-rng.randint(-40, 40), 1 << rng.randint(0, 5)) for _ in range(rng.randint(1, 7))]
-            f = product(*roots, make_poly(rng, rng.randint(0, 5), 8))
-        elif family == "midpoints":
-            # a run of roots at consecutive dyadic midpoints j / 2^e
-            e, count = rng.randint(2, 7), rng.randint(2, 11)
-            first = rng.randint(-(1 << e), (1 << e) - count)
-            f = product(*(poly(-j, 1 << e) for j in range(first, first + count)), make_poly(rng, rng.randint(0, 3), 8))
-        elif family == "cluster":
-            # close roots near c / a, 2^-k apart
-            k, a = rng.randint(10, 40), rng.choice([3, 5, 7])
-            c = rng.randrange(1, a)
-            offsets = rng.sample(range(-20, 20), rng.randint(2, 4))
-            f = product(*(poly(-(c << k) - j, a << k) for j in offsets), make_poly(rng, rng.randint(0, 4), 8))
-        elif family == "square":
-            g = make_poly(rng, rng.randint(1, 10), 12)
-            f = product(g, g, poly(-rng.randint(-8, 8), 1 << rng.randint(0, 4)))
-        elif family == "mignotte":
-            f = mignotte(rng.randint(3, 30), rng.randint(2, 200))
-        elif family == "pair":
-            f = product(close_pair(rng.randint(4, 70)), make_poly(rng, rng.randint(0, 4), 8))
-        elif family == "huge":
-            f = make_poly(rng, rng.randint(1, 24), rng.randint(200, 3000))
-        elif family == "chebyshev":
-            f = chebyshev(rng.randint(1, 40))
-        else:
-            f = make_poly(rng, rng.randint(0, 1), 20)
+        f = family_input(family, seed)
         unit, whole = _same_as_reference(f)
         _certify(f, unit, unit=True)
         _certify(f, whole)
@@ -1056,7 +1061,12 @@ class TestRootImage:
         f = poly(1, 0, 1)
         image, err, _, _ = solver._root_image(f.coeffs)
         assert image[1] == 0.0 < err
-        assert all(n.exact and n.exact_splits == 1 for n in isolate_all(f).trace.var_per_node)
+        # the direct root builds its vector in one transform; the
+        # reciprocal phase's root mirrors it and takes none
+        assert [(n.depth, n.exact, n.exact_splits) for n in isolate_all(f).trace.var_per_node] == [
+            (0, True, 1),
+            (0, True, 0),
+        ]
         unit, _ = _reference_subdivide(square_free_part(f))
         # the root's vector is one direct build, that of the reference
         assert isolate_unit(f).trace.var_per_node == [
@@ -1087,3 +1097,60 @@ class TestRootImage:
             for index in range(3):
                 isolate_all(uniform_model(d, 32).sample(1, index))
         assert calls == []
+
+
+class TestMirroredRoot:
+    """When fsq(0) != 0 the reciprocal phase's root is the direct root with
+    alternate signs flipped: (-1)^(d-i) b_i, image and exact vector alike."""
+
+    UNIT = DyadicInterval(Dyadic(-1), Dyadic(1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(FAMILIES), st.integers(0, 1 << 30))
+    def test_mirror_is_the_reciprocals_own_root(self, family, seed):
+        fsq = square_free_part(family_input(family, seed))
+        rsq = fsq.reciprocal()
+        if fsq.coeffs[0] == 0:
+            assert rsq.degree < fsq.degree
+            return
+        d = fsq.degree
+        flipped = [-b if (d - i) & 1 else b for i, b in enumerate(_exact_vector(fsq, self.UNIT))]
+        assert _exact_vector(rsq, self.UNIT) == flipped
+        ends = [rsq.evaluate_dyadic(Dyadic(x)).sign() for x in (-1, 1)]
+        # from a root counted in float, and from one counted on its vector
+        root = solver._phase_root(fsq)
+        held = solver._phase_root(fsq)
+        solver._read_exact(held, _exact_vector(fsq, self.UNIT), 1)
+        for direct in (root, held):
+            mirrored = solver._mirrored_root(direct)
+            assert mirrored.variations == sign_variations(flipped) == variations_in_interval(rsq, self.UNIT)
+            assert [mirrored.lo, mirrored.hi] == ends
+            assert (mirrored.interval, mirrored.depth) == (self.UNIT, 0)
+            if direct.exact is None:
+                assert mirrored.exact is None and mirrored.exact_splits == 0
+            else:
+                assert mirrored.exact == flipped and mirrored.exact_splits == 0
+            # the flipped image lies within the direct root's bound of the
+            # reciprocal's Bernstein coefficients, scaled as the direct's
+            assert mirrored.err == direct.err and mirrored.peak == direct.peak
+            if d <= 120 and direct is root:
+                _, _, _, shift = solver._root_image(fsq.coeffs)
+                exact = _power_to_bernstein(rsq.coeffs)
+                for i, (got, k) in enumerate(zip(mirrored.f.tolist(), exact)):
+                    assert abs(Fraction(got) - Fraction(k, math.comb(d, i) << shift)) <= Fraction(direct.err), i
+
+    def test_isolate_all_mirrors_unless_zero_is_a_root(self, monkeypatch):
+        # an even Chebyshev polynomial mirrors its root; an odd one vanishes
+        # at 0, so its reciprocal has degree d - 1 and its own phase root
+        roots, mirrors = [], []
+        phase_root, mirrored_root = solver._phase_root, solver._mirrored_root
+        monkeypatch.setattr(solver, "_phase_root", lambda g: roots.append(g.degree) or phase_root(g))
+        monkeypatch.setattr(solver, "_mirrored_root", lambda root: mirrors.append(root) or mirrored_root(root))
+        for n, want_roots, want_mirrors in ((20, [20], 1), (21, [21, 20], 0), (41, [41, 40], 0)):
+            roots.clear()
+            mirrors.clear()
+            f = chebyshev(n)
+            _, whole = _same_as_reference(f)
+            assert roots[-len(want_roots) :] == want_roots and len(mirrors) == want_mirrors, n
+            _certify(f, whole)
+            assert whole.root_count() == n
