@@ -478,10 +478,11 @@ def _value_and_slope(coeffs, x: int) -> tuple[int, int]:
 
     Horner over each run of ``_RUN`` coefficients carries (value, slope).
     Neighbouring blocks, each left one m coefficients long, then combine
-    pairwise (Estrin): with X = x^m and X' = m x^(m - 1), the block
-    L + X^m R has value V_L + X V_R and slope S_L + X S_R + X' V_R, and
-    (X, X') for 2m is (X^2, 2 X X').  Wide operands meet in a few large
-    products, not in d products of one wide and one narrow operand.
+    pairwise (Estrin): with y = x^(m - 1), the block L + x^m R has value
+    V_L + x y V_R and slope S_L + x y S_R + m y V_R = S_L + y (x S_R +
+    m V_R), two wide products, and y for 2m is x y^2, one squaring.  Wide
+    operands meet in a few large products, not in d products of one wide
+    and one narrow operand.
     """
     blocks = []
     for start in range(0, len(coeffs), _RUN):
@@ -490,17 +491,18 @@ def _value_and_slope(coeffs, x: int) -> tuple[int, int]:
             slope = slope * x + value
             value = value * x + c
         blocks.append((value, slope))
-    power, dpower = x**_RUN, _RUN * x ** (_RUN - 1)
+    m, y = _RUN, x ** (_RUN - 1)
     while len(blocks) > 1:
+        power = x * y
         paired = [
-            (vl + power * vr, sl + power * sr + dpower * vr)
+            (vl + power * vr, sl + y * (x * sr + m * vr))
             for (vl, sl), (vr, sr) in zip(blocks[::2], blocks[1::2])
         ]
         if len(blocks) & 1:
             paired.append(blocks[-1])
         blocks = paired
         if len(blocks) > 1:
-            power, dpower = power * power, 2 * power * dpower
+            m, y = 2 * m, x * (y * y)
     return blocks[0]
 
 
