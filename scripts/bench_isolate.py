@@ -18,7 +18,10 @@ that follow are warm.
 Beside each median the run records the work counters of the subdivision
 trace, summed over the samples: nodes, float splits, nodes whose count
 was read from exact vectors, exact transforms (``exact_splits``) and
-midpoint evaluations.  Uniform inputs hardly take the exact path, so the
+midpoint evaluations, and the ``_split`` calls that ``isolate_all`` made,
+counted in one more pass that is not timed (``split_calls``: the tree's
+splits and those of the reciprocal phase's off-zero refinement, which
+the trace does not hold).  Uniform inputs hardly take the exact path, so the
 run also times ``isolate_all`` on the ``iso-cluster`` corpus of
 ``perfbench`` (``ROUNDS`` rounds: Chebyshev, scaled Chebyshev, Mignotte,
 dyadic-root products, and squares of each kind), per family, as the
@@ -40,6 +43,7 @@ import benchlib  # first: it pins the BLAS threads and puts src/ on the path
 from corpus import _iso_cluster
 from speed import Clock
 
+import rootiso.solver as solver
 from rootiso.polynomial import IntPolynomial
 from rootiso.solver import isolate_all, isolate_unit
 
@@ -52,6 +56,24 @@ REPEATS = 3
 
 def _counters(traces) -> dict:
     return {c: sum(getattr(t, c) for t in traces) for c in COUNTERS}
+
+
+def _split_calls(polys) -> int:
+    """The ``_split`` calls that ``isolate_all`` makes on ``polys``."""
+    split, calls = solver._split, 0
+
+    def counting(node, g):
+        nonlocal calls
+        calls += 1
+        return split(node, g)
+
+    solver._split = counting
+    try:
+        for f in polys:
+            isolate_all(f)
+    finally:
+        solver._split = split
+    return calls
 
 
 def _sha256(outputs: list) -> str:
@@ -81,6 +103,8 @@ def run() -> dict:
                 "wall_median_ms": round(statistics.median(wall), 4),
                 "counters": counters,
             }
+            if fn is isolate_all:
+                counters["split_calls"] = _split_calls(polys)
             outputs.extend(results)
             print(f"d={d:5d} {name:12s} median {entry[name]['median_ms']:10.3f} ms  {counters}", flush=True)
         entry["outputs_sha256"] = _sha256(outputs)
@@ -96,7 +120,7 @@ def run() -> dict:
             "median_ms": round(statistics.median(scaled), 4),
             "mean_ms": round(statistics.fmean(scaled), 4),
             "wall_median_ms": round(statistics.median(wall), 4),
-            "counters": _counters([r.trace for r in results]),
+            "counters": {**_counters([r.trace for r in results]), "split_calls": _split_calls(polys)},
             "outputs_sha256": _sha256(results),
         }
         print(f"{label:18s} isolate_all median {entry['median_ms']:8.3f} ms  mean {entry['mean_ms']:8.3f} ms"

@@ -14,8 +14,11 @@ Three corpora:
   and h sample 0 of ``uniform_model(n / 4, 8)``, for deg f = n in 64, 128
   and 256.
 
-Each input is timed by ``benchlib.fastest``; a corpus reports the median,
-mean and maximum over its inputs, in ms.  Timing and storage are
+Each input is timed by ``benchlib.fastest``, the inputs the pre-test
+declines (``squares`` and ``g-h2-<n>``) as the fastest of ``REPEATS``
+blocks, since those corpora hold few inputs and a block of a 6 ms call
+holds one call; a corpus reports the median, mean and maximum over its
+inputs, in ms.  Timing and storage are
 described in ``scripts/benchlib.py``; the run goes to
 ``BENCH_sqfree.json``.  One more pass over every input then wraps the two
 stages of the gcd, the pre-test ``_coprime_with_derivative`` and the
@@ -45,7 +48,7 @@ from rootiso.polynomial import IntPolynomial, repeated_root_part, square_free_pa
 
 # degree: (samples, repeats per sample)
 UNIFORM = {16: (100, 5), 64: (50, 5), 128: (40, 5), 256: (16, 3), 512: (8, 3), 1024: (8, 3)}
-REPEATS = 5
+REPEATS = 15
 ROUNDS = 10
 
 
@@ -59,7 +62,7 @@ def _corpora():
     for n in (64, 128, 256):
         g = uniform_model(n // 2, 8).sample(benchlib.SEED, 0).coeffs
         h = uniform_model(n // 4, 8).sample(benchlib.SEED, 0).coeffs
-        yield f"g-h2-{n}", [IntPolynomial(poly_mul(g, poly_mul(h, h)))], REPEATS if n < 256 else 1
+        yield f"g-h2-{n}", [IntPolynomial(poly_mul(g, poly_mul(h, h)))], REPEATS
 
 
 class _Stages:

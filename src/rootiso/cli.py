@@ -77,7 +77,7 @@ def _build_parser() -> _Parser:
 
     ana = sub.add_parser("analyze", help="condition, separation and root-count analysis")
     _add_poly_input(ana)
-    ana.add_argument("--rel-tol", type=float, default=0.5, help="bracket relative tolerance")
+    ana.add_argument("--rel-tol", type=_positive(float), default=0.5, help="bracket relative tolerance")
     ana.add_argument("--max-grid", type=int, default=1 << 22, help="grid point budget")
     ana.add_argument("--out", help="write JSON here instead of stdout")
     ana.add_argument("--stats", action="store_true", help="write the bracket's and the oracle's work counts to stderr")
@@ -85,7 +85,7 @@ def _build_parser() -> _Parser:
     gen = sub.add_parser("gen", help="sample polynomials from a random model")
     _add_model_flags(gen)
     gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    gen.add_argument("--count", type=int, default=1)
+    gen.add_argument("--count", type=_positive(int), default=1)
     gen.add_argument("--start-index", type=int, default=0)
     gen.add_argument("--out", help="write polynomial lines here instead of stdout")
 
@@ -93,16 +93,44 @@ def _build_parser() -> _Parser:
     exp.add_argument("kind", choices=list(_EXPERIMENTS))
     _add_model_flags(exp)
     exp.add_argument("--d-list", type=_comma_list(int), help="comma-separated degrees (steps only)")
-    exp.add_argument("--trials", type=int, default=100)
+    exp.add_argument("--trials", type=_positive(int), default=100)
     exp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     exp.add_argument("--threads", type=int, default=1, help="worker processes for trials")
     exp.add_argument("--t-grid", type=_comma_list(float), help="comma-separated tail thresholds")
-    exp.add_argument("--rel-tol", type=float, default=0.5)
+    exp.add_argument("--rel-tol", type=_positive(float), default=0.5)
     exp.add_argument("--max-grid", type=int, default=1 << 18)
     exp.add_argument("--constant", type=float, default=64.0, help="instance-bound pass constant")
     exp.add_argument("--out-dir", default=".")
     exp.add_argument("--format", choices=["csv", "json", "both"], default="csv")
     return parser
+
+
+def _positive(convert):
+    """argparse type: a ``convert`` value above 0 (nan is not)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"expected a positive {convert.__name__}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _check_ranges(args) -> None:
+    """Reject the flag values whose valid range depends on the experiment,
+    before the run starts."""
+    if args.command != "experiment":
+        return
+    if args.d_list and len(set(args.d_list)) < len(args.d_list):
+        raise UsageError(f"argument --d-list: a degree is repeated in {args.d_list}")
+    if args.kind.startswith("cond-tail") and args.t_grid and not all(t > 1 for t in args.t_grid):
+        raise UsageError(f"argument --t-grid: {args.kind} thresholds must exceed 1, got {args.t_grid}")
+    if args.kind == "rho-check" and args.degree < 2:
+        raise UsageError(f"argument --degree: rho-check needs a degree of at least 2, got {args.degree}")
 
 
 def _comma_list(convert):
@@ -348,6 +376,7 @@ def main(argv=None) -> int:
         "experiment": _cmd_experiment,
     }
     try:
+        _check_ranges(args)
         return handlers[args.command](args)
     except UsageError as exc:
         print(f"rootiso: error: {exc}", file=sys.stderr)

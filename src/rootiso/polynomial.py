@@ -68,6 +68,17 @@ class IntPolynomial:
             n -= 1
         self.coeffs = cs if n == len(cs) else cs[:n]
 
+    @classmethod
+    def _of_ints(cls, cs: tuple) -> "IntPolynomial":
+        """The polynomial of a tuple of Python ints, trailing zeros trimmed
+        but not re-validated: for coefficients this module computed."""
+        n = len(cs)
+        while n and not cs[n - 1]:
+            n -= 1
+        out = object.__new__(cls)
+        out.coeffs = cs if n == len(cs) else cs[:n]
+        return out
+
     # -- basic structure -----------------------------------------------------
 
     @property
@@ -152,9 +163,7 @@ class IntPolynomial:
         return IntPolynomial(out)
 
     def scale(self, k: int) -> "IntPolynomial":
-        if k == 0:
-            return IntPolynomial([])
-        return IntPolynomial([k * c for c in self.coeffs])
+        return IntPolynomial._of_ints(tuple(map(operator.index(k).__mul__, self.coeffs)))
 
     def content(self) -> int:
         """Positive gcd of the coefficients (0 for the zero polynomial)."""
@@ -180,7 +189,7 @@ class IntPolynomial:
         The degree drops by the multiplicity of 0 as a root of f; on
         polynomials with f(0) != 0 this is an involution.
         """
-        return IntPolynomial(self.coeffs[::-1])
+        return IntPolynomial._of_ints(self.coeffs[::-1])
 
     def homothety(self, k: int) -> "IntPolynomial":
         """2^(dk) * f(X / 2^k), with denominators cleared for negative k.
@@ -462,11 +471,17 @@ def _root_exponent(coeffs) -> int:
     for bl the bit length, so
     r = 1 + max(0, max_i ceil((bl f_(d-i) - bl f_d + 1) / i)); the terms
     that are not positive, zero coefficients among them, are skipped.
+
+    With w the largest excess bl f_(d-i) - bl f_d + 1, every term at
+    i >= w is at most ceil(w / i) = 1, and the largest excess gives a term
+    of at least 1 when w > 0.  So only the terms i < w are divided out.
     """
     lengths = list(map(int.bit_length, coeffs))
     top = lengths.pop() - 1
-    excess = [b - top for b in reversed(lengths)]
-    return 1 + max((-(-e // i) for i, e in enumerate(excess, 1) if e > 0), default=0)
+    w = max(lengths, default=top) - top
+    if w <= 0:
+        return 1
+    return 1 + max([1, *(-((top - b) // i) for i, b in enumerate(lengths[-1:-w:-1], 1))])
 
 
 # The run length of ``_value_and_slope``'s Horner passes.

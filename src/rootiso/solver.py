@@ -22,7 +22,9 @@ at a time.  So every node leaves its split counted, and a split node
 drops its exact vector.  The sign at a midpoint comes from the float apex
 when certified and otherwise from one exact evaluation, which also finds
 a dyadic root there.  So the tree and every output are those of exact
-arithmetic.  The off-zero refinement splits the same way.  The root
+arithmetic.  The reciprocal phase's off-zero refinement needs only the
+sign at each midpoint, taken the same way; a step there computes the
+float image of the half at 0 alone and builds no exact vector.  The root
 (-1, 1) of the direct phase starts from one float product, its power
 coefficients times the cached power-to-Bernstein matrix, under a bound
 of the same kind, and its ends are the exact signs of two integer sums.
@@ -92,7 +94,8 @@ class SubdivisionTrace:
     """The subdivision tree of a run, as the nodes popped off the queue.
 
     Every tree statistic and work count derives from ``var_per_node``;
-    the splits of the reciprocal phase's off-zero refinement are not
+    the steps of the reciprocal phase's off-zero refinement (a split of
+    the leaf (-1, 1), and half steps by the sign at a midpoint) are not
     nodes of the tree and are not counted.  ``square_free`` records the
     square-free part the solver actually ran on.
     """
@@ -142,8 +145,7 @@ class SubdivisionTrace:
         return {"node_count": sum(widths), "depth": len(widths) - 1, "width_per_depth": widths}
 
 
-@dataclass(frozen=True)
-class RootInterval:
+class RootInterval(NamedTuple):
     """An isolating interval; when ``inverted`` the root set is the image
     of the stored interval under x -> 1/x."""
 
@@ -167,8 +169,7 @@ class RootInterval:
         }
 
 
-@dataclass(frozen=True)
-class ExactRoot:
+class ExactRoot(NamedTuple):
     """A root found exactly; the root is ``value`` or 1/``value`` when
     ``inverted`` (the reciprocal of a dyadic is generally not dyadic)."""
 
@@ -207,6 +208,10 @@ class IsolationResult:
         }
 
 
+_ONE, _MINUS_ONE = Dyadic(1), Dyadic(-1)
+_UNIT = DyadicInterval(_MINUS_ONE, _ONE)  # the root interval of both phases
+
+
 def isolate_unit(f: IntPolynomial) -> IsolationResult:
     """Isolate the real roots of f in the open interval (-1, 1).
 
@@ -235,9 +240,10 @@ def isolate_all(f: IntPolynomial) -> IsolationResult:
     roots of f outside [-1, 1].  That part is fsq reversed (dropping a
     root at 0), so fsq is computed once, and when fsq(0) != 0 its root
     node is fsq's with alternate signs flipped (``_mirrored_root``).
-    Reciprocal-phase intervals are bisected from their vectors until they
-    avoid 0, so every reported pre-image interval maps to a bounded
-    interval under x -> 1/x.
+    Reciprocal-phase intervals are halved towards 0, by the sign of the
+    reciprocal at each midpoint, until they avoid 0 (``_refine_off_zero``),
+    so every reported pre-image interval maps to a bounded interval under
+    x -> 1/x.
     """
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
@@ -251,7 +257,7 @@ def isolate_all(f: IntPolynomial) -> IsolationResult:
     intervals = [RootInterval(leaf.interval) for leaf in leaves]
     exact = [ExactRoot(m) for m in midpoints]
 
-    for endpoint, sign in ((Dyadic(1), root.hi), (Dyadic(-1), root.lo)):
+    for endpoint, sign in ((_ONE, root.hi), (_MINUS_ONE, root.lo)):
         if sign == 0:
             exact.append(ExactRoot(endpoint))
 
@@ -350,7 +356,7 @@ def _unit_scaled(values) -> tuple[np.ndarray, int]:
     plus 2^-1000 once truncated, which is below 2^-946 u times the
     largest entry.
     """
-    top = max(max(values), -min(values)).bit_length()
+    top = max(map(int.bit_length, values))
     s = max(top - 1000, 0)
     out = np.array([x >> s for x in values] if s else values, dtype=np.float64)
     out *= math.ldexp(1.0, s - top)
@@ -478,9 +484,10 @@ def _phase_root(g: IntPolynomial) -> _Node:
     exact vector (``_read_exact``), built from g.
     """
     coeffs = g.coeffs
-    lo, hi = _sign(sum(coeffs[::2]) - sum(coeffs[1::2])), _sign(sum(coeffs))
+    even, odd = sum(coeffs[::2]), sum(coeffs[1::2])
+    lo, hi = _sign(even - odd), _sign(even + odd)
     f, err, peak, _ = _root_image(coeffs)
-    root = _Node(DyadicInterval(Dyadic(-1), Dyadic(1)), 0, f, err, peak, lo, hi, _float_count(f, lo, hi))
+    root = _Node(_UNIT, 0, f, err, peak, lo, hi, _float_count(f, lo, hi))
     if np.abs(f[1:-1]).min(initial=math.inf) <= err:
         _read_exact(root, _exact_vector(g, root.interval), 1)
     return root
@@ -698,15 +705,39 @@ def _refine_off_zero(node: _Node, g: IntPolynomial):
     [lo, hi]; return its inverted interval, or the exact root if a midpoint
     lands on it.
 
-    Each step splits at the midpoint (``_split``, the subdivision's own
-    float pass with exact fallback); the half keeping the root is the one
-    with variation count 1 (the counts of the halves sum to at most 1 and
-    the root half has odd count), so the left count decides.  Terminates
-    because the isolated root is nonzero.
+    The leaf holds exactly one root, a simple one, and g(0) != 0, since g's
+    constant term is the leading coefficient of the direct phase's
+    square-free part.  The leaf (-1, 1), whose ends may be roots, is split
+    once (``_split``), and the half with variation count 1 keeps the root.
+    Every other leaf that meets 0 has it as an end, and a step there needs
+    only the exact sign s of g at the midpoint m: m is the root if s = 0;
+    if s is the sign of g(0), the root lies in the half away from 0, which
+    is returned; otherwise it lies in the half at 0, and only that half's
+    float image is computed, by one product with the halving matrix.  s is
+    the sign of the apex when it clears the bound that ``_split`` gives
+    the children, and otherwise comes from one exact evaluation.  No exact
+    vector is built.  Terminates because the isolated root is nonzero.
     """
-    while node.interval.straddles_zero():
-        (left, right), mid, _ = _split(node, g)
-        if mid == 0:
-            return _invert_exact(node.interval.midpoint())
+    if node.depth == 0:  # the leaf (-1, 1)
+        (left, right), _, _ = _split(node, g)  # its midpoint 0 is no root
         node = left if left.variations == 1 else right
-    return RootInterval(node.interval, inverted=True)
+    if not node.interval.straddles_zero():
+        return RootInterval(node.interval, inverted=True)
+    zero_at_hi = node.interval.hi.is_zero
+    far = node.interval.lo if zero_at_hi else node.interval.hi  # the end away from 0
+    zero_sign = node.hi if zero_at_hi else node.lo
+    f, err, peak = node.f, node.err, node.peak
+    n = len(f)
+    halving = _halving_matrix(n)
+    while True:
+        m = far.half()
+        err = (err + (n + 2) * _U * peak + n * _SUBNORMAL) * _ROUND_UP
+        apex = float(halving[-1] @ f)
+        s = (1 if apex > 0 else -1) if abs(apex) > err else g.evaluate_dyadic(m).sign()
+        if s == 0:
+            return _invert_exact(m)
+        if s == zero_sign:  # the root lies between far and m
+            return RootInterval(DyadicInterval(far, m) if zero_at_hi else DyadicInterval(m, far), inverted=True)
+        far = m
+        f = (halving @ f[::-1].copy())[::-1] if zero_at_hi else halving @ f
+        peak = float(np.abs(f).max())

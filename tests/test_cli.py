@@ -396,6 +396,30 @@ def test_malformed_list_is_usage_error(capsys, tmp_path, monkeypatch, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--count", "-2"),
+        ("gen", "--count", "0"),
+        ("experiment", "steps", "--trials", "0"),
+        ("analyze", "--coeffs", "-1 0 4", "--rel-tol", "-1"),
+        ("analyze", "--coeffs", "-1 0 4", "--rel-tol", "nan"),
+        ("experiment", "cond-tail", "--trials", "2", "--t-grid", "0.5"),
+        ("experiment", "rho-check", "--trials", "2", "--degree", "1"),
+        ("experiment", "steps", "--trials", "2", "--d-list", "8,8"),
+    ],
+    ids=["count-negative", "count-zero", "trials-zero", "rel-tol-negative", "rel-tol-nan", "t-grid-below-one",
+         "rho-check-degree-one", "d-list-repeated"],
+)
+def test_out_of_range_flag_is_usage_error(capsys, tmp_path, monkeypatch, argv):
+    # rejected before any output or run: exit 1, not a computational error
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"argument {argv[-2]}: " in err and "computational error" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_subcommand_exits_one(capsys):
     assert run_cli(capsys, "not-a-command")[0] == 1
     # a removed flag is a usage error too; the oracle tolerance is fixed

@@ -666,6 +666,26 @@ class TestCoprimeWithDerivative:
                 assert f.evaluate_dyadic(Dyadic(2 * c)).is_zero
                 assert 2 * c < 1 << _root_exponent(f.coeffs), f
 
+    def test_root_exponent_equals_the_per_coefficient_formula(self):
+        # the formula with every ratio divided out, as in the docstring
+        def reference(coeffs):
+            lengths = [abs(c).bit_length() for c in coeffs]
+            top = lengths.pop() - 1
+            excess = [b - top for b in reversed(lengths)]
+            return 1 + max((-(-e // i) for i, e in enumerate(excess, 1) if e > 0), default=0)
+
+        def coefficient():
+            width = rng.randint(0, 40)
+            return rng.choice([0, rng.randint(-(1 << width), 1 << width)])
+
+        rng = random.Random(62)
+        cases = [[5], [-1], [0, 1], [7, -1], [1 << 40, 1], [-(1 << 40) + 1, 0, 0, -1]]
+        for _ in range(3000):
+            lead = rng.choice([1, -1, rng.randint(2, 1 << 40) * rng.choice((1, -1))])
+            cases.append([coefficient() for _ in range(rng.randint(0, 14))] + [lead])
+        for coeffs in cases:
+            assert _root_exponent(coeffs) == reference(coeffs), coeffs
+
     @pytest.mark.parametrize("degree", [16, 64, 256])
     def test_certifies_uniform_samples(self, degree):
         model = uniform_model(degree, 32)

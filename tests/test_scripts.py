@@ -1,11 +1,12 @@
 """The layer benchmarks ``scripts/bench_*.py`` wrap private library names
 (``polynomial._gcd_with_derivative_mod_p``, ``polynomial._root_exponent``,
 ``polynomial._coprime_with_derivative``, ``regions._evaluate``,
-``models.hashlib``) to count work, and share their timing loop and hash
-comparison through ``scripts/benchlib.py``; a wrapped name that is renamed
-or deleted, or a broken ``run()``, would otherwise break only a benchmark
-run.  Each script is loaded by path; its counting helpers run on small
-inputs, and its ``main()`` runs end to end on a one-sample plan."""
+``solver._split``, ``models.hashlib``) to count work, and share their
+timing loop and hash comparison through ``scripts/benchlib.py``; a
+wrapped name that is renamed or deleted, or a broken ``run()``, would
+otherwise break only a benchmark run.  Each script is loaded by path;
+its counting helpers run on small inputs, and its ``main()`` runs end to
+end on a one-sample plan."""
 
 import importlib.util
 import json
@@ -17,6 +18,7 @@ import pytest
 
 import rootiso.polynomial as polynomial
 import rootiso.regions as regions
+import rootiso.solver as solver
 from rootiso.condition import global_condition_bracket
 from rootiso.models import uniform_model
 from rootiso.polynomial import IntPolynomial
@@ -140,6 +142,20 @@ def test_isolate_counters(load):
     assert set(counters) == set(bench.COUNTERS)
     assert counters == {c: sum(getattr(t, c) for t in traces) for c in bench.COUNTERS}
     assert counters["node_count"] >= 2
+
+
+def test_isolate_split_calls(load):
+    # the tree's splits, and at most one more per input: the reciprocal
+    # phase's leaf (-1, 1) is split once by its off-zero refinement, whose
+    # other steps take no split
+    bench = load("bench_isolate")
+    split = solver._split
+    polys = [uniform_model(16, 32).sample(1, i) for i in range(40)]
+    polys.append(IntPolynomial([3, -1, -3, 1]))  # (x^2 - 1)(x - 3)
+    calls = bench._split_calls(polys)
+    assert solver._split is split
+    splits = sum(isolate_all(f).trace.splits for f in polys)
+    assert splits < calls <= splits + len(polys)
 
 
 def test_trial_blocks(load):

@@ -405,20 +405,36 @@ class TestAgainstOracle:
 class TestReciprocalRefinement:
     def test_inverted_intervals_against_reference(self):
         # every refined pre-image isolates one root of the reciprocal's
-        # square-free part by the direct Moebius count and avoids 0
+        # square-free part by the direct Moebius count and avoids 0, and
+        # both entry points equal the exact reference
         rng = random.Random(31)
         cases = [make_poly(rng, rng.randint(1, 24), 16) for _ in range(40)]
         cases += [scaled_chebyshev(n) for n in range(2, 18)]
-        refined = 0
+        # (x^2 - 1)(x - 3): the reciprocal's square-free part (x^2 - 1)(3x - 1)
+        # has the leaf (-1, 1), whose ends are both roots
+        cases.append(product(poly(-1, 0, 1), poly(-3, 1)))
+        # roots +-2^j, whose reciprocals the refinement meets as midpoints
+        powers = []
+        for _ in range(12):
+            chosen = [rng.choice((-1, 1)) << j for j in rng.sample(range(1, 41), rng.randint(1, 4))]
+            powers += chosen
+            cases.append(product(*(poly(-c, 1) for c in chosen), make_poly(rng, rng.randint(0, 4), 8)))
+        refined = whole_leaves = 0
+        exact = set()
         for f in cases:
             rsq = square_free_part(f.reciprocal())
-            refined += sum(leaf.interval.straddles_zero() for leaf in isolate_unit(rsq).intervals)
-            for iv in isolate_all(f).intervals:
+            leaves = [leaf.interval for leaf in isolate_unit(rsq).intervals]
+            refined += sum(leaf.straddles_zero() for leaf in leaves)
+            whole_leaves += leaves == [DyadicInterval(Dyadic(-1), Dyadic(1))]
+            _, whole = _same_as_reference(f)
+            exact |= {r.value for r in whole.exact_roots if not r.inverted}
+            for iv in whole.intervals:
                 if not iv.inverted:
                     continue
                 assert variations_in_interval(rsq, iv.interval) == 1
                 assert iv.interval.lo.sign() > 0 or iv.interval.hi.sign() < 0
-        assert refined > 0
+        assert refined > 0 and whole_leaves > 0
+        assert {Dyadic(c) for c in powers} <= exact
 
     def test_golden_isolate_output(self, capsys):
         # `rootiso isolate --input` on a fixed structured corpus, one
@@ -881,30 +897,44 @@ class TestFloatFilter:
                 trace = isolate(f).trace
                 assert None not in popped and len(popped) == trace.node_count, f
 
-    def test_refinement_steps_into_an_uncertain_right_half(self, monkeypatch):
+    def test_refinement_resolves_uncertain_apexes_exactly(self, monkeypatch):
         # a large positive root puts the reciprocal phase's leaf at (0, h]:
-        # the refinement splits it, the left half certifies no root, and the
-        # right half, whose float signs are uncertain, comes back counted on
-        # its exact vector and keeps the root
-        stepped = []
-        split = solver._split
+        # the refinement halves it towards 0 by the sign at each midpoint,
+        # and where the apex there does not clear its bound that sign comes
+        # from one exact evaluation; the refinement builds no exact vector
+        inside = {"refine": 0, "split": 0}
+        evaluated, built = [], []
+        refine, split, evaluate = solver._refine_off_zero, solver._split, IntPolynomial.evaluate_dyadic
 
-        def recording_split(node, g):
-            (left, right), mid, evaluated = split(node, g)
-            refining = node.interval.straddles_zero() and node.variations == 1
-            if refining and mid and left.variations != 1 and right.exact is not None:
-                stepped.append((right.exact, right.variations, right.interval, g))
-            return (left, right), mid, evaluated
+        def entered(key, fn):
+            def wrapped(*args):
+                inside[key] += 1
+                try:
+                    return fn(*args)
+                finally:
+                    inside[key] -= 1
 
-        monkeypatch.setattr(solver, "_split", recording_split)
+            return wrapped
+
+        def stepping():
+            return inside["refine"] and not inside["split"]
+
+        monkeypatch.setattr(solver, "_refine_off_zero", entered("refine", refine))
+        monkeypatch.setattr(solver, "_split", entered("split", split))
+        monkeypatch.setattr(
+            IntPolynomial, "evaluate_dyadic", lambda g, x: stepping() and evaluated.append(x) or evaluate(g, x)
+        )
+        monkeypatch.setattr(
+            solver, "_exact_vector", lambda g, iv: stepping() and built.append(iv) or _exact_vector(g, iv)
+        )
+        monkeypatch.setattr(solver, "_bisect", lambda b: stepping() and built.append(b) or _bisect(b))
         rng = random.Random(93)
         for k in (25, 30, 40, 50):
             wide = IntPolynomial([rng.randint(-(1 << 400), 1 << 400) for _ in range(6)])
             _same_as_reference(product(poly(-(1 << k) - 1, 3), wide))
-        assert stepped
-        for exact, variations, interval, g in stepped:
-            assert exact == _exact_vector(g, interval)
-            assert variations == variations_in_interval(g, interval) == 1
+        assert evaluated and built == []
+        # every step's midpoint halves an interval with an end at 0
+        assert all(abs(x.num) == 1 and x.exp > 0 for x in evaluated)
 
     def test_work_counts_on_a_cluster(self, monkeypatch):
         # mignotte(60, 1000): a deep tree down to a close pair, where the
