@@ -82,24 +82,20 @@ def local_condition(f: IntPolynomial, x: Dyadic) -> float:
         raise ValueError(f"point {x} outside [-1, 1]")
     if f.degree == 0:
         return 1.0
-    return _local_condition(_exact_values(f.coeffs, x.num, x.exp), f.degree, f.one_norm())
+    return _local_condition(_exact_values(f.coeffs, x), f.degree, f.one_norm())
 
 
-def _exact_values(coeffs: tuple, k: int, e: int) -> tuple[int, list[int]]:
-    """(e', T) for f with coefficients ``coeffs``, of degree d >= 1, at
-    x = k/2^e: the exponent e' of x in lowest terms and, with q = 2^e',
-    T[j] = q^(d-j) f^(j)(x)/j! for j = 0..K+1.
+def _exact_values(coeffs: tuple, x: Dyadic) -> tuple[int, list[int]]:
+    """(e, T) for f with coefficients ``coeffs``, of degree d >= 1, at
+    the dyadic x = k/2^e: with q = 2^e, T[j] = q^(d-j) f^(j)(x)/j! for
+    j = 0..K+1.
 
     One integer Horner pass with K + 2 accumulators (the repeated
-    synthetic division by x - k/q, scaled by powers of q).  The exponent is
-    reduced first, so that the same point gives the same integers at every
-    level.
+    synthetic division by x - k/q, scaled by powers of q).  k/2^e is the
+    normal form of ``Dyadic``, so the same point gives the same integers
+    at every level.
     """
-    if k:
-        shift = min(e, (k & -k).bit_length() - 1)
-        k, e = k >> shift, e - shift
-    else:
-        e = 0
+    k, e = x.num, x.exp
     d = len(coeffs) - 1
     taylor = [coeffs[d]] + [0] * (_ORDER + 1)
     upward = range(_ORDER + 1, 0, -1)
@@ -320,7 +316,7 @@ def global_condition_bracket(
     def exact(k: int, level: int) -> tuple[int, list[int]]:
         x = k * 2.0**-level
         if x not in evaluated:
-            evaluated[x] = _exact_values(coeffs, k, level)
+            evaluated[x] = _exact_values(coeffs, Dyadic(k, level))
         return evaluated[x]
 
     level = _first_level(d)

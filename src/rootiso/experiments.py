@@ -469,7 +469,7 @@ def run_rho_check(
             "bitsize below 10 ln(e d) + 2u: moment-scale hypotheses do not apply",
             stacklevel=2,
         )
-    lg_blocks = 2 * max(1, (d - 1).bit_length()) + 1  # 2 ceil(lg d) + 1
+    lg_blocks = 2 * disk_cover(d).N + 1  # the cover's disk count
     if t_grid is None:
         t_grid = list(range(1, min(int(tau * lg_blocks), 40) + 1))
     t_grid = [float(t) for t in t_grid]

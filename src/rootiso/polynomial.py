@@ -54,6 +54,14 @@ def int_bitsize(n: int) -> int:
     return (abs(n) - 1).bit_length() if n else 0
 
 
+def _trimmed(cs: tuple) -> tuple:
+    """The coefficient tuple cs without its trailing zeros."""
+    n = len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    return cs if n == len(cs) else cs[:n]
+
+
 class IntPolynomial:
     """Dense integer polynomial; ``coeffs[i]`` is the coefficient of X^i."""
 
@@ -62,21 +70,14 @@ class IntPolynomial:
     def __init__(self, coeffs):
         # operator.index takes int, bool and numpy integers, and raises
         # TypeError on floats and strings rather than truncating them
-        cs = tuple(map(operator.index, coeffs))
-        n = len(cs)
-        while n and not cs[n - 1]:
-            n -= 1
-        self.coeffs = cs if n == len(cs) else cs[:n]
+        self.coeffs = _trimmed(tuple(map(operator.index, coeffs)))
 
     @classmethod
     def _of_ints(cls, cs: tuple) -> "IntPolynomial":
         """The polynomial of a tuple of Python ints, trailing zeros trimmed
         but not re-validated: for coefficients this module computed."""
-        n = len(cs)
-        while n and not cs[n - 1]:
-            n -= 1
         out = object.__new__(cls)
-        out.coeffs = cs if n == len(cs) else cs[:n]
+        out.coeffs = _trimmed(cs)
         return out
 
     # -- basic structure -----------------------------------------------------

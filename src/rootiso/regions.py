@@ -143,10 +143,15 @@ def cover_root_count_bound(f: IntPolynomial) -> float:
 
 def _lg(n: int) -> float:
     """log2 of a positive integer, safe for values beyond float range."""
-    if n.bit_length() <= 512:
-        return math.log2(n)
-    shift = n.bit_length() - 64
-    return shift + math.log2(n >> shift)
+    top, shift = _leading_bits(n)
+    return shift + math.log2(top)
+
+
+def _leading_bits(n: int) -> tuple[int, int]:
+    """(n >> s, s) for a positive integer n, with s = 0 up to 512 bits and
+    otherwise the shift that keeps its leading 64 bits."""
+    shift = n.bit_length() - 64 if n.bit_length() > 512 else 0
+    return n >> shift, shift
 
 
 @dataclass(frozen=True)
@@ -305,9 +310,7 @@ def _square_free_roots(g: IntPolynomial) -> ComplexRootSet:
             residual = _residual(values)
             if residual <= _TOL:
                 break
-            pv, _, dv = values
-            dv = np.where(dv == 0, 1e-300, dv)
-            newton = pv / dv
+            newton = _newton(values)
             np.subtract(z[:, None], z, diff)
             diagonal[:] = np.inf
             np.divide(1.0, diff, diff)
@@ -325,9 +328,7 @@ def _square_free_roots(g: IntPolynomial) -> ComplexRootSet:
         # step starts from the last sweep's values, which are those at z.
         polished = z
         for _ in range(3):
-            pv, _, dv = values
-            dv = np.where(dv == 0, 1e-300, dv)
-            polished = polished - pv / dv
+            polished = polished - _newton(values)
             values = _evaluate(table, polished)
         polished_residual = _residual(values)
         if polished_residual <= residual:
@@ -403,6 +404,12 @@ def _evaluate(table: list[np.ndarray], z: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _newton(values: np.ndarray) -> np.ndarray:
+    """g(z)/g'(z) from the rows of ``_evaluate``, a zero g'(z) read as 1e-300."""
+    pv, _, dv = values
+    return pv / np.where(dv == 0, 1e-300, dv)
+
+
 def _residual(values: np.ndarray) -> float:
     """Largest backward error |g(z)| / sum_k |g_k| |z|^k over the points,
     from the rows of ``_evaluate``."""
@@ -413,11 +420,8 @@ def _residual(values: np.ndarray) -> float:
 
 def _log_abs(n: int) -> float:
     """Natural log of |n| for a nonzero integer of any size."""
-    n = abs(n)
-    if n.bit_length() <= 512:
-        return math.log(n)
-    shift = n.bit_length() - 64
-    return shift * math.log(2.0) + math.log(n >> shift)
+    top, shift = _leading_bits(abs(n))
+    return shift * math.log(2.0) + math.log(top)
 
 
 def _initial_points(g: IntPolynomial) -> np.ndarray:

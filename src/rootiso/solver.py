@@ -18,8 +18,8 @@ split node's exact vector, shared by both children, when that node holds
 one, and otherwise a vector built from the phase polynomial in one
 transform on the child's interval, as Rouillier & Zimmermann (2004)
 charge a node, not by bisecting exactly down from an ancestor one level
-at a time.  So every node leaves its split counted, and a split node
-drops its exact vector.  The sign at a midpoint comes from the float apex
+at a time.  So every node leaves its split counted, and the split node
+keeps its own vector.  The sign at a midpoint comes from the float apex
 when certified and otherwise from one exact evaluation, which also finds
 a dyadic root there.  So the tree and every output are those of exact
 arithmetic.  The reciprocal phase's off-zero refinement needs only the
@@ -162,11 +162,7 @@ class RootInterval(NamedTuple):
         return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
 
     def to_json(self) -> dict:
-        return {
-            "lo": self.interval.lo.to_json(),
-            "hi": self.interval.hi.to_json(),
-            "inverted": self.inverted,
-        }
+        return {**self.interval.to_json(), "inverted": self.inverted}
 
 
 class ExactRoot(NamedTuple):
@@ -248,11 +244,7 @@ def isolate_all(f: IntPolynomial) -> IsolationResult:
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
     fsq = square_free_part(f)
-    rsq = fsq.reciprocal()
     root = _phase_root(fsq)
-    # read before the root is split, which drops its exact vector
-    recip_root = _mirrored_root(root) if rsq.degree == fsq.degree else _phase_root(rsq)
-
     leaves, midpoints, nodes = _subdivide(fsq, root)
     intervals = [RootInterval(leaf.interval) for leaf in leaves]
     exact = [ExactRoot(m) for m in midpoints]
@@ -261,6 +253,8 @@ def isolate_all(f: IntPolynomial) -> IsolationResult:
         if sign == 0:
             exact.append(ExactRoot(endpoint))
 
+    rsq = fsq.reciprocal()
+    recip_root = _mirrored_root(root) if rsq.degree == fsq.degree else _phase_root(rsq)
     recip_leaves, recip_midpoints, recip_nodes = _subdivide(rsq, recip_root)
     exact.extend(_invert_exact(m) for m in recip_midpoints)
     for leaf in recip_leaves:
@@ -318,8 +312,11 @@ class _Node:
     ``hi`` are the exact signs of the phase polynomial at the interval's
     ends, and ``variations`` is the Descartes count.  ``exact`` is the
     exact vector (a positive multiple of the same coefficients, primitive)
-    when the count was read from it, until the node is split, and
-    ``exact_splits`` the exact transforms that building it took.
+    when the count was read from it, and ``exact_splits`` the exact
+    transforms that building it took.  A split leaves both as they are: a
+    split node is dropped once its loop iteration ends, so only the two
+    phase roots, which ``isolate_all`` holds, keep a vector past their
+    split.
     """
 
     interval: DyadicInterval
@@ -399,8 +396,7 @@ def _split(node: _Node, g: IntPolynomial):
     which the two halves share, when the node holds one, and otherwise
     the vector built from g on its own interval (``_exact_vector``), which
     is the vector a chain of exact splits from the root would give, bit
-    for bit.  The node then drops its exact vector, so each vector is held
-    in one place.
+    for bit.  The node itself is not changed.
     """
     f = node.f
     n = len(f)
@@ -441,7 +437,6 @@ def _split(node: _Node, g: IntPolynomial):
     else:
         for side in uncertain:
             _read_exact(children[side], _exact_vector(g, children[side].interval), 1)
-    node.exact = None
     return children, mid, evaluated
 
 
@@ -503,7 +498,7 @@ def _float_count(f: np.ndarray, lo: int, hi: int) -> int:
 
 def _mirrored_root(root: _Node) -> _Node:
     """The reciprocal phase's root node, from the direct phase's root
-    ``root`` for a g with g(0) != 0, before that root is split.
+    ``root`` for a g with g(0) != 0, split or not.
 
     With s = (1 + X)/2 and t = (1 - X)/2, g = sum_i b_i C(d, i) s^i t^(d-i)
     has X^d g(1/X) = sum_i b_i C(d, i) s^i (-t)^(d-i), since s(1/X) = s/X

@@ -502,9 +502,9 @@ class TestScan:
             scanned.extend(xs.tolist())
             return scan(table, xs)
 
-        def counting_exact(coeffs, k, e):
-            evaluated.append(Fraction(k, 1 << e))
-            return exact(coeffs, k, e)
+        def counting_exact(coeffs, x):
+            evaluated.append(x.to_fraction())
+            return exact(coeffs, x)
 
         monkeypatch.setattr(condition_mod, "_scan", counting_scan)
         monkeypatch.setattr(condition_mod, "_exact_values", counting_exact)
@@ -528,9 +528,9 @@ class TestScan:
 
     def test_exact_values_match_fractions(self):
         # one integer Horner pass gives the K + 2 Taylor coefficients
-        # f^(j)(x)/j! at x = k/2^e exactly, the same integers at every
-        # exponent the point can be written with, and from them 1/cond and
-        # the cell's reach
+        # f^(j)(x)/j! at a dyadic x = k/2^e exactly, the same integers at
+        # every exponent the point is written with, and from them 1/cond
+        # and the cell's reach
         rng = random.Random(44)
         for _ in range(200):
             f = make_poly(rng, rng.randint(1, 20), 24)
@@ -538,8 +538,8 @@ class TestScan:
             e = rng.randint(0, 30)
             k = rng.randint(-(1 << e), 1 << e)
             x = Fraction(k, 1 << e)
-            values = condition_mod._exact_values(f.coeffs, k, e)
-            assert values == condition_mod._exact_values(f.coeffs, k << 3, e + 3)
+            values = condition_mod._exact_values(f.coeffs, Dyadic(k, e))
+            assert values == condition_mod._exact_values(f.coeffs, Dyadic(k << 3, e + 3))
             reduced, taylor = values
             assert len(taylor) == _ORDER + 2 and x.denominator == 1 << reduced
             for j, g in enumerate(_derivatives(f)):
@@ -605,7 +605,7 @@ class TestScan:
 def _library_reach(f, k, level):
     """``condition._reach`` of the cell around k/2^level, as a Fraction."""
     d, norm = f.degree, f.one_norm()
-    num, shift = condition_mod._reach(condition_mod._exact_values(f.coeffs, k, level), d, norm, level + 1)
+    num, shift = condition_mod._reach(condition_mod._exact_values(f.coeffs, Dyadic(k, level)), d, norm, level + 1)
     return Fraction(num, (math.factorial(_ORDER + 1) * d * norm) << shift)
 
 

@@ -1,5 +1,7 @@
+import dataclasses
 import functools
 import hashlib
+import importlib.util
 import math
 import random
 import sys
@@ -838,8 +840,7 @@ class TestFloatFilter:
         # vector: its half of one exact split of the node's own vector,
         # which the two halves share, when the node holds one, and otherwise
         # one built from g on its interval; the vectors are those of the
-        # chain of splits from the root, bit for bit, and a split node drops
-        # its vector, so each is held once
+        # chain of splits from the root, bit for bit
         bisects, builds = [], []
         monkeypatch.setattr(solver, "_bisect", lambda b: bisects.append(len(b)) or _bisect(b))
         monkeypatch.setattr(solver, "_exact_vector", lambda g, iv: builds.append(iv) or _exact_vector(g, iv))
@@ -857,14 +858,14 @@ class TestFloatFilter:
         # the left child's halves share one split of its vector
         children[0].err = 1.0
         left = solver._split(children[0], g)[0]
-        assert len(bisects) == 1 and len(builds) == 2 and children[0].exact is None
+        assert len(bisects) == 1 and len(builds) == 2
         assert [node.exact_splits for node in left] == [1, 0]
         assert [node.exact for node in left] == list(_bisect(halves[0]))
         assert [node.variations for node in left] == list(map(sign_variations, _bisect(halves[0])))
         # the right child's reseeded image certifies its halves: no exact
-        # work, and it drops the vector its halves did not need
+        # work
         right = solver._split(children[1], g)[0]
-        assert len(bisects) == 1 and len(builds) == 2 and children[1].exact is None
+        assert len(bisects) == 1 and len(builds) == 2
         assert all(node.exact is None and node.exact_splits == 0 for node in right)
         assert [node.variations for node in right] == list(map(sign_variations, _bisect(halves[1])))
         # a lone uncertain right half takes its half of the node's split and
@@ -872,10 +873,9 @@ class TestFloatFilter:
         node = solver._Node(children[0].interval, 1, None, 0.0, 0.0, 0, 0, 0)
         solver._read_exact(node, halves[0], 1)
         bound = solver._split(node, g)[0][0].err
-        solver._read_exact(node, halves[0], 1)
         node.f = np.array([8.0, 4.0, 2.0, 1.0, 0.5, 0.25, 0.0]) * bound  # falls to 0 at the right end
         lone = solver._split(node, g)[0]
-        assert len(bisects) == 2 and len(builds) == 2 and node.exact is None
+        assert len(bisects) == 2 and len(builds) == 2
         assert lone[0].exact is None and lone[0].exact_splits == 0 and lone[0].variations == 0
         assert lone[1].exact == _bisect(halves[0])[1] and lone[1].exact_splits == 1
 
@@ -1168,6 +1168,33 @@ class TestMirroredRoot:
                 exact = _power_to_bernstein(rsq.coeffs)
                 for i, (got, k) in enumerate(zip(mirrored.f.tolist(), exact)):
                     assert abs(Fraction(got) - Fraction(k, math.comb(d, i) << shift)) <= Fraction(direct.err), i
+
+    def test_mirror_unchanged_by_the_direct_subdivision(self, monkeypatch):
+        # a split keeps the split node's exact vector, so the mirror is the
+        # same taken before or after the direct phase: on the 200 seed-1
+        # ``iso-cluster`` benchmark inputs, 30 of whose direct roots count
+        # on their exact vector
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+        spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+        corpus = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, corpus)  # for its dataclass
+        spec.loader.exec_module(corpus)
+
+        def fields(node):
+            values = (getattr(node, field.name) for field in dataclasses.fields(node))
+            return [v.tolist() if isinstance(v, np.ndarray) else v for v in values]
+
+        checked = 0
+        for item in corpus.build("iso-cluster", 1, 40):
+            fsq = square_free_part(IntPolynomial(item.coeffs))
+            root = solver._phase_root(fsq)
+            if root.exact is None or fsq.coeffs[0] == 0:
+                continue
+            before = fields(solver._mirrored_root(root))
+            solver._subdivide(fsq, root)
+            assert fields(solver._mirrored_root(root)) == before, item.label
+            checked += 1
+        assert checked == 30
 
     def test_isolate_all_mirrors_unless_zero_is_a_root(self, monkeypatch):
         # an even Chebyshev polynomial mirrors its root; an odd one vanishes
