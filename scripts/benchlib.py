@@ -11,14 +11,17 @@ sits in.  Uniform inputs are ``uniform(d, count)``: ``uniform_model(d,
 BITSIZE)`` samples 0 .. count-1 under ``SEED``.
 
 Timing.  ``fastest`` times one input as ``repeats`` blocks of
-back-to-back calls and keeps the fastest block's time per call.  A block
-runs as many calls as take the reference kernel's time (3 ms), going by
-the time of one first call, which is not counted, since a 0.1 ms call
-timed alone is lost in the clock's scaling.  Times are scaled to a fixed
-reference speed by ``perfbench/speed.py`` (a fixed big-integer kernel
-timed between every two blocks), since other tenants of a shared host
-slow a whole run for seconds at a time; each script stores the raw
-wall-clock median beside the scaled one.  Work counters are
+back-to-back calls and keeps the time per call of the block with the
+least wall time, both scaled and wall.  A block runs as many calls as
+take the reference kernel's time (3 ms), going by the time of one first
+call, which is not counted, since a 0.1 ms call timed alone is lost in
+the clock's scaling.  Times are scaled to a fixed reference speed by
+``perfbench/speed.py`` (a fixed big-integer kernel timed between every
+two blocks), since other tenants of a shared host slow a whole run for
+seconds at a time; each script stores the raw wall-clock median beside
+the scaled one.  The block is chosen by wall time, since the least
+scaled time would pick the block whose neighbouring kernel runs read
+slowest, and so scaled it down the most.  Work counters are
 deterministic and do not depend on the machine.
 
 Storage.  ``run_and_store`` parses a script's ``--label`` and ``--out``,
@@ -62,17 +65,15 @@ def uniform(d: int, count: int) -> list:
 
 
 def fastest(clock, call, repeats: int):
-    """The time per call in ms, scaled and wall, of the fastest of
-    ``repeats`` blocks of back-to-back ``call()``, and the call's result.
-    A block holds as many calls as take ``REF_KERNEL_S`` at the wall time
-    of a first call, which is not counted."""
+    """The time per call in ms, scaled and wall, of the block with the
+    least wall time among ``repeats`` blocks of back-to-back ``call()``,
+    and the call's result.  A block holds as many calls as take
+    ``REF_KERNEL_S`` at the wall time of a first call, which is not
+    counted."""
     result, first, _ = clock.time(call)
     calls = max(1, math.ceil(REF_KERNEL_S / first))
-    scaled_best = wall_best = float("inf")
-    for _ in range(repeats):
-        _, wall, scaled = clock.time(lambda: [call() for _ in range(calls)])
-        scaled_best, wall_best = min(scaled_best, scaled / calls), min(wall_best, wall / calls)
-    return scaled_best * 1e3, wall_best * 1e3, result
+    wall, scaled = min(clock.time(lambda: [call() for _ in range(calls)])[1:] for _ in range(repeats))
+    return scaled / calls * 1e3, wall / calls * 1e3, result
 
 
 def _git(*args: str) -> str | None:

@@ -78,7 +78,7 @@ def _build_parser() -> _Parser:
     ana = sub.add_parser("analyze", help="condition, separation and root-count analysis")
     _add_poly_input(ana)
     ana.add_argument("--rel-tol", type=_positive(float), default=0.5, help="bracket relative tolerance")
-    ana.add_argument("--max-grid", type=int, default=1 << 22, help="grid point budget")
+    ana.add_argument("--max-grid", type=_positive(int), default=1 << 22, help="grid point budget")
     ana.add_argument("--out", help="write JSON here instead of stdout")
     ana.add_argument("--stats", action="store_true", help="write the bracket's and the oracle's work counts to stderr")
 
@@ -98,7 +98,7 @@ def _build_parser() -> _Parser:
     exp.add_argument("--threads", type=int, default=1, help="worker processes for trials")
     exp.add_argument("--t-grid", type=_comma_list(float), help="comma-separated tail thresholds")
     exp.add_argument("--rel-tol", type=_positive(float), default=0.5)
-    exp.add_argument("--max-grid", type=int, default=1 << 18)
+    exp.add_argument("--max-grid", type=_positive(int), default=1 << 18)
     exp.add_argument("--constant", type=float, default=64.0, help="instance-bound pass constant")
     exp.add_argument("--out-dir", default=".")
     exp.add_argument("--format", choices=["csv", "json", "both"], default="csv")
@@ -127,8 +127,10 @@ def _check_ranges(args) -> None:
         return
     if args.d_list and len(set(args.d_list)) < len(args.d_list):
         raise UsageError(f"argument --d-list: a degree is repeated in {args.d_list}")
-    if args.kind.startswith("cond-tail") and args.t_grid and not all(t > 1 for t in args.t_grid):
-        raise UsageError(f"argument --t-grid: {args.kind} thresholds must exceed 1, got {args.t_grid}")
+    # each kind's thresholds must exceed its floor
+    floor = {"cond-tail": 1, "cond-tail-local": 1, "rho-check": 0}.get(args.kind)
+    if floor is not None and args.t_grid and not all(t > floor for t in args.t_grid):
+        raise UsageError(f"argument --t-grid: {args.kind} thresholds must exceed {floor}, got {args.t_grid}")
     if args.kind == "rho-check" and args.degree < 2:
         raise UsageError(f"argument --degree: rho-check needs a degree of at least 2, got {args.degree}")
 

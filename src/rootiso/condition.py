@@ -222,9 +222,9 @@ def global_condition_bracket(
     Scans dyadic grids x = k 2^-level, |k| <= 2^level, starting at
     spacing at most 1/d (``_first_level``) and halving until
     upper <= (1 + rel_tol) lower or the grid would exceed ``max_grid``
-    points (the initial grid is always evaluated).  Write h = 1/cond,
-    delta for the spacing, r = delta/2 for the radius of a grid point's
-    cell and t = d r <= 1/2.
+    points (the initial grid is always evaluated, whatever the positive
+    budget).  Write h = 1/cond, delta for the spacing, r = delta/2 for
+    the radius of a grid point's cell and t = d r <= 1/2.
 
     The reach of a cell is its order-K Taylor model (module docstring;
     ``_reach`` exactly, ``_float_reach`` in floats).  In the scaled
@@ -299,6 +299,8 @@ def global_condition_bracket(
         raise ZeroPolynomialError("zero polynomial")
     if not rel_tol > 0:
         raise ValueError("rel_tol must be positive")
+    if max_grid < 1:
+        raise ValueError("max_grid must be positive")
     d = f.degree
     if d == 0:
         return ConditionBracket(1.0, 1.0, 1, 2.0, True)

@@ -9,6 +9,7 @@ be shared freely between threads.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 
@@ -22,8 +23,10 @@ class Dyadic:
     __slots__ = ("num", "exp")
 
     def __init__(self, num: int, exp: int = 0):
-        num = int(num)
-        exp = int(exp)
+        # operator.index takes int, bool and numpy integers, and raises
+        # TypeError on floats and strings rather than truncating them
+        num = operator.index(num)
+        exp = operator.index(exp)
         if exp < 0:
             # m / 2^e with e < 0 is the integer m * 2^|e|
             num <<= -exp

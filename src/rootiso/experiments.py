@@ -460,6 +460,9 @@ def run_rho_check(
     ambiguity range) with the exponential tail curve, reports the fitted
     constants of the moment scale l (ln d + u) ln d, and checks that the
     evaluation-based per-trial bound dominates the count on average.
+
+    Thresholds must lie in (0, tau l], for l = 2N + 1 the number of disks
+    of ``disk_cover(d)``; ``t_grid=None`` takes 1, 2, ..., min(tau l, 40).
     """
     d = model.degree
     u = model.uniformity()
@@ -473,7 +476,7 @@ def run_rho_check(
     if t_grid is None:
         t_grid = list(range(1, min(int(tau * lg_blocks), 40) + 1))
     t_grid = [float(t) for t in t_grid]
-    if any(t > tau * lg_blocks for t in t_grid):
+    if any(not 0.0 < t <= tau * lg_blocks for t in t_grid):
         raise ValueError(f"t_grid must stay within (0, {tau * lg_blocks}]")
 
     rows = _collect(model, trials, seed, MeasureOptions(with_rho=True), workers)

@@ -407,9 +407,15 @@ def test_malformed_list_is_usage_error(capsys, tmp_path, monkeypatch, argv):
         ("experiment", "cond-tail", "--trials", "2", "--t-grid", "0.5"),
         ("experiment", "rho-check", "--trials", "2", "--degree", "1"),
         ("experiment", "steps", "--trials", "2", "--d-list", "8,8"),
+        ("experiment", "rho-check", "--trials", "2", "--t-grid", "0,3"),
+        ("experiment", "rho-check", "--trials", "2", "--t-grid", "-5"),
+        ("analyze", "--coeffs", "-1 0 4", "--max-grid", "0"),
+        ("analyze", "--coeffs", "-1 0 4", "--max-grid", "-5"),
+        ("experiment", "steps", "--trials", "2", "--max-grid", "0"),
     ],
     ids=["count-negative", "count-zero", "trials-zero", "rel-tol-negative", "rel-tol-nan", "t-grid-below-one",
-         "rho-check-degree-one", "d-list-repeated"],
+         "rho-check-degree-one", "d-list-repeated", "rho-check-t-grid-zero", "rho-check-t-grid-negative",
+         "max-grid-zero", "max-grid-negative", "experiment-max-grid-zero"],
 )
 def test_out_of_range_flag_is_usage_error(capsys, tmp_path, monkeypatch, argv):
     # rejected before any output or run: exit 1, not a computational error

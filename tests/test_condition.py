@@ -39,6 +39,11 @@ class TestLocal:
             local_condition(IntPolynomial([]), Dyadic(0))
         with pytest.raises(ValueError, match="outside"):
             local_condition(poly(1, 1), Dyadic(3, 1))
+        # a float point is rejected, not truncated to 0 (where 4x^2 - 1
+        # has condition 5, against 2.5 at 1/2)
+        with pytest.raises(TypeError):
+            local_condition(poly(-1, 0, 4), Dyadic(0.5))
+        assert local_condition(poly(-1, 0, 4), Dyadic(1, 1)) == 2.5
 
     def test_matches_float_reference(self):
         rng = random.Random(31)
@@ -100,6 +105,14 @@ class TestBracket:
         for rel_tol in (0.0, math.nan):
             with pytest.raises(ValueError):
                 global_condition_bracket(poly(1, 1), rel_tol=rel_tol)
+        for max_grid in (0, -5):
+            with pytest.raises(ValueError, match="max_grid"):
+                global_condition_bracket(poly(-1, 0, 4), max_grid=max_grid)
+        # a positive budget smaller than the first grid (9 points at d = 2)
+        # still has that grid scanned, and nothing finer
+        for max_grid in (1, 8):
+            br = global_condition_bracket(poly(-1, 0, 4), max_grid=max_grid)
+            assert (br.grid_size, br.levels) == (9, 1)
 
     def test_bracket_contains_dense_scan(self):
         rng = random.Random(32)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from rootiso.dyadic import Dyadic, DyadicInterval
@@ -32,6 +33,17 @@ def test_normalized_invariant():
 
 def test_negative_exponent_is_integer():
     assert Dyadic(3, -2) == Dyadic(12)
+
+
+def test_takes_integers_only():
+    # numpy integers and bools are integers; floats and strings are
+    # rejected rather than truncated (0.5 once became 0, "7" became 7)
+    x = Dyadic(np.int64(6), np.int32(2))
+    assert x == Dyadic(3, 1) and type(x.num) is int and type(x.exp) is int
+    assert Dyadic(True) == Dyadic(1)
+    for num, exp in ((0.5, 0), ("7", 0), (1, 2.0), (1, "3")):
+        with pytest.raises(TypeError):
+            Dyadic(num, exp)
 
 
 def test_order_matches_rationals():

@@ -191,6 +191,15 @@ def test_rho_trial_computes_one_square_free_part(monkeypatch):
         assert (row.rho_count_min, row.rho_count_max) == (counts.min, counts.max)
 
 
+def test_rho_check_threshold_range():
+    # thresholds lie in (0, tau l], l = 2 ceil(lg d) + 1 = 7 at d = 8
+    for t_grid in ([0.0, 3.0], [-5.0], [48.0 * 7 + 1]):
+        with pytest.raises(ValueError, match="t_grid"):
+            run_rho_check(uniform_model(8, 48), 2, seed=1, t_grid=t_grid)
+    report = run_rho_check(uniform_model(8, 48), 2, seed=1, t_grid=[0.5, 48.0 * 7])
+    assert [row["t"] for row in report.extras["curve"]] == [0.5, 336.0]
+
+
 def test_rho_check_warns_on_small_bitsize():
     with pytest.warns(UserWarning, match="bitsize"):
         run_rho_check(uniform_model(8, 4), 5, seed=8)

@@ -81,6 +81,12 @@ def test_fastest(load):
     assert clock.blocks == [3, 3, 3] and len(calls) == 10
     assert result == 1
     assert scaled == pytest.approx(1.5) and wall == pytest.approx(2.0)
+    # the least wall time (block 2) and the least scaled time (block 1)
+    # fall in different blocks: both figures come from block 2
+    clock = _StubClock([(benchlib.REF_KERNEL_S, 0.0), (0.009, 0.001), (0.004, 0.006), (0.005, 0.002)])
+    scaled, wall, result = benchlib.fastest(clock, lambda: None, 3)
+    assert clock.blocks == [1, 1, 1] and result is None
+    assert scaled == pytest.approx(6.0) and wall == pytest.approx(4.0)
 
 
 def test_compare_hashes(load, capsys):
