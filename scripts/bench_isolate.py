@@ -18,10 +18,13 @@ that follow are warm.
 Beside each median the run records the work counters of the subdivision
 trace, summed over the samples: nodes, float splits, nodes whose count
 was read from exact vectors, exact transforms (``exact_splits``) and
-midpoint evaluations, and the ``_split`` calls that ``isolate_all`` made,
-counted in one more pass that is not timed (``split_calls``: the tree's
-splits and those of the reciprocal phase's off-zero refinement, which
-the trace does not hold).  Uniform inputs hardly take the exact path, so the
+midpoint evaluations, and the float splits that ``isolate_all`` ran,
+counted as ``_split_halves`` calls in one more pass that is not timed
+(``split_calls``: the tree's splits and those of the reciprocal phase's
+off-zero refinement, which the trace does not hold).  The trace counts
+the whole tree; for an even or odd input the solver splits only the root
+and (0, 1) and mirrors (-1, 0), so there ``split_calls`` is the work
+that ran and the trace's counters are not.  Uniform inputs hardly take the exact path, so the
 run also times ``isolate_all`` on the ``iso-cluster`` corpus of
 ``perfbench`` (``ROUNDS`` rounds: Chebyshev, scaled Chebyshev, Mignotte,
 dyadic-root products, and squares of each kind), per family, as the
@@ -59,20 +62,21 @@ def _counters(traces) -> dict:
 
 
 def _split_calls(polys) -> int:
-    """The ``_split`` calls that ``isolate_all`` makes on ``polys``."""
-    split, calls = solver._split, 0
+    """The float splits (``_split_halves`` calls) that ``isolate_all``
+    makes on ``polys``."""
+    split, calls = solver._split_halves, 0
 
-    def counting(node, g):
+    def counting(node, g, first):
         nonlocal calls
         calls += 1
-        return split(node, g)
+        return split(node, g, first)
 
-    solver._split = counting
+    solver._split_halves = counting
     try:
         for f in polys:
             isolate_all(f)
     finally:
-        solver._split = split
+        solver._split_halves = split
     return calls
 
 

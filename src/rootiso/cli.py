@@ -27,7 +27,7 @@ from .condition import (
     separation_epsilon,
     separation_lower_bound,
 )
-from .experiments import run_cond_tail, run_instance_bound, run_rho_check, run_steps_scaling
+from .experiments import checked_t_grid, run_cond_tail, run_instance_bound, run_rho_check, run_steps_scaling
 from .models import (
     RandomModel,
     exact_bitsize_model,
@@ -127,12 +127,14 @@ def _check_ranges(args) -> None:
         return
     if args.d_list and len(set(args.d_list)) < len(args.d_list):
         raise UsageError(f"argument --d-list: a degree is repeated in {args.d_list}")
-    # each kind's thresholds must exceed its floor
-    floor = {"cond-tail": 1, "cond-tail-local": 1, "rho-check": 0}.get(args.kind)
-    if floor is not None and args.t_grid and not all(t > floor for t in args.t_grid):
-        raise UsageError(f"argument --t-grid: {args.kind} thresholds must exceed {floor}, got {args.t_grid}")
     if args.kind == "rho-check" and args.degree < 2:
         raise UsageError(f"argument --degree: rho-check needs a degree of at least 2, got {args.degree}")
+    if args.t_grid and args.kind in ("cond-tail", "cond-tail-local", "rho-check"):
+        model = _model_from_args(args)
+        try:
+            checked_t_grid(args.kind.replace("-", "_"), model, args.t_grid)
+        except ValueError as exc:
+            raise UsageError(f"argument --t-grid: {args.kind}: {exc}") from None
 
 
 def _comma_list(convert):

@@ -72,7 +72,11 @@ class Dyadic:
     __rmul__ = __mul__
 
     def __neg__(self) -> "Dyadic":
-        return Dyadic(-self.num, self.exp)
+        # the negation of a normal form is one
+        out = object.__new__(Dyadic)
+        out.num = -self.num
+        out.exp = self.exp
+        return out
 
     def __abs__(self) -> "Dyadic":
         return Dyadic(abs(self.num), self.exp)
@@ -176,6 +180,10 @@ class DyadicInterval:
         strictly between the ends, so neither half is checked again."""
         m = self.midpoint()
         return _interval(self.lo, m), _interval(m, self.hi)
+
+    def __neg__(self) -> "DyadicInterval":
+        """The mirror image (-hi, -lo)."""
+        return _interval(-self.hi, -self.lo)
 
     def contains(self, x: Dyadic | int) -> bool:
         x = _coerce(x)

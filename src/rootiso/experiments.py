@@ -386,6 +386,26 @@ def _depth_allowance(d: int, cond_upper: float) -> int | None:
     return math.ceil(math.log2(12.0 * d * cond_upper)) + 2
 
 
+def checked_t_grid(kind: str, model: RandomModel, t_grid) -> list[float]:
+    """The tail thresholds ``t_grid`` of experiment ``kind`` on ``model``,
+    as floats, or ValueError if one lies outside the kind's range.
+
+    ``cond_tail`` takes (1, 2^(tau+1)] and ``cond_tail_local`` (1, 2^tau],
+    for tau = ``model.tau_bound()``; ``rho_check`` takes (0, tau l], for
+    l = 2N + 1 the number of disks of ``disk_cover(d)``.  ``cond_tail``
+    needs at least one threshold.
+    """
+    tau = model.tau_bound()
+    if kind == "rho_check":
+        floor, limit = 0.0, float(tau * (2 * disk_cover(model.degree).N + 1))
+    else:
+        floor, limit = 1.0, 2.0 ** (tau + (kind == "cond_tail"))
+    t_grid = [float(t) for t in t_grid]
+    if (kind != "rho_check" and not t_grid) or any(not floor < t <= limit for t in t_grid):
+        raise ValueError(f"t_grid must lie within ({floor:g}, {limit:g}], got {t_grid}")
+    return t_grid
+
+
 def run_cond_tail(
     model: RandomModel,
     trials: int,
@@ -408,13 +428,11 @@ def run_cond_tail(
     Thresholds must lie in (1, L] with L = 2^(tau+1), or L = 2^tau for the
     local variant; ``t_grid=None`` takes 2^k for odd k <= min(lg L, 40).
     """
-    lg_limit = model.tau_bound() + (1 if local_point is None else 0)
-    limit = 2.0**lg_limit
+    kind = "cond_tail" if local_point is None else "cond_tail_local"
     if t_grid is None:
+        lg_limit = model.tau_bound() + (1 if local_point is None else 0)
         t_grid = [2**k for k in range(1, min(lg_limit, 40) + 1, 2)]
-    t_grid = [float(t) for t in t_grid]
-    if not t_grid or any(not 1.0 < t <= limit for t in t_grid):
-        raise ValueError(f"t_grid must lie within (1, {limit}]")
+    t_grid = checked_t_grid(kind, model, t_grid)
     opt = MeasureOptions(
         with_condition=True, rel_tol=rel_tol, max_grid=max_grid, local_point=local_point
     )
@@ -431,7 +449,7 @@ def run_cond_tail(
     curve, ok = _survival([r.cond_lower for r in rows], t_grid, tail)
 
     return ExperimentReport(
-        kind="cond_tail" if local_point is None else "cond_tail_local",
+        kind=kind,
         config=_config(
             model,
             trials,
@@ -475,9 +493,7 @@ def run_rho_check(
     lg_blocks = 2 * disk_cover(d).N + 1  # the cover's disk count
     if t_grid is None:
         t_grid = list(range(1, min(int(tau * lg_blocks), 40) + 1))
-    t_grid = [float(t) for t in t_grid]
-    if any(not 0.0 < t <= tau * lg_blocks for t in t_grid):
-        raise ValueError(f"t_grid must stay within (0, {tau * lg_blocks}]")
+    t_grid = checked_t_grid("rho_check", model, t_grid)
 
     rows = _collect(model, trials, seed, MeasureOptions(with_rho=True), workers)
 

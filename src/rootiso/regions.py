@@ -303,13 +303,18 @@ def _square_free_roots(g: IntPolynomial) -> ComplexRootSet:
 
     residual = math.inf
     # a diverging iterate overflows to inf and NaN, which the residual
-    # test reports as non-convergence; numpy need not warn about it
+    # test reports as non-convergence; numpy need not warn about it.  A
+    # NaN residual comes from a point that is not finite, or whose value
+    # overflows, so that its step is not: no later step makes it finite
+    # again, and the iteration stops there
     with np.errstate(all="ignore"):
         for sweeps in range(1, _MAX_SWEEPS + 1):
             values = _evaluate(table, z)
             residual = _residual(values)
             if residual <= _TOL:
                 break
+            if math.isnan(residual):
+                raise NoConvergenceError(g.degree, sweeps, residual, _TOL)
             newton = _newton(values)
             np.subtract(z[:, None], z, diff)
             diagonal[:] = np.inf

@@ -34,6 +34,14 @@ signs of alternate entries flipped, image, bound and exact vector alike,
 and takes no product or transform of its own; only when the square-free
 part vanishes at 0, so that the reciprocal has a lower degree, does it
 start from its own product.
+
+When the phase polynomial is even or odd, as Chebyshev polynomials are,
+its tree on (-1, 1) is its own mirror image under x -> -x, and only the
+root and (0, 1) are subdivided: the nodes, leaves and midpoint roots of
+(-1, 0) are written as mirror images, in the order a full run pops them.
+The reciprocal of an even or odd polynomial is again even or odd, so
+both phases do this.
+
 Roots outside [-1, 1] are reached through the reciprocal polynomial and the
 map x -> 1/x; since 1/x is not dyadic in general, those results carry an
 ``inverted`` flag together with the dyadic pre-image.
@@ -46,10 +54,10 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from operator import add, lshift, or_, rshift, truediv
 from typing import NamedTuple
 
@@ -79,6 +87,13 @@ class NodeRecord(NamedTuple):
     when it mirrors the direct root's vector (``_mirrored_root``), which
     takes no transform; ``evaluated_midpoint`` when the node was split and
     the sign at its midpoint came from an exact evaluation.
+
+    When the phase polynomial is even or odd, a node in (-1, 0) below the
+    root is not computed but mirrored from its partner in (0, 1)
+    (``_subdivide``).  Its record holds the fields a full run gives it:
+    its partner's, with the ``exact_splits`` a full run charges it, the
+    transforms its partner took, except that a pass shared by two siblings
+    is charged to the left one in either half (``_mirrored_level``).
     """
 
     interval: DyadicInterval
@@ -96,8 +111,10 @@ class SubdivisionTrace:
     Every tree statistic and work count derives from ``var_per_node``;
     the steps of the reciprocal phase's off-zero refinement (a split of
     the leaf (-1, 1), and half steps by the sign at a midpoint) are not
-    nodes of the tree and are not counted.  ``square_free`` records the
-    square-free part the solver actually ran on.
+    nodes of the tree and are not counted.  The counts are those of the
+    whole tree, mirrored half included (``NodeRecord``), so for an even
+    or odd polynomial they exceed the work that ran.  ``square_free``
+    records the square-free part the solver actually ran on.
     """
 
     var_per_node: list[NodeRecord]
@@ -122,7 +139,8 @@ class SubdivisionTrace:
 
     @property
     def splits(self) -> int:
-        """Nodes split in two, each by one float de Casteljau pass."""
+        """Nodes split in two, each by one float de Casteljau pass, but for
+        the mirrored ones (``NodeRecord``)."""
         return sum(n.variations >= 2 for n in self.var_per_node)
 
     @property
@@ -276,30 +294,100 @@ def _subdivide(fsq: IntPolynomial, root: _Node):
     counted root node.
 
     A node's Descartes count is the sign variations of its Bernstein
-    vector.  A split is a float pass with exact fallback (``_split``),
-    which returns counted nodes.  Returns the var = 1 leaves in order, the
-    midpoints found to be roots and the records of every node popped.
+    vector.  A split is a float pass with exact fallback (``_split``, here
+    through ``_split_halves``), which returns counted nodes.  The queue is
+    first in, first out, so the nodes are popped level by level, each
+    level from left to right; the loop runs one level at a time.  Returns
+    the var = 1 leaves and the midpoints found to be roots, each in the
+    order their nodes are popped, and the records of every node popped.
+
+    When fsq is even or odd (``_parity``), fsq(-x) = +-fsq(x), and the
+    tree is its own mirror image under x -> -x: the Bernstein vector of a
+    node (-b, -a) is that of (a, b) reversed, up to sign, so the two have
+    the same count, mirrored children, and mirrored midpoint roots.  So
+    the root's split keeps only (0, 1) (``_split_halves``), and every
+    level below it is computed on (0, 1) alone.  The level's left part, on
+    (-1, 0), is its right part reversed and mirrored, and goes before it,
+    as the queue would pop it: leaves by ``_mirrored``, midpoints negated
+    and records by ``_mirrored_level``.  A mirrored record copies its
+    partner's work flags.  A full run would take them from float images
+    of (-1, 0) that mirror those of (0, 1) only to rounding, since the
+    root image sums its rows i and d - i in different orders; that could
+    move a work flag, never a count or an output.  The test suite compares
+    the records with those of a full run.
     """
-    queue = deque([root])
+    parity = _parity(fsq) if root.variations > 1 else 0
     leaves: list[_Node] = []
     midpoints: list[Dyadic] = []
     nodes: list[NodeRecord] = []
-
-    while queue:
-        node = queue.popleft()
-        v = node.variations
-        counted_exactly = node.exact is not None
-        evaluated = False
-        if v == 1:
-            leaves.append(node)
-        elif v:
-            children, mid, evaluated = _split(node, fsq)
-            if mid == 0:
-                midpoints.append(node.interval.midpoint())
-            queue.extend(children)
-        nodes.append(NodeRecord(node.interval, v, node.depth, counted_exactly, node.exact_splits, evaluated))
+    level = [root]
+    while level:
+        below: list[_Node] = []
+        marks = len(leaves), len(midpoints), len(nodes)
+        for node in level:
+            v = node.variations
+            evaluated = False
+            if v == 1:
+                leaves.append(node)
+            elif v:
+                children, mid, evaluated = _split_halves(node, fsq, 1 if parity and not node.depth else 0)
+                if mid == 0:
+                    midpoints.append(node.interval.midpoint())
+                below += children
+            nodes.append(NodeRecord(node.interval, v, node.depth, node.exact is not None, node.exact_splits, evaluated))
+        if parity and level[0].depth:  # the level's left part goes before its right part
+            i, j, k = marks
+            leaves[i:i] = [_mirrored(leaf, parity) for leaf in reversed(leaves[i:])]
+            midpoints[j:j] = [-m for m in reversed(midpoints[j:])]
+            nodes[k:k] = _mirrored_level(nodes[k:])
+        level = below
 
     return leaves, midpoints, nodes
+
+
+def _parity(g: IntPolynomial) -> int:
+    """1 when g is even, -1 when g is odd (and not even), 0 otherwise."""
+    coeffs = g.coeffs
+    if not any(islice(coeffs, 1, None, 2)):
+        return 1
+    return 0 if any(islice(coeffs, 0, None, 2)) else -1
+
+
+def _mirrored(node: _Node, parity: int) -> _Node:
+    """The node (-b, -a) of a g with g(-x) = ``parity`` g(x), from its
+    mirror image ``node`` (a, b): the float image reversed and times
+    ``parity``, under the same bound, and the ends' signs swapped the same
+    way.  It holds no exact vector; its record comes from ``node``'s."""
+    f = node.f[::-1] * parity
+    return _Node(-node.interval, node.depth, f, node.err, node.peak, parity * node.hi, parity * node.lo, node.variations)
+
+
+def _mirrored_level(records: list[NodeRecord]) -> list[NodeRecord]:
+    """The records of the left part of a level, from those of its right
+    part ``records``, in the order the queue pops them: reversed, each
+    interval (a, b) as (-b, -a), with the same count, depth and work flags.
+
+    Two siblings that shared one exact pass (``_bisect``) both count
+    exactly, and the pass is charged to the left one; two that counted
+    exactly on their own vectors are each charged 1.  Mirroring makes the
+    right sibling the left one, so a pair that both count exactly swaps
+    its two charges.  The right part of level 1 is (0, 1) alone, whose
+    sibling (-1, 0) is its mirror image: charged 1 when the two count
+    exactly, whether they shared the root's pass or each built its own.
+    """
+    if records[0].depth == 1:
+        (node,) = records
+        return [_mirrored_record(node, int(node.exact))]
+    out = []
+    for left, right in zip(records[-2::-2], records[-1::-2]):
+        shared = left.exact and right.exact
+        out.append(_mirrored_record(right, left.exact_splits if shared else right.exact_splits))
+        out.append(_mirrored_record(left, right.exact_splits if shared else left.exact_splits))
+    return out
+
+
+def _mirrored_record(node: NodeRecord, exact_splits: int) -> NodeRecord:
+    return NodeRecord(-node.interval, node.variations, node.depth, node.exact, exact_splits, node.evaluated_midpoint)
 
 
 @dataclass(slots=True, eq=False)
@@ -367,7 +455,8 @@ _ROUND_UP = 1.0 + 2.0**-50  # covers the rounding of the bound's own few operati
 
 def _split(node: _Node, g: IntPolynomial):
     """Both halves of a node by one float de Casteljau pass, the exact sign
-    of g at the midpoint, and whether that sign took an exact evaluation.
+    of g at the midpoint, and whether that sign took an exact evaluation
+    (``_split_halves`` keeping both).
 
     The halves are L f and J L J f, for J the reversal and L[k, j] =
     C(k, j) / 2^k (``_halving_matrix``), whose rows are nonnegative and
@@ -398,6 +487,14 @@ def _split(node: _Node, g: IntPolynomial):
     is the vector a chain of exact splits from the root would give, bit
     for bit.  The node itself is not changed.
     """
+    return _split_halves(node, g, 0)
+
+
+def _split_halves(node: _Node, g: IntPolynomial, first: int):
+    """``_split``, returning and counting only the halves from ``first``
+    on: both for 0, the right one for 1.  A half that is not kept takes no
+    exact vector.  A pass of the node's vector is charged as if both
+    halves were kept, to the left one when both are uncertain."""
     f = node.f
     n = len(f)
     err = (node.err + (n + 2) * _U * node.peak + n * _SUBNORMAL) * _ROUND_UP
@@ -430,14 +527,15 @@ def _split(node: _Node, g: IntPolynomial):
         for side, interval in enumerate(node.interval.split())
     ]
     uncertain = [side for side in (0, 1) if floors[side] <= err]
-    if uncertain and node.exact is not None:
-        halves = _bisect(node.exact)  # one pass, charged to the first half that takes it
-        for side in uncertain:
+    reading = [side for side in uncertain if side >= first]
+    if reading and node.exact is not None:
+        halves = _bisect(node.exact)  # one pass, charged to the first half that takes it, kept or not
+        for side in reading:
             _read_exact(children[side], halves[side], int(side == uncertain[0]))
     else:
-        for side in uncertain:
+        for side in reading:
             _read_exact(children[side], _exact_vector(g, children[side].interval), 1)
-    return children, mid, evaluated
+    return children[first:], mid, evaluated
 
 
 _halving = None  # L of the largest size asked for so far

@@ -252,14 +252,15 @@ class TestAnalyze:
         code, out, err = run_cli(capsys, "analyze", "--coeffs", " ".join(map(str, f.coeffs)), "--stats")
         assert code == 2 and out == ""
         stats, message = err.splitlines()
-        assert stats.startswith("stats levels=") and stats.endswith(" sweeps=500")
-        assert message.startswith("rootiso: computational error: no convergence: degree 256, 500 sweeps")
+        # the oracle stops at its first NaN residual, after 6 of 500 sweeps
+        assert stats.startswith("stats levels=") and stats.endswith(" sweeps=6")
+        assert message.startswith("rootiso: computational error: no convergence: degree 256, 6 sweeps")
 
     def test_non_convergence_diagnostics_on_stderr(self, capsys):
         f = rootiso.uniform_model(256, 32).sample(1, 6)
         code, out, err = run_cli(capsys, "analyze", "--coeffs", " ".join(map(str, f.coeffs)))
         assert code == 2 and out == ""
-        assert "rootiso: computational error: no convergence: degree 256, 500 sweeps" in err
+        assert "rootiso: computational error: no convergence: degree 256, 6 sweeps" in err
         assert "last residual" in err and "tol 1e-10" in err
 
 
@@ -412,10 +413,14 @@ def test_malformed_list_is_usage_error(capsys, tmp_path, monkeypatch, argv):
         ("analyze", "--coeffs", "-1 0 4", "--max-grid", "0"),
         ("analyze", "--coeffs", "-1 0 4", "--max-grid", "-5"),
         ("experiment", "steps", "--trials", "2", "--max-grid", "0"),
+        ("experiment", "rho-check", "--degree", "8", "--bitsize", "48", "--trials", "2", "--t-grid", "1000"),
+        ("experiment", "cond-tail", "--degree", "8", "--bitsize", "16", "--trials", "2", "--t-grid", "1e30"),
+        ("experiment", "cond-tail-local", "--degree", "8", "--bitsize", "16", "--trials", "2", "--t-grid", "4,65537"),
     ],
     ids=["count-negative", "count-zero", "trials-zero", "rel-tol-negative", "rel-tol-nan", "t-grid-below-one",
          "rho-check-degree-one", "d-list-repeated", "rho-check-t-grid-zero", "rho-check-t-grid-negative",
-         "max-grid-zero", "max-grid-negative", "experiment-max-grid-zero"],
+         "max-grid-zero", "max-grid-negative", "experiment-max-grid-zero", "rho-check-t-grid-above-limit",
+         "cond-tail-t-grid-above-limit", "cond-tail-local-t-grid-above-limit"],
 )
 def test_out_of_range_flag_is_usage_error(capsys, tmp_path, monkeypatch, argv):
     # rejected before any output or run: exit 1, not a computational error

@@ -26,9 +26,11 @@ def test_normalized_invariant():
     rng = random.Random(2)
     for _ in range(2000):
         d = Dyadic(rng.randint(-1 << 30, 1 << 30), rng.randint(0, 20))
-        assert d.exp == 0 or d.num % 2 == 1
-        if d.num == 0:
-            assert d.exp == 0
+        for x in (d, -d):
+            assert x.exp == 0 or x.num % 2 == 1
+            if x.num == 0:
+                assert x.exp == 0
+        assert -d == Dyadic(-d.num, d.exp)
 
 
 def test_negative_exponent_is_integer():
@@ -122,3 +124,5 @@ def test_split_and_contains():
     assert not iv.contains(Dyadic(0))
     assert iv.straddles_zero()
     assert not right.straddles_zero()
+    # the mirror image (-hi, -lo)
+    assert -right == DyadicInterval(Dyadic(-1), Dyadic(-1, 1)) and -(-iv) == iv

@@ -1,7 +1,7 @@
 """The layer benchmarks ``scripts/bench_*.py`` wrap private library names
 (``polynomial._gcd_with_derivative_mod_p``, ``polynomial._root_exponent``,
 ``polynomial._coprime_with_derivative``, ``regions._evaluate``,
-``solver._split``, ``models.hashlib``) to count work, and share their
+``solver._split_halves``, ``models.hashlib``) to count work, and share their
 timing loop and hash comparison through ``scripts/benchlib.py``; a
 wrapped name that is renamed or deleted, or a broken ``run()``, would
 otherwise break only a benchmark run.  Each script is loaded by path;
@@ -153,15 +153,23 @@ def test_isolate_counters(load):
 def test_isolate_split_calls(load):
     # the tree's splits, and at most one more per input: the reciprocal
     # phase's leaf (-1, 1) is split once by its off-zero refinement, whose
-    # other steps take no split
+    # other steps take no split.  An even or odd input splits only its
+    # roots and the nodes in (0, 1); those in (-1, 0) are mirrored
     bench = load("bench_isolate")
-    split = solver._split
+    split = solver._split_halves
     polys = [uniform_model(16, 32).sample(1, i) for i in range(40)]
     polys.append(IntPolynomial([3, -1, -3, 1]))  # (x^2 - 1)(x - 3)
     calls = bench._split_calls(polys)
-    assert solver._split is split
+    assert solver._split_halves is split
     splits = sum(isolate_all(f).trace.splits for f in polys)
     assert splits < calls <= splits + len(polys)
+    # T_8 and 2^8 T_8(x/2): both phases split their roots and (0, 1) alone
+    even = [IntPolynomial([1, 0, -32, 0, 160, 0, -256, 0, 128])]
+    even.append(IntPolynomial([c << (8 - i) for i, c in enumerate(even[0].coeffs)]))
+    for f in even:
+        trace = isolate_all(f).trace
+        ran = sum(n.variations >= 2 and not (n.depth and n.interval.hi <= 0) for n in trace.var_per_node)
+        assert ran < trace.splits and bench._split_calls([f]) == ran
 
 
 def test_trial_blocks(load):

@@ -668,6 +668,18 @@ def _same_as_reference(f: IntPolynomial):
     return results
 
 
+def _computed_and_mirrored(trace: SubdivisionTrace):
+    """The records of a trace that the run computed, and those it mirrored:
+    for an even or odd square-free part, the nodes in (-1, 0) below the
+    root of either phase (the reciprocal's is even or odd too)."""
+    if not solver._parity(trace.square_free):
+        return trace.var_per_node, []
+    computed, image = [], []
+    for n in trace.var_per_node:
+        (image if n.depth and n.interval.hi <= 0 else computed).append(n)
+    return computed, image
+
+
 def close_pair(k):
     """(3 2^k x - a)(3 2^k x - a - 3) for a = 2^k + 1: two real roots near
     1/3, 2^-k apart, neither dyadic."""
@@ -795,10 +807,13 @@ class TestFloatFilter:
     def test_exact_splits_at_most_tree_splits(self, monkeypatch):
         # each node is split exactly at most once and builds its vector at
         # most once, in one transform, however many of its descendants need
-        # their exact vectors; a node takes at most one transform
+        # their exact vectors; a node takes at most one transform.  An even
+        # or odd input computes only its root and the nodes in (0, 1): the
+        # splits and transforms that run are exactly those of the computed
+        # records, and the mirrored records of (-1, 0) are counted apart
         calls = {"bisect": 0, "build": 0, "split": 0}
         built = []
-        split = solver._split
+        split = solver._split_halves
 
         def counting_bisect(b):
             calls["bisect"] += 1
@@ -809,14 +824,14 @@ class TestFloatFilter:
             built.append(interval)
             return _exact_vector(g, interval)
 
-        def counting_split(node, g):
+        def counting_split(node, g, first):
             calls["split"] += 1
-            return split(node, g)
+            return split(node, g, first)
 
         monkeypatch.setattr(solver, "_bisect", counting_bisect)
         monkeypatch.setattr(solver, "_exact_vector", counting_build)
-        monkeypatch.setattr(solver, "_split", counting_split)
-        exact_splits = bisects = builds = 0
+        monkeypatch.setattr(solver, "_split_halves", counting_split)
+        exact_splits = bisects = builds = mirrored = 0
         for f in adversarial_inputs():
             for isolate in (isolate_unit, isolate_all):
                 calls.update(bisect=0, build=0, split=0)
@@ -827,13 +842,29 @@ class TestFloatFilter:
                 assert trace.splits == sum(n.variations >= 2 for n in trace.var_per_node)
                 assert all(n.exact_splits <= n.exact for n in trace.var_per_node)
                 if isolate is isolate_unit:
-                    assert calls["bisect"] + calls["build"] == trace.exact_splits and calls["split"] == trace.splits
+                    computed, image = _computed_and_mirrored(trace)
+                    # the pass of the root's vector that its halves share
+                    # runs once, for (0, 1), and is charged to (-1, 0)
+                    shared_root_pass = bool(image) and computed[0].exact and computed[1].exact
+                    ran = sum(n.exact_splits for n in computed) + shared_root_pass
+                    assert calls["bisect"] + calls["build"] == ran, f
+                    assert calls["split"] == sum(n.variations >= 2 for n in computed), f
                     assert len(set(built)) == len(built), f
+                    if image:
+                        # one mirror per computed node below the root; the
+                        # other shared passes swap within their pair
+                        assert len(image) == len(computed) - 1
+                        assert sum(n.exact for n in image) == sum(n.exact for n in computed[1:])
+                        assert sum(n.exact_splits for n in image) == sum(
+                            n.exact_splits for n in computed[1:]
+                        ) + shared_root_pass, f
+                    mirrored += len(image)
                 exact_splits += trace.exact_splits
                 bisects += calls["bisect"]
                 builds += calls["build"]
         # both kinds of transform run: deep nodes build, siblings share splits
         assert exact_splits > 50 and bisects > 0 and builds > 0
+        assert mirrored > 100
 
     def test_each_node_split_exactly_once(self, monkeypatch):
         # a split hands each half whose float signs are uncertain its exact
@@ -880,22 +911,35 @@ class TestFloatFilter:
         assert lone[1].exact == _bisect(halves[0])[1] and lone[1].exact_splits == 1
 
     def test_popped_nodes_are_counted(self, monkeypatch):
-        # every node that leaves a split or a phase root carries its count:
-        # none reaches the queue without it
-        popped = []
+        # every node that leaves a split or a phase root carries its count,
+        # and each is popped once: none reaches the loop without it.  An
+        # even or odd input's records of (-1, 0) below the root are
+        # mirrored from counted ones, not popped: they are counted apart
+        made = []
+        split, phase_root, mirrored_root = solver._split_halves, solver._phase_root, solver._mirrored_root
 
-        class Queue(deque):
-            def popleft(self):
-                node = super().popleft()
-                popped.append(node.variations)
-                return node
+        def splitting(node, g, first):
+            children, mid, evaluated = split(node, g, first)
+            if node.variations > 1:  # not the refinement's split of the leaf (-1, 1)
+                made.extend(child.variations for child in children)
+            return children, mid, evaluated
 
-        monkeypatch.setattr(solver, "deque", Queue)
+        def rooting(make):
+            return lambda arg: made.append((root := make(arg)).variations) or root
+
+        monkeypatch.setattr(solver, "_split_halves", splitting)
+        monkeypatch.setattr(solver, "_phase_root", rooting(phase_root))
+        monkeypatch.setattr(solver, "_mirrored_root", rooting(mirrored_root))
+        mirrored = 0
         for f in adversarial_inputs():
             for isolate in (isolate_unit, isolate_all):
-                popped.clear()
+                made.clear()
                 trace = isolate(f).trace
-                assert None not in popped and len(popped) == trace.node_count, f
+                computed, image = _computed_and_mirrored(trace)
+                assert None not in made and len(made) == len(computed), f
+                assert len(computed) + len(image) == trace.node_count
+                mirrored += len(image)
+        assert mirrored > 100
 
     def test_refinement_resolves_uncertain_apexes_exactly(self, monkeypatch):
         # a large positive root puts the reciprocal phase's leaf at (0, h]:
@@ -1211,3 +1255,73 @@ class TestMirroredRoot:
             assert roots[-len(want_roots) :] == want_roots and len(mirrors) == want_mirrors, n
             _certify(f, whole)
             assert whole.root_count() == n
+
+
+def parity_inputs():
+    """Even and odd inputs: Chebyshev T_1..T_60 and 4^n T_n(x/4), each also
+    negated; odd inputs with a root at 0 and dyadic roots at midpoints,
+    x prod (4x^2 - m^2); squares of these; and degree 1 and 2."""
+    x = poly(0, 1)
+    cases = []
+    for n in range(1, 61):
+        for f in (chebyshev(n), scaled_chebyshev(n)):
+            cases += [f, IntPolynomial([-c for c in f.coeffs])]
+    cases += [product(x, chebyshev(n)) for n in (2, 8, 16, 31)]  # T_31 is odd: x^2 divides
+    cases += [product(x, *(poly(-m * m, 0, 4) for m in range(1, k + 1))) for k in (1, 2, 3, 5, 8, 13)]
+    # roots at the midpoints +-1/4, +-3/4 and +-(2j - 1)/8: several on one level
+    cases += [product(x, *(poly(-m * m, 0, 64) for m in (1, 3, 5, 7)), poly(-1, 0, 16), poly(-9, 0, 16))]
+    cases += [product(f, f) for f in cases[::9]]
+    cases += [x, poly(0, -3), poly(-1, 0, 4), poly(1, 0, 1), poly(-1, 0, 1), poly(-2, 0, 1), poly(0, 0, 5)]
+    return cases
+
+
+class TestParityMirror:
+    """An even or odd phase polynomial subdivides its root and (0, 1), and
+    writes (-1, 0) as their mirror image: every record, interval, exact
+    root and counter is that of the full run, in the same order."""
+
+    def test_parity(self):
+        assert [solver._parity(poly(*c)) for c in ([5], [0, 2], [1, 0, 3], [0, -1, 0, 4], [1, 1], [0, 1, 1])] == [
+            1, -1, 1, -1, 0, 0,
+        ]
+
+    def test_same_as_the_full_run(self, monkeypatch):
+        cases = parity_inputs()
+        assert all(solver._parity(f) for f in cases)
+        passes = []
+        split = solver._split_halves
+        monkeypatch.setattr(solver, "_split_halves", lambda node, g, first: passes.append(first) or split(node, g, first))
+        mirrored = [[isolate_unit(f), isolate_all(f)] for f in cases]
+        halves = len(passes)
+        monkeypatch.setattr(solver, "_parity", lambda g: 0)
+        passes.clear()
+        full = [[isolate_unit(f), isolate_all(f)] for f in cases]
+        assert 1 not in passes and halves < len(passes) * 3 / 4
+        for f, got, want in zip(cases, mirrored, full):
+            for a, b in zip(got, want):
+                assert a.trace.var_per_node == b.trace.var_per_node, f
+                assert a.intervals == b.intervals and a.exact_roots == b.exact_roots, f
+                assert a.trace.square_free == b.trace.square_free
+
+    def test_isolate_stats_unchanged(self, monkeypatch, tmp_path, capsys):
+        cases = parity_inputs()
+        path = tmp_path / "parity.txt"
+        path.write_text("".join(f"{f.to_text()}\n" for f in cases))
+        runs = []
+        for parity in (solver._parity, lambda g: 0):
+            monkeypatch.setattr(solver, "_parity", parity)
+            assert main(["isolate", "--stats", "--input", str(path)]) == 0
+            runs.append(capsys.readouterr())
+        assert runs[0].out == runs[1].out and runs[0].err == runs[1].err
+        assert len(runs[0].err.splitlines()) == len(cases)
+
+    def test_mirrored_leaves_refine_off_zero(self):
+        # 4^n T_n(x/4) has roots outside [-1, 1]: the reciprocal phase's
+        # leaves in (-1, 0) are mirrored nodes, and their refinement gives
+        # the mirror images of the intervals in (0, 1)
+        for n in (12, 13, 40):
+            res = isolate_all(scaled_chebyshev(n))
+            inverted = [iv.interval for iv in res.intervals if iv.inverted]
+            assert inverted and sorted((-iv.hi, -iv.lo) for iv in inverted) == sorted((iv.lo, iv.hi) for iv in inverted)
+            _certify(scaled_chebyshev(n), res)
+            assert res.root_count() == n
