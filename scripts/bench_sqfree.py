@@ -24,8 +24,9 @@ described in ``scripts/benchlib.py``; the run goes to
 stages of the gcd, the pre-test ``_coprime_with_derivative`` and the
 modular Euclid ``_gcd_with_derivative_mod_p``, and records per corpus how
 many inputs the pre-test certified and declined, the number of Euclid
-runs (one per prime tried), and the median exponent k = r + s of the
-evaluation point 2^k + 1 over the inputs the pre-test evaluated.
+runs (one per prime tried), and the median exponent k of the evaluation
+point 2^k + 1 over the inputs the pre-test evaluated, read off the point
+it evaluates at.
 
 Every ``square_free_part`` and ``repeated_root_part`` output is hashed
 per corpus; the script exits 1 if a corpus's hash differs from that of
@@ -66,22 +67,25 @@ def _corpora():
 
 
 class _Stages:
-    """Wraps the gcd's two stages in ``rootiso.polynomial`` for one pass."""
+    """Wraps the gcd's two stages in ``rootiso.polynomial`` for one pass,
+    and the pre-test's evaluation, whose point 2^k + 1 gives k."""
 
     def __init__(self):
         self.pre_test = polynomial._coprime_with_derivative
         self.euclid = polynomial._gcd_with_derivative_mod_p
+        self.evaluate = polynomial._value_and_slope
         self.certified = self.declined = self.euclids = 0
         self.exponents = []
 
     def _pre_test(self, f):
-        r = polynomial._root_exponent(f.coeffs)
-        if r <= polynomial._MARGIN:
-            self.exponents.append(r + polynomial._MARGIN)
         out = self.pre_test(f)
         self.certified += out
         self.declined += not out
         return out
+
+    def _evaluate(self, coeffs, x):
+        self.exponents.append((x - 1).bit_length() - 1)
+        return self.evaluate(coeffs, x)
 
     def _euclid(self, f, p):
         self.euclids += 1
@@ -90,12 +94,14 @@ class _Stages:
     def run(self, polys) -> dict:
         polynomial._gcd_with_derivative_mod_p = self._euclid
         polynomial._coprime_with_derivative = self._pre_test
+        polynomial._value_and_slope = self._evaluate
         try:
             for f in polys:
                 square_free_part(f)
         finally:
             polynomial._gcd_with_derivative_mod_p = self.euclid
             polynomial._coprime_with_derivative = self.pre_test
+            polynomial._value_and_slope = self.evaluate
         return {
             "certified": self.certified,
             "declined": self.declined,

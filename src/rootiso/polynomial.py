@@ -22,13 +22,17 @@ divide-and-conquer shift is offered: both rest on big-integer products,
 and CPython multiplies with Karatsuba, not FFT.  Measured against the
 Pascal rounds, Kronecker wins only at low degree with narrow coefficients
 (d <= 64, 32 bits), and both lose from d = 256 on and with wide
-coefficients.  The square-free part divides out gcd(f, f').  Most
-square-free inputs are certified by one integer gcd, of f and f' at a
-point beyond their roots, and run no Euclid.  Both values come from one
-pass, Horner on runs of 32 coefficients combined pairwise, with no
-derivative built.  The others, and every input with a repeated root, run
-the small-primes modular gcd, each image a Euclid loop in numpy int64
-modulo a prime below 2^31.
+coefficients.  ``unit_rescale`` runs its three transforms on plain int
+lists (``_unit_image``), which the solver's exact vectors call directly.
+
+The square-free part divides out gcd(f, f').  An f = x^j h(x^2), as
+every even or odd f is, takes it from gcd(h, h'), at half the degree.
+Most square-free inputs are certified by one integer gcd, of f and f' at
+the point 2^(r + 8) + 1 beyond their roots, all below 2^r, and run no
+Euclid.  Both values come from one pass, Horner on runs of 64
+coefficients combined pairwise, with no derivative built.  The others,
+and every input with a repeated root, run the small-primes modular gcd,
+each image a Euclid loop in numpy int64 modulo a prime below 2^31.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from itertools import accumulate
-from operator import mul, ne
+from itertools import accumulate, islice, repeat
+from operator import floordiv, lshift, mul, ne
 
 import numpy as np
 
@@ -302,16 +306,34 @@ def unit_rescale(f: IntPolynomial, interval: DyadicInterval) -> IntPolynomial:
     signs, sign variations and root locations (up to the affine map) are
     those of f restricted to the interval.  With a = an / 2^L and
     w = wn / 2^L it is h(an + wn X) for h = 2^(L d) f(X / 2^L): the
-    homothety, the shift by an, and coefficient i times wn^i.
+    homothety, the shift by an, and coefficient i times wn^i
+    (``_unit_image``).
+    """
+    return IntPolynomial._of_ints(tuple(_unit_image(f.coeffs, interval)))
+
+
+def _unit_image(coeffs, interval: DyadicInterval) -> list[int]:
+    """The coefficients of ``unit_rescale`` from those of f, on plain int
+    lists: the homothety's shifts, the Taylor shift by an (scale by the
+    powers of an, Pascal rounds, exact division, as ``taylor_shift``) and
+    the powers of wn, shifts when wn is a power of two.  No polynomial is
+    built or validated in between, and none needs trimming: the leading
+    coefficient, f_d wn^d, is not zero.
     """
     a = interval.lo
     w = interval.width()
     level = max(a.exp, w.exp)
     an = a.num << (level - a.exp)
     wn = w.num << (level - w.exp)
-    shifted = f.homothety(level).taylor_shift(an)
-    powers = accumulate([wn] * shifted.degree, mul, initial=1)
-    return IntPolynomial([c * q for c, q in zip(shifted.coeffs, powers)])
+    d = len(coeffs) - 1
+    h = list(map(lshift, coeffs, range(level * d, -1, -level))) if level else list(coeffs)
+    if an:
+        powers = list(accumulate(repeat(an, d), mul, initial=1))
+        h = list(map(floordiv, pascal_rounds(list(map(mul, h, powers))[::-1]), powers))
+    if wn & (wn - 1):
+        return list(map(mul, h, accumulate(repeat(wn, d), mul, initial=1)))
+    step = wn.bit_length() - 1
+    return list(map(lshift, h, range(0, step * d + 1, step))) if step else h
 
 
 def unit_variations(g: IntPolynomial) -> int:
@@ -390,7 +412,41 @@ def repeated_root_part(f: IntPolynomial) -> IntPolynomial:
 def _gcd_with_derivative(fp: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
     """gcd(f, f') and f / gcd(f, f'), each with a positive leading
     coefficient, for a primitive f of degree at least 1 (see
-    ``repeated_root_part``)."""
+    ``repeated_root_part``).
+
+    An f = x^j h(x^2) with h(0) != 0, as every even or odd f is, is
+    reduced to h, of half the degree.  Write q = h(x^2).  As q(0) != 0, x
+    does not divide q, so gcd(q, q') = gcd(h(x^2), 2x h'(x^2)) =
+    gcd(h(x^2), h'(x^2)), and that is gcd(h, h')(x^2): it divides both,
+    and a Bezout identity for gcd(h, h') taken at x^2 shows that it is
+    divided by every common divisor.  The root 0 of f has multiplicity j,
+    so gcd(f, f') = x^(j - 1) gcd(q, q') for j >= 1, and f / gcd(f, f')
+    takes x once.  h is primitive, as f is, with the same leading
+    coefficient, so both parts stay primitive and keep their signs.
+    """
+    coeffs = fp.coeffs
+    j = 0
+    while not coeffs[j]:
+        j += 1
+    if any(islice(coeffs, j + 1, None, 2)):
+        return _gcd_at_full_degree(fp)
+    if len(coeffs) - j == 1:  # f = +-x^j
+        common, part = (1,), (1,)
+    else:
+        half = IntPolynomial._of_ints(coeffs[j::2])
+        common, part = (p.coeffs for p in _gcd_with_derivative(half))
+    return _of_square(common, max(j - 1, 0)), _of_square(part, min(j, 1))
+
+
+def _of_square(coeffs: tuple, j: int) -> IntPolynomial:
+    """x^j p(x^2), for p with the coefficients ``coeffs``."""
+    out = [0] * (j + 2 * len(coeffs) - 1)
+    out[j::2] = coeffs
+    return IntPolynomial._of_ints(tuple(out))
+
+
+def _gcd_at_full_degree(fp: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
+    """``_gcd_with_derivative`` without the reduction to half degree."""
     if fp.leading_coefficient < 0:
         fp = fp.scale(-1)
     if _coprime_with_derivative(fp):
@@ -428,9 +484,14 @@ def _gcd_with_derivative(fp: IntPolynomial) -> tuple[IntPolynomial, IntPolynomia
 _HEADROOM = 16
 
 # The margin s of ``_coprime_with_derivative``: the evaluation point is
-# 2^(r + s) + 1 for roots below 2^r, and inputs with r > s are declined,
-# so the integers it takes the gcd of have at most about 2 s d + tau bits.
-_MARGIN = 16
+# 2^(r + s) + 1 for roots below 2^r.  Its proof needs s >= 1; a wider
+# margin leaves room for the chance common factors of f(xi) and f'(xi).
+_POINT_MARGIN = 8
+
+# ``_coprime_with_derivative`` declines inputs with roots beyond 2^r for
+# r above this cap, so the integers it takes the gcd of have at most
+# about (16 + s) d + tau bits.
+_ROOT_EXPONENT_CAP = 16
 
 
 def _coprime_with_derivative(fp: IntPolynomial) -> bool:
@@ -438,8 +499,9 @@ def _coprime_with_derivative(fp: IntPolynomial) -> bool:
 
     A heuristic gcd (Char, Geddes & Gonnet 1989) at one point beyond the
     roots.  By Fujiwara's bound every root has modulus below 2^r (see
-    ``_root_exponent``).  With k = r + s and xi = 2^k + 1, take
-    gamma = gcd(f(xi), f'(xi)) and accept when gamma <= 2^(k - 1).
+    ``_root_exponent``).  With k = r + s for s = ``_POINT_MARGIN`` and
+    xi = 2^k + 1, take gamma = gcd(f(xi), f'(xi)) and accept when
+    gamma <= 2^(k - 1).
 
     Proof.  xi exceeds every root in modulus, so f(xi) != 0 and
     gamma >= 1.  Suppose f has a repeated root alpha, and let m be the
@@ -448,19 +510,32 @@ def _coprime_with_derivative(fp: IntPolynomial) -> bool:
     f(xi) and f'(xi), and so divides gamma.  Every root beta of m is a
     root of f, so |xi - beta| > 2^k + 1 - 2^r >= 2^(k - 1) for s >= 1,
     and |m(xi)| >= |lc m| prod |xi - beta| > 2^(k - 1).  Hence
-    gamma > 2^(k - 1), and an accepted f has no repeated root.
+    gamma > 2^(k - 1), and an accepted f has no repeated root.  The proof
+    holds for every s >= 1.  s = 8 keeps f(xi) and f'(xi) near
+    (r + 8) d + tau bits and still certifies every uniform sample of
+    ``scripts/bench_sqfree.py`` (s = 6 declines one at d = 16).
 
     xi is odd because xi = 2^k leaves a power of two in gamma whenever the
     low coefficients of f and f' share one, which scaled Chebyshev
-    polynomials do.  Inputs with r > s are declined, keeping the gcd's
-    operands near 2 s d + tau bits.
+    polynomials do.  Inputs with r > ``_ROOT_EXPONENT_CAP`` are declined,
+    keeping the gcd's operands near (r + s) d + tau bits.
+
+    A root at 0 is taken apart: f = x^2 g has a repeated root, and
+    f = x g with g(0) != 0 has one exactly when g does, so g is tested.
+    Its root exponent is f's, and gcd(g(xi), g'(xi)) divides
+    gcd(f(xi), f'(xi)), so g is declined only where f would be.
     """
-    r = _root_exponent(fp.coeffs)
-    if r > _MARGIN:
+    coeffs = fp.coeffs
+    if not coeffs[0]:
+        if not coeffs[1]:
+            return False
+        coeffs = coeffs[1:]
+    r = _root_exponent(coeffs)
+    if r > _ROOT_EXPONENT_CAP:
         return False
-    k = r + _MARGIN
+    k = r + _POINT_MARGIN
     xi = (1 << k) + 1
-    gamma = math.gcd(*_value_and_slope(fp.coeffs, xi))
+    gamma = math.gcd(*_value_and_slope(coeffs, xi))
     return gamma <= 1 << (k - 1)
 
 
@@ -486,7 +561,7 @@ def _root_exponent(coeffs) -> int:
 
 
 # The run length of ``_value_and_slope``'s Horner passes.
-_RUN = 32
+_RUN = 64
 
 
 def _value_and_slope(coeffs, x: int) -> tuple[int, int]:

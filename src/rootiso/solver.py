@@ -53,12 +53,13 @@ distinct polynomials share no state and may proceed concurrently.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, islice, repeat
-from operator import add, lshift, or_, rshift, truediv
+from operator import add, lshift, mul, or_, rshift, truediv
 from typing import NamedTuple
 
 import numpy as np
@@ -67,10 +68,10 @@ from .dyadic import Dyadic, DyadicInterval
 from .polynomial import (
     IntPolynomial,
     ZeroPolynomialError,
+    _unit_image,
     pascal_rounds,
     sign_variations,
     square_free_part,
-    unit_rescale,
 )
 
 
@@ -665,8 +666,21 @@ def _root_image(coeffs) -> tuple[np.ndarray, float, float, int]:
     return f, ((n + 4) * _U * norm + n * _SUBNORMAL) * _ROUND_UP, peak, top + e
 
 
-_BERNSTEIN_CACHE_BYTES = 32 << 20  # the matrices kept, least recently used dropped first
-_bernstein: OrderedDict[int, np.ndarray] = OrderedDict()
+class _Degree(NamedTuple):
+    """The constants of one size n = d + 1: the power-to-Bernstein matrix
+    (``_build_bernstein_matrix``), the binomials C(d, i), their lcm K and
+    the multipliers K / C(d, i) of ``_exact_vector``, and ``nbytes``, what
+    they hold in all."""
+
+    matrix: np.ndarray
+    binomials: list[int]
+    lcm: int
+    multipliers: list[int]
+    nbytes: int
+
+
+_BERNSTEIN_CACHE_BYTES = 32 << 20  # the entries kept, least recently used dropped first
+_bernstein: OrderedDict[int, _Degree] = OrderedDict()
 _bernstein_lock = threading.Lock()
 
 
@@ -677,26 +691,44 @@ def _bernstein_matrix(n: int) -> np.ndarray:
     M maps power coefficients to Bernstein coefficients on [-1, 1]:
     X^j = sum_i M[i, j] B_i for B_i = C(d, i) s^i t^(d - i), s = (1 + X)/2
     and t = (1 - X)/2, since X^j (s + t)^(d - j) = (s - t)^j (s + t)^(d - j).
-    |K[i, j]| <= C(d, i), so |M| <= 1.  The matrices are cached per size,
-    read-only, up to ``_BERNSTEIN_CACHE_BYTES`` in all (a single larger
-    one is kept alone).
+    |K[i, j]| <= C(d, i), so |M| <= 1.  It is cached read-only in its size's
+    ``_degree`` entry.
     """
+    return _degree(n).matrix
+
+
+def _degree(n: int) -> _Degree:
+    """The constants of size n, cached per size up to
+    ``_BERNSTEIN_CACHE_BYTES`` in all (a single larger entry is kept
+    alone), so the matrix and the exact vectors' constants of a size are
+    kept and dropped together."""
     with _bernstein_lock:
-        m = _bernstein.get(n)
-        if m is not None:
+        entry = _bernstein.get(n)
+        if entry is not None:
             _bernstein.move_to_end(n)
-            return m
-    m = _build_bernstein_matrix(n)
-    m.flags.writeable = False
+            return entry
+    entry = _build_degree(n)
     with _bernstein_lock:
-        _bernstein[n] = m
-        while len(_bernstein) > 1 and sum(a.nbytes for a in _bernstein.values()) > _BERNSTEIN_CACHE_BYTES:
+        _bernstein[n] = entry
+        while len(_bernstein) > 1 and sum(e.nbytes for e in _bernstein.values()) > _BERNSTEIN_CACHE_BYTES:
             _bernstein.popitem(last=False)
-    return m
+    return entry
 
 
-def _build_bernstein_matrix(n: int) -> np.ndarray:
-    """M of size n from exact integers, a quarter of it computed.
+def _build_degree(n: int) -> _Degree:
+    """The ``_Degree`` entry of size n, built afresh."""
+    binomials = _binomials(n - 1)
+    lcm = math.lcm(*binomials)
+    multipliers = [lcm // c for c in binomials]
+    m = _build_bernstein_matrix(binomials)
+    m.flags.writeable = False
+    nbytes = m.nbytes + sum(map(sys.getsizeof, (lcm, *binomials, *multipliers)))
+    return _Degree(m, binomials, lcm, multipliers, nbytes)
+
+
+def _build_bernstein_matrix(binomials: list[int]) -> np.ndarray:
+    """M of size n from exact integers, a quarter of it computed, given
+    the binomials C(d, 0), ..., C(d, d) for d = n - 1.
 
     Its columns come from (X + 1) C_(j+1) = (X - 1) C_j for C_j the
     polynomial of column j: u_j[i] = (-1)^(i + j) K[i, j] makes u_(j+1)
@@ -706,9 +738,10 @@ def _build_bernstein_matrix(n: int) -> np.ndarray:
     K[d - i, j] = (-1)^j K[i, j] (X -> 1/X) and
     K[i, d - j] = (-1)^(d + i) K[i, j] (X -> -X).
     """
+    n = len(binomials)
     d = n - 1
     half = (n + 1) // 2
-    head = _binomials(d)[:half]
+    head = binomials[:half]
     u = [c if i % 2 == 0 else -c for i, c in enumerate(head)]
     quarter = np.empty((half, half))
     for j in range(half):
@@ -736,10 +769,19 @@ def _exact_vector(g: IntPolynomial, interval: DyadicInterval) -> list[int]:
     """Bernstein coefficients of g on ``interval``, made integer and
     primitive, in one transform.
 
-    The Moebius image T of the unit rescale h = ``unit_rescale(g,
-    interval)`` has T_(d-i) = C(d, i) b_i, for b the Bernstein coefficients
-    of h on [0, 1]: a positive multiple of those of g on the interval.  So
-    b_i is scaled by K = lcm_i C(d, i) and the content divided out.
+    The Moebius image T of the unit rescale h (``unit_rescale(g,
+    interval)``, here its list kernel) has T_(d-i) = C(d, i) b_i, for b the
+    Bernstein coefficients of h on [0, 1]: a positive multiple of those of
+    g on the interval.  So b_i is scaled by K = lcm_i C(d, i), through the
+    multipliers K / C(d, i) of the size's ``_degree`` entry, and the
+    content divided out.
+
+    The content is gcd(K |h_d|, b_0, ..., b_d), each gcd with one operand
+    of at most the bits of K h_d.  It divides every entry, hence every
+    C(d, i) b_i = K T_(d-i), so it divides K content(T).  T is h reversed
+    and shifted by one, both invertible over the integers, so content(T)
+    = content(h), which divides h_d = g_d wn^d.  Adding K |h_d| to the
+    gcd therefore changes nothing, and g need not be primitive.
 
     This is the vector that any chain of exact splits (``_bisect``) from
     the root's vector gives, bit for bit.  Both are positive multiples of
@@ -753,13 +795,11 @@ def _exact_vector(g: IntPolynomial, interval: DyadicInterval) -> list[int]:
     every entry of b.  The image's content is therefore a power of two,
     which ``_unscale`` divides out.
     """
-    test = pascal_rounds(list(unit_rescale(g, interval).coeffs))
-    d = len(test) - 1
-    binomials = _binomials(d)
-    lcm = math.lcm(*binomials)
-    b = [t * (lcm // c) for t, c in zip(reversed(test), binomials)]
-    content = math.gcd(*b)
-    return [x // content for x in b]
+    h = _unit_image(g.coeffs, interval)
+    constants = _degree(len(h))
+    b = list(map(mul, reversed(pascal_rounds(h)), constants.multipliers))
+    content = math.gcd(constants.lcm * abs(h[-1]), *b)
+    return [x // content for x in b] if content > 1 else b
 
 
 def _bisect(b: list[int]):

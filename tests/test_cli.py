@@ -171,7 +171,8 @@ class TestAnalyze:
     def test_one_certificate_per_square_free_input(self, capsys, monkeypatch):
         # one square-free certificate per square-free input, taken by the
         # oracle's square_free_part: the certificate is the pre-test, and no
-        # modular Euclid runs
+        # modular Euclid runs; the even 4x^2 - 1 is certified on its
+        # degree-1 half 4y - 1
         calls = []
         certify = rootiso.polynomial._coprime_with_derivative
         euclid = rootiso.polynomial._gcd_with_derivative_mod_p
@@ -186,11 +187,11 @@ class TestAnalyze:
 
         monkeypatch.setattr(rootiso.polynomial, "_coprime_with_derivative", counting_certify)
         monkeypatch.setattr(rootiso.polynomial, "_gcd_with_derivative_mod_p", counting_euclid)
-        for coeffs in ("-1 0 4", "3 -1 -7 2 5 1", "0 15 -19 -58 40 64", _uniform_64(0)):
+        for coeffs, degree in (("-1 0 4", 1), ("3 -1 -7 2 5 1", 5), ("0 15 -19 -58 40 64", 5), (_uniform_64(0), 64)):
             calls.clear()
             code, out, _ = run_cli(capsys, "analyze", "--coeffs", coeffs, "--max-grid", "65536")
             assert code == 0 and json.loads(out)["separation_bound"] is not None
-            assert calls == [len(coeffs.split()) - 1]
+            assert calls == [degree]
 
     # sha256 of the stdout of `rootiso analyze --coeffs ...`.  Every field
     # is fixed by exact arithmetic once the bracket's stop rule and bounds

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import islice
@@ -12,7 +13,8 @@ import rootiso.polynomial as polynomial
 from rootiso.dyadic import Dyadic, DyadicInterval
 from rootiso.polynomial import (
     _CHECK_PRIME,
-    _MARGIN,
+    _POINT_MARGIN,
+    _ROOT_EXPONENT_CAP,
     IntPolynomial,
     ZeroPolynomialError,
     _coprime_with_derivative,
@@ -28,7 +30,8 @@ from rootiso.polynomial import (
     variations_in_interval,
 )
 from rootiso.models import uniform_model
-from rootiso.regions import real_roots_from_oracle
+from rootiso import regions
+from rootiso.regions import eps_real_separation, real_roots_from_oracle
 from rootiso.solver import isolate_all
 
 
@@ -335,6 +338,85 @@ class TestSquareFree:
             assert square_free_part(f.reciprocal()) == normalized_reversal(square_free_part(f))
 
 
+def _chebyshev(n):
+    prev, cur = [1], [0, 1]
+    for _ in range(n - 1):
+        prev, cur = cur, [a - b for a, b in zip([0] + [2 * c for c in cur], prev + [0, 0])]
+    return IntPolynomial(cur if n else prev)
+
+
+def _parity_inputs():
+    """Even and odd inputs, with the odd ones and x^2 h(x^2) holding a
+    root at 0, and a few controls that are neither."""
+    x = poly(0, 1)
+    cheb = [_chebyshev(n) for n in range(1, 61)]
+    scaled = [IntPolynomial([c * 4 ** (n - i) for i, c in enumerate(t.coeffs)]) for n, t in enumerate(cheb[:30], 1)]
+    squares = [_multiply(t, t) for t in cheb[:24]] + [_multiply(t, t) for t in scaled[:12]]
+    quartic = poly(1, 0, -5, 0, 4)  # (4x^2 - 1)(x^2 - 1)
+    cases = cheb + scaled + squares
+    cases += [_multiply(x, t) for t in cheb[1:20:2]]  # odd, a root at 0 beside T_n's
+    cases += [_multiply(_multiply(x, x), quartic), _multiply(_multiply(x, x), cheb[5]), _multiply(_multiply(x, x), x)]
+    cases += [_multiply(_multiply(x, x), _multiply(quartic, quartic)), _multiply(x, _multiply(quartic, quartic))]
+    cases += [_multiply(_multiply(x, x), _multiply(x, cheb[6])), _multiply(_multiply(x, x), _multiply(x, x))]
+    cases += [t.scale(-1) for t in cheb[:12]] + [t.scale(-3) for t in squares[:6]]  # negative, content > 1
+    cases += [t.scale(6) for t in cheb[20:26]] + [_multiply(x, quartic).scale(-10)]
+    cases += [poly(0, 1), poly(0, -2), poly(0, 0, 3), poly(-1, 0, 4), poly(2, 0, -1), poly(0, 0, 0, -1)]
+    cases += [poly(0, -2, 0, 1), poly(0, 3, 0, 7), poly(1, 1), poly(1, 0, 1, 1), poly(0, 1, 1)]
+    return cases
+
+
+class TestParityReduction:
+    """The square-free part of f = x^j h(x^2) from that of h, against a
+    run with the reduction off."""
+
+    def _full(self, monkeypatch):
+        monkeypatch.setattr(polynomial, "_gcd_with_derivative", polynomial._gcd_at_full_degree)
+        monkeypatch.setattr(regions, "_gcd_with_derivative", polynomial._gcd_at_full_degree)
+
+    def test_matches_a_run_at_full_degree(self, monkeypatch):
+        cases = _parity_inputs()
+        got = [(square_free_part(f), repeated_root_part(f), polynomial._gcd_with_derivative(f.primitive_part())) for f in cases]
+        self._full(monkeypatch)
+        want = [(square_free_part(f), repeated_root_part(f), polynomial._gcd_with_derivative(f.primitive_part())) for f in cases]
+        for f, a, b in zip(cases, got, want):
+            assert a == b, f
+            assert all(p.leading_coefficient > 0 and p.content() == 1 for p in a[2]), f
+        for f in cases:
+            if f.degree <= 12:
+                _check_square_free_part(f)
+
+    def test_runs_at_half_degree(self, monkeypatch):
+        # gcd(f, f') runs at full degree only on h, of degree at most d / 2
+        # (and again on its own half when h is even too)
+        degrees = []
+        full = polynomial._gcd_at_full_degree
+        monkeypatch.setattr(polynomial, "_gcd_at_full_degree", lambda g: degrees.append(g.degree) or full(g))
+        for f in _parity_inputs():
+            degrees.clear()
+            square_free_part(f)
+            coeffs = f.coeffs
+            j = next(i for i, c in enumerate(coeffs) if c)
+            if not any(coeffs[j + 1 :: 2]):
+                assert all(2 * d <= f.degree - j for d in degrees), (f, degrees)
+            else:
+                assert degrees == [f.degree], f
+        # h(y) = (4y^2 - 1)^2 is even again: f = (4x^4 - 1)^2 runs at degree 2
+        quartic = poly(-1, 0, 0, 0, 4)
+        degrees.clear()
+        assert square_free_part(_multiply(quartic, quartic)) == quartic and degrees == [2]
+        assert square_free_part(_chebyshev(16)) == _chebyshev(16)
+        assert repeated_root_part(_multiply(_chebyshev(9), _chebyshev(9))) == _chebyshev(9)
+
+    def test_eps_real_separation(self, monkeypatch):
+        x = poly(0, 1)
+        cases = [_chebyshev(7), _multiply(_chebyshev(6), _chebyshev(6)), _multiply(x, _multiply(poly(-1, 0, 4), poly(-1, 0, 4)))]
+        cases += [_multiply(_multiply(x, x), poly(-1, 0, 9)), poly(-1, 0, 4)]
+        got = [eps_real_separation(f, 0.5 / f.degree) for f in cases]
+        self._full(monkeypatch)
+        assert got == [eps_real_separation(f, 0.5 / f.degree) for f in cases]
+        assert got[1] == got[2] == got[3] == 0.0 and 0 < got[4] < math.inf
+
+
 class TestModPCertificate:
     # the first two moduli of the modular gcd
     PRIMES = list(islice(_descending_primes(), 2))
@@ -583,9 +665,9 @@ class TestCoprimeWithDerivative:
 
     def test_repeated_root_above_half_the_root_bound(self):
         # the double root sits where a margin-free point 2^r + 1 would lie
-        # within 2^(r - 1) of it; r runs up to the margin, so t = 15 is a
-        # repeated root near 2^s that is still evaluated, not declined
-        cases = [f for t in range(4, _MARGIN) for f in _above_half_the_bound(t)]
+        # within 2^(r - 1) of it; r runs up to the decline cap, so t = 15
+        # is a repeated root near 2^16 that is still evaluated, not declined
+        cases = [f for t in range(4, _ROOT_EXPONENT_CAP) for f in _above_half_the_bound(t)]
         assert len(cases) > 1000
         assert not any(map(_coprime, cases))
 
@@ -595,7 +677,7 @@ class TestCoprimeWithDerivative:
             for sign in (1, -1):
                 g = make_poly(rng, rng.randint(0, 4), 8)
                 f = _multiply(_multiply(poly(-sign * a, 1), poly(-sign * a, 1)), g)
-                if _root_exponent(f.coeffs) <= _MARGIN:
+                if _root_exponent(f.coeffs) <= _ROOT_EXPONENT_CAP:
                     assert not _coprime(f), f
 
     def test_wide_coefficients(self):
@@ -605,7 +687,7 @@ class TestCoprimeWithDerivative:
             h = make_poly(rng, degree, 2000)
             g = make_poly(rng, 3, 2000)
             f = _multiply(_multiply(h, h), g)
-            assert _root_exponent(f.coeffs) <= _MARGIN
+            assert _root_exponent(f.coeffs) <= _ROOT_EXPONENT_CAP
             assert not _coprime(f)
             assert _coprime(_multiply(h, g))
 
@@ -621,11 +703,12 @@ class TestCoprimeWithDerivative:
             assert _coprime(_multiply(x, g)) == _coprime(g)
 
     def test_declines_roots_beyond_two_to_the_margin(self, monkeypatch):
-        # r > s: no evaluation at all, and the modular gcd still answers
+        # r above the decline cap: no evaluation at all, and the modular
+        # gcd still answers
         def no_evaluation(coeffs, x):
-            raise AssertionError("evaluated an input with roots beyond 2^s")
+            raise AssertionError("evaluated an input with roots beyond the cap")
 
-        big = 1 << (_MARGIN + 1)
+        big = 1 << (_ROOT_EXPONENT_CAP + 1)
         cases = {
             poly(-big, 1): poly(1),
             poly(-big * big - 1, 0, 1): poly(1),
@@ -633,7 +716,7 @@ class TestCoprimeWithDerivative:
             _multiply(_multiply(poly(-1, 1), poly(-1, 1)), poly(big, 3)): poly(-1, 1),
         }
         for f, common in cases.items():
-            assert _root_exponent(f.coeffs) > _MARGIN
+            assert _root_exponent(f.coeffs) > _ROOT_EXPONENT_CAP
             monkeypatch.setattr(polynomial, "_value_and_slope", no_evaluation)
             assert not _coprime(f)
             monkeypatch.undo()
@@ -686,10 +769,15 @@ class TestCoprimeWithDerivative:
         for coeffs in cases:
             assert _root_exponent(coeffs) == reference(coeffs), coeffs
 
-    @pytest.mark.parametrize("degree", [16, 64, 256])
+    # the samples of every uniform corpus of scripts/bench_sqfree.py
+    UNIFORM = {16: 100, 64: 50, 128: 40, 256: 16, 512: 8, 1024: 8}
+
+    @pytest.mark.parametrize("degree", list(UNIFORM))
     def test_certifies_uniform_samples(self, degree):
+        # square-free, each certified at the point margin; 222 inputs
         model = uniform_model(degree, 32)
-        assert all(_coprime(model.sample(1, i)) for i in range(40))
+        declined = [i for i in range(self.UNIFORM[degree]) if not _coprime(model.sample(1, i))]
+        assert declined == [], (degree, _POINT_MARGIN)
 
 
 class TestValueAndSlope:
@@ -705,10 +793,10 @@ class TestValueAndSlope:
         return value, slope
 
     def test_run_boundaries(self):
-        # one run, one short of a run, exactly one, one over, two, two and
-        # one, four and one
+        # at runs of 32 and of 64 (``_RUN``): one run, one short of a run,
+        # exactly one, one over, two, two and one, three, four and one
         rng = random.Random(62)
-        for n in (2, 31, 32, 33, 64, 65, 129):
+        for n in (2, 31, 32, 33, 63, 64, 65, 127, 128, 129, 192, 193, 257):
             for x in (0, 1, -1, 3, (1 << 20) + 1, -(1 << 33) - 1):
                 coeffs = [rng.randint(-(1 << 32), 1 << 32) for _ in range(n)]
                 assert _value_and_slope(coeffs, x) == self._horner(coeffs, x), (n, x)

@@ -1,5 +1,5 @@
 """The layer benchmarks ``scripts/bench_*.py`` wrap private library names
-(``polynomial._gcd_with_derivative_mod_p``, ``polynomial._root_exponent``,
+(``polynomial._gcd_with_derivative_mod_p``, ``polynomial._value_and_slope``,
 ``polynomial._coprime_with_derivative``, ``regions._evaluate``,
 ``solver._split_halves``, ``models.hashlib``) to count work, and share their
 timing loop and hash comparison through ``scripts/benchlib.py``; a
@@ -11,6 +11,7 @@ end on a one-sample plan."""
 import importlib.util
 import json
 import os
+import statistics
 import sys
 from pathlib import Path
 
@@ -130,15 +131,18 @@ def test_oracle_counted_run(load):
 
 def test_sqfree_stages(load):
     bench = load("bench_sqfree")
-    euclid, pre_test = polynomial._gcd_with_derivative_mod_p, polynomial._coprime_with_derivative
+    stages = (polynomial._gcd_with_derivative_mod_p, polynomial._coprime_with_derivative, polynomial._value_and_slope)
     g = uniform_model(8, 8).sample(1, 0).coeffs
     h = uniform_model(4, 8).sample(1, 0).coeffs
     square = IntPolynomial(bench.poly_mul(g, bench.poly_mul(h, h)))
-    stages = bench._Stages().run([uniform_model(16, 32).sample(1, 0), square])
-    assert polynomial._gcd_with_derivative_mod_p is euclid and polynomial._coprime_with_derivative is pre_test
-    assert set(stages) == {"certified", "declined", "euclids", "median_k"}
-    assert stages["certified"] + stages["declined"] == 2 and stages["euclids"] >= 1
-    assert stages["median_k"] is not None
+    uniform = uniform_model(16, 32).sample(1, 0)
+    counts = bench._Stages().run([uniform, square])
+    assert (polynomial._gcd_with_derivative_mod_p, polynomial._coprime_with_derivative, polynomial._value_and_slope) == stages
+    assert set(counts) == {"certified", "declined", "euclids", "median_k"}
+    assert counts["certified"] + counts["declined"] == 2 and counts["euclids"] >= 1
+    # k is the exponent of the point the pre-test evaluates at: r + s
+    exponents = [polynomial._root_exponent(f.coeffs) + polynomial._POINT_MARGIN for f in (uniform, square)]
+    assert counts["median_k"] == statistics.median(exponents)
 
 
 def test_isolate_counters(load):

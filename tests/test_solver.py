@@ -305,12 +305,17 @@ class TestBernsteinVectors:
             assert _exact_vector(f, interval) == b, (f, interval)
 
     def test_isolate_all_work_counts(self, monkeypatch):
-        # a Taylor shift runs only to build an exact vector directly: at
-        # most two on these small inputs, and none where the float images
-        # certify every sign; node tests and splits need none, and no node
-        # runs the Moebius-image count
-        calls = {"taylor_shift": 0, "unit_variations": 0}
-        taylor_shift = IntPolynomial.taylor_shift
+        # a unit rescale, with its Taylor shift, runs only to build an exact
+        # vector directly, through the list kernel: at most two on these
+        # small inputs, and none where the float images certify every sign;
+        # node tests and splits need none, no polynomial's taylor_shift
+        # runs, and no node runs the Moebius-image count
+        calls = {"unit_image": 0, "taylor_shift": 0, "unit_variations": 0}
+        unit_image, taylor_shift = polynomial._unit_image, IntPolynomial.taylor_shift
+
+        def counting_image(coeffs, interval):
+            calls["unit_image"] += 1
+            return unit_image(coeffs, interval)
 
         def counting_shift(self, c):
             calls["taylor_shift"] += 1
@@ -320,6 +325,7 @@ class TestBernsteinVectors:
             calls["unit_variations"] += 1
             return unit_variations(g)
 
+        monkeypatch.setattr(solver, "_unit_image", counting_image)
         monkeypatch.setattr(IntPolynomial, "taylor_shift", counting_shift)
         monkeypatch.setattr(polynomial, "unit_variations", counting_variations)
         monkeypatch.setattr(solver, "unit_variations", counting_variations, raising=False)
@@ -330,11 +336,102 @@ class TestBernsteinVectors:
         cases += [make_poly(rng, rng.randint(1, 40), 32) for _ in range(10)]
         nodes = 0
         for k, f in enumerate(cases):
-            before = calls["taylor_shift"]
+            before = calls["unit_image"]
             nodes += isolate_all(f).trace.node_count
-            assert calls["taylor_shift"] - before <= (2 if k < fixed else 0), f
-        assert calls["unit_variations"] == 0
+            assert calls["unit_image"] - before <= (2 if k < fixed else 0), f
+        assert calls["unit_image"] >= 1
+        assert calls["taylor_shift"] == calls["unit_variations"] == 0
         assert nodes > 10 * len(cases)
+
+
+def _reference_exact_vector(g, interval):
+    """The direct build through polynomials: the unit rescale by
+    ``homothety`` and ``taylor_shift`` and the powers of wn, its Moebius
+    rounds, the binomials' lcm taken afresh, and the content as the gcd
+    of every entry."""
+    a, w = interval.lo, interval.width()
+    level = max(a.exp, w.exp)
+    an, wn = a.num << (level - a.exp), w.num << (level - w.exp)
+    shifted = g.homothety(level).taylor_shift(an)
+    h = [c * wn**i for i, c in enumerate(shifted.coeffs)]
+    assert unit_rescale(g, interval).coeffs == tuple(h)
+    test = polynomial.pascal_rounds(h)
+    d = len(test) - 1
+    binomials = [math.comb(d, i) for i in range(d + 1)]
+    lcm = math.lcm(*binomials)
+    b = [t * (lcm // c) for t, c in zip(reversed(test), binomials)]
+    content = math.gcd(*b)
+    return [x // content for x in b]
+
+
+_ODD_WIDTH = st.builds(Dyadic, st.integers(0, 1 << 12).map(lambda n: 2 * n + 1), st.integers(0, 14))
+_INTERVALS = st.one_of(
+    st.just(DyadicInterval(Dyadic(-1), Dyadic(1))),  # the root interval, wn = 2
+    st.sampled_from([DyadicInterval(Dyadic(0), Dyadic(1)), DyadicInterval(Dyadic(0), Dyadic(3, 2))]),  # an = 0
+    st.builds(
+        lambda lo, width: DyadicInterval(lo, lo + width),
+        st.builds(Dyadic, st.integers(-(1 << 16), 1 << 16), st.integers(0, 14)),
+        st.one_of(_ODD_WIDTH, st.builds(Dyadic, st.just(1), st.integers(-2, 14))),
+    ),
+)
+
+
+class TestExactVectorKernel:
+    """``_exact_vector`` on int lists, with cached constants and the
+    content taken against lcm |h_d|, equals the build through polynomials."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-(1 << 40), 1 << 40), min_size=1, max_size=24).filter(lambda c: c[-1]),
+        st.sampled_from([1, 2, 3, 12, 1 << 20, 3**30, 2**7 * 5**9]),
+        _INTERVALS,
+    )
+    def test_equals_the_polynomial_path(self, coeffs, content, interval):
+        # g need not be primitive, and its content may share factors with
+        # the binomials' lcm and with the powers of an and wn
+        g = IntPolynomial([c * content for c in coeffs])
+        assert _exact_vector(g, interval) == _reference_exact_vector(g, interval)
+
+    def test_contents_above_one(self):
+        # inputs whose Moebius image keeps a content above 1 once scaled:
+        # dyadic roots at the ends, products of binomials, a wide content
+        cases = [
+            (product(poly(-1, 2), poly(-3, 4), poly(1, 8)), DyadicInterval(Dyadic(1, 1), Dyadic(3, 2))),
+            (IntPolynomial([math.comb(12, i) * 6 for i in range(13)]), DyadicInterval(Dyadic(-1), Dyadic(1))),
+            (poly(0, 0, 0, 1 << 30), DyadicInterval(Dyadic(-3, 1), Dyadic(5, 3))),
+            (chebyshev(20).scale(7), DyadicInterval(Dyadic(1, 3), Dyadic(7, 5))),
+        ]
+        for g, interval in cases:
+            assert _exact_vector(g, interval) == _reference_exact_vector(g, interval), (g, interval)
+
+    def test_constants_per_degree(self):
+        for n in (1, 2, 3, 17, 64, 129):
+            entry = solver._build_degree(n)
+            binomials = [math.comb(n - 1, i) for i in range(n)]
+            assert entry.binomials == binomials and entry.lcm == math.lcm(*binomials)
+            assert entry.multipliers == [entry.lcm // c for c in binomials]
+            assert np.array_equal(entry.matrix, solver._build_bernstein_matrix(binomials))
+            assert entry.nbytes > entry.matrix.nbytes
+
+    def test_constants_evicted_with_the_matrix(self, monkeypatch):
+        # the exact vectors' constants of a size live in its matrix's cache
+        # entry: they are built with it, reused with it and dropped with it
+        built = []
+        build = solver._build_degree
+        monkeypatch.setattr(solver, "_bernstein", OrderedDict())
+        monkeypatch.setattr(solver, "_BERNSTEIN_CACHE_BYTES", build(40).nbytes + build(41).nbytes)
+        monkeypatch.setattr(solver, "_build_degree", lambda n: built.append(n) or build(n))
+        f, interval = chebyshev(39), DyadicInterval(Dyadic(1, 3), Dyadic(3, 3))
+        want = _reference_exact_vector(f, interval)
+        assert _exact_vector(f, interval) == want and built == [40]
+        entry = solver._bernstein[40]
+        assert solver._bernstein_matrix(40) is entry.matrix and built == [40]
+        solver._bernstein_matrix(41)
+        assert list(solver._bernstein) == [40, 41]
+        solver._bernstein_matrix(42)
+        assert 40 not in solver._bernstein and all(e is not entry for e in solver._bernstein.values())
+        assert _exact_vector(f, interval) == want and built == [40, 41, 42, 40]
+        assert solver._bernstein[40] is not entry and list(solver._bernstein) == [40]
 
 
 def _bernstein(f, interval):
@@ -1058,10 +1155,11 @@ class TestRootImage:
             assert np.abs(m).max() <= 1.0
 
     def test_matrix_cache_drops_least_recent_by_bytes(self, monkeypatch):
-        # room for three 40 x 40 matrices: a fourth size drops the least
-        # recently used, and a matrix over the budget is kept alone
+        # room for the entries of sizes 38, 40 and 41, matrices and exact
+        # vectors' constants, and so for 38, 39 and 40: a fourth size drops
+        # the least recently used, and an entry over the budget is kept alone
         monkeypatch.setattr(solver, "_bernstein", OrderedDict())
-        monkeypatch.setattr(solver, "_BERNSTEIN_CACHE_BYTES", 3 * 40 * 40 * 8)
+        monkeypatch.setattr(solver, "_BERNSTEIN_CACHE_BYTES", sum(solver._build_degree(n).nbytes for n in (38, 40, 41)))
         first = solver._bernstein_matrix(40)
         solver._bernstein_matrix(39)
         solver._bernstein_matrix(38)
@@ -1075,8 +1173,8 @@ class TestRootImage:
         # threads that share the cache, over a budget that forces evictions,
         # all read correct matrices, and the cache keeps within its budget
         monkeypatch.setattr(solver, "_bernstein", OrderedDict())
-        monkeypatch.setattr(solver, "_BERNSTEIN_CACHE_BYTES", 4 * 30 * 30 * 8)
-        want = {n: solver._build_bernstein_matrix(n) for n in range(20, 31)}
+        monkeypatch.setattr(solver, "_BERNSTEIN_CACHE_BYTES", 4 * solver._build_degree(30).nbytes)
+        want = {n: solver._build_bernstein_matrix(solver._binomials(n - 1)) for n in range(20, 31)}
         wrong = []
 
         def work(seed):
