@@ -23,7 +23,7 @@ and CPython multiplies with Karatsuba, not FFT.  Measured against the
 Pascal rounds, Kronecker wins only at low degree with narrow coefficients
 (d <= 64, 32 bits), and both lose from d = 256 on and with wide
 coefficients.  ``unit_rescale`` runs its three transforms on plain int
-lists (``_unit_image``), which the solver's exact vectors call directly.
+lists (``_unit_image``) and builds one polynomial, at the end.
 
 The square-free part divides out gcd(f, f').  An f = x^j h(x^2), as
 every even or odd f is, takes it from gcd(h, h'), at half the degree.

@@ -68,10 +68,10 @@ from .dyadic import Dyadic, DyadicInterval
 from .polynomial import (
     IntPolynomial,
     ZeroPolynomialError,
-    _unit_image,
     pascal_rounds,
     sign_variations,
     square_free_part,
+    unit_rescale,
 )
 
 
@@ -668,12 +668,11 @@ def _root_image(coeffs) -> tuple[np.ndarray, float, float, int]:
 
 class _Degree(NamedTuple):
     """The constants of one size n = d + 1: the power-to-Bernstein matrix
-    (``_build_bernstein_matrix``), the binomials C(d, i), their lcm K and
+    (``_build_bernstein_matrix``), the lcm K of the binomials C(d, i) and
     the multipliers K / C(d, i) of ``_exact_vector``, and ``nbytes``, what
     they hold in all."""
 
     matrix: np.ndarray
-    binomials: list[int]
     lcm: int
     multipliers: list[int]
     nbytes: int
@@ -722,8 +721,8 @@ def _build_degree(n: int) -> _Degree:
     multipliers = [lcm // c for c in binomials]
     m = _build_bernstein_matrix(binomials)
     m.flags.writeable = False
-    nbytes = m.nbytes + sum(map(sys.getsizeof, (lcm, *binomials, *multipliers)))
-    return _Degree(m, binomials, lcm, multipliers, nbytes)
+    nbytes = m.nbytes + sum(map(sys.getsizeof, (lcm, *multipliers)))
+    return _Degree(m, lcm, multipliers, nbytes)
 
 
 def _build_bernstein_matrix(binomials: list[int]) -> np.ndarray:
@@ -770,7 +769,7 @@ def _exact_vector(g: IntPolynomial, interval: DyadicInterval) -> list[int]:
     primitive, in one transform.
 
     The Moebius image T of the unit rescale h (``unit_rescale(g,
-    interval)``, here its list kernel) has T_(d-i) = C(d, i) b_i, for b the
+    interval)``) has T_(d-i) = C(d, i) b_i, for b the
     Bernstein coefficients of h on [0, 1]: a positive multiple of those of
     g on the interval.  So b_i is scaled by K = lcm_i C(d, i), through the
     multipliers K / C(d, i) of the size's ``_degree`` entry, and the
@@ -795,7 +794,7 @@ def _exact_vector(g: IntPolynomial, interval: DyadicInterval) -> list[int]:
     every entry of b.  The image's content is therefore a power of two,
     which ``_unscale`` divides out.
     """
-    h = _unit_image(g.coeffs, interval)
+    h = unit_rescale(g, interval).coeffs
     constants = _degree(len(h))
     b = list(map(mul, reversed(pascal_rounds(h)), constants.multipliers))
     content = math.gcd(constants.lcm * abs(h[-1]), *b)

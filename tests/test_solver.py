@@ -306,16 +306,16 @@ class TestBernsteinVectors:
 
     def test_isolate_all_work_counts(self, monkeypatch):
         # a unit rescale, with its Taylor shift, runs only to build an exact
-        # vector directly, through the list kernel: at most two on these
-        # small inputs, and none where the float images certify every sign;
-        # node tests and splits need none, no polynomial's taylor_shift
-        # runs, and no node runs the Moebius-image count
-        calls = {"unit_image": 0, "taylor_shift": 0, "unit_variations": 0}
-        unit_image, taylor_shift = polynomial._unit_image, IntPolynomial.taylor_shift
+        # vector directly, on int lists: at most two on these small inputs,
+        # and none where the float images certify every sign; node tests
+        # and splits need none, no polynomial's taylor_shift runs, and no
+        # node runs the Moebius-image count
+        calls = {"unit_rescale": 0, "taylor_shift": 0, "unit_variations": 0}
+        taylor_shift = IntPolynomial.taylor_shift
 
-        def counting_image(coeffs, interval):
-            calls["unit_image"] += 1
-            return unit_image(coeffs, interval)
+        def counting_rescale(g, interval):
+            calls["unit_rescale"] += 1
+            return unit_rescale(g, interval)
 
         def counting_shift(self, c):
             calls["taylor_shift"] += 1
@@ -325,7 +325,7 @@ class TestBernsteinVectors:
             calls["unit_variations"] += 1
             return unit_variations(g)
 
-        monkeypatch.setattr(solver, "_unit_image", counting_image)
+        monkeypatch.setattr(solver, "unit_rescale", counting_rescale)
         monkeypatch.setattr(IntPolynomial, "taylor_shift", counting_shift)
         monkeypatch.setattr(polynomial, "unit_variations", counting_variations)
         monkeypatch.setattr(solver, "unit_variations", counting_variations, raising=False)
@@ -336,10 +336,10 @@ class TestBernsteinVectors:
         cases += [make_poly(rng, rng.randint(1, 40), 32) for _ in range(10)]
         nodes = 0
         for k, f in enumerate(cases):
-            before = calls["unit_image"]
+            before = calls["unit_rescale"]
             nodes += isolate_all(f).trace.node_count
-            assert calls["unit_image"] - before <= (2 if k < fixed else 0), f
-        assert calls["unit_image"] >= 1
+            assert calls["unit_rescale"] - before <= (2 if k < fixed else 0), f
+        assert calls["unit_rescale"] >= 1
         assert calls["taylor_shift"] == calls["unit_variations"] == 0
         assert nodes > 10 * len(cases)
 
@@ -408,7 +408,7 @@ class TestExactVectorKernel:
         for n in (1, 2, 3, 17, 64, 129):
             entry = solver._build_degree(n)
             binomials = [math.comb(n - 1, i) for i in range(n)]
-            assert entry.binomials == binomials and entry.lcm == math.lcm(*binomials)
+            assert solver._binomials(n - 1) == binomials and entry.lcm == math.lcm(*binomials)
             assert entry.multipliers == [entry.lcm // c for c in binomials]
             assert np.array_equal(entry.matrix, solver._build_bernstein_matrix(binomials))
             assert entry.nbytes > entry.matrix.nbytes
