@@ -2,7 +2,7 @@
 
     python3 scripts/bench_sqfree.py --label change
 
-Three corpora:
+Four corpora:
 
 * ``uniform-<d>``: square-free ``benchlib.uniform`` samples for d in 16,
   64, 128, 256, 512 and 1024 (a sample whose square-free part has a lower
@@ -12,7 +12,10 @@ Three corpora:
   Chebyshev, scaled Chebyshev and Mignotte bases, each squared);
 * ``g-h2-<n>``: f = g h^2, with g sample 0 of ``uniform_model(n / 2, 8)``
   and h sample 0 of ``uniform_model(n / 4, 8)``, for deg f = n in 64, 128
-  and 256.
+  and 256;
+* ``x2-g-<n>``: f = x^2 g for the first ``X2_SAMPLES`` ``benchlib.uniform``
+  samples g of degree n in 64, 128 and 256: a double root at 0 beside a
+  square-free g.
 
 Each input is timed by ``benchlib.fastest``, the inputs the pre-test
 declines (``squares`` and ``g-h2-<n>``) as the fastest of ``REPEATS``
@@ -51,6 +54,7 @@ from rootiso.polynomial import IntPolynomial, repeated_root_part, square_free_pa
 UNIFORM = {16: (100, 5), 64: (50, 5), 128: (40, 5), 256: (16, 3), 512: (8, 3), 1024: (8, 3)}
 REPEATS = 15
 ROUNDS = 10
+X2_SAMPLES = 8
 
 
 def _corpora():
@@ -64,6 +68,8 @@ def _corpora():
         g = uniform_model(n // 2, 8).sample(benchlib.SEED, 0).coeffs
         h = uniform_model(n // 4, 8).sample(benchlib.SEED, 0).coeffs
         yield f"g-h2-{n}", [IntPolynomial(poly_mul(g, poly_mul(h, h)))], REPEATS
+    for n in (64, 128, 256):
+        yield f"x2-g-{n}", [IntPolynomial((0, 0, *g.coeffs)) for g in benchlib.uniform(n, X2_SAMPLES)], 5
 
 
 class _Stages:

@@ -42,12 +42,28 @@ follow.  The scan visits each grid point once: a level is the sorted merge
 of the previous level's active points and their odd neighbours, the points
 carried over keep their scanned values, and no dyadic is evaluated exactly
 twice.
+
+What does not depend on f is built once per degree and cached read-only
+(``_constants``, at most ``_CONSTANTS_BYTES`` with the least recently
+used degree dropped first): the first grid's indices, points and power
+table, and the row offsets and derivative factors that turn the correctly
+rounded column 0 into the scan table.  The Taylor-model matrix of
+``_float_reach`` is cached per d r (``_taylor_model``).  A cached entry
+holds the same floats a fresh build would, and floats only choose the
+points evaluated exactly, so the caches leave every field of a bracket and
+its work counts as they are.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import count
+from operator import lshift
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,17 +109,27 @@ def _exact_values(coeffs: tuple, x: Dyadic) -> tuple[int, list[int]]:
     One integer Horner pass with K + 2 accumulators (the repeated
     synthetic division by x - k/q, scaled by powers of q).  k/2^e is the
     normal form of ``Dyadic``, so the same point gives the same integers
-    at every level.
+    at every level.  The kernel is written for K = 5: its seven
+    accumulators are locals, and coefficient i enters shifted by
+    e (d - i), the shifts taken by one ``map``; the check below the
+    function stops the import if ``_ORDER`` changes.
     """
     k, e = x.num, x.exp
     d = len(coeffs) - 1
-    taylor = [coeffs[d]] + [0] * (_ORDER + 1)
-    upward = range(_ORDER + 1, 0, -1)
-    for i in range(d - 1, -1, -1):
-        for j in upward:
-            taylor[j] = taylor[j] * k + taylor[j - 1]
-        taylor[0] = taylor[0] * k + (coeffs[i] << (e * (d - i)))
-    return e, taylor
+    t0, t1, t2, t3, t4, t5, t6 = coeffs[d], 0, 0, 0, 0, 0, 0
+    for c in map(lshift, coeffs[d - 1 :: -1], count(e, e)):
+        t6 = t6 * k + t5
+        t5 = t5 * k + t4
+        t4 = t4 * k + t3
+        t3 = t3 * k + t2
+        t2 = t2 * k + t1
+        t1 = t1 * k + t0
+        t0 = t0 * k + c
+    return e, [t0, t1, t2, t3, t4, t5, t6]
+
+
+if _ORDER != 5:
+    raise ImportError("_exact_values holds K + 2 = 7 accumulators: it is written for _ORDER = 5")
 
 
 def _local_condition(values: tuple[int, list[int]], d: int, norm: int) -> float:
@@ -151,12 +177,26 @@ def _float_reach(values: np.ndarray, d: int, radius: float) -> np.ndarray:
     """The reach of each cell of ``radius`` from the absolute scanned
     columns ``values`` (``_scan_table``): the float counterpart of
     ``_reach``, within reach_err of it (``global_condition_bracket``)."""
-    t = d * radius
+    models, remainder = _taylor_model(d * radius)
+    return (values[:, :2] - values[:, 1:] @ models).max(axis=1) - remainder
+
+
+@lru_cache(maxsize=128)
+def _taylor_model(t: float) -> tuple[np.ndarray, float]:
+    """The (K+1) x 2 matrix of ``_float_reach``'s Taylor terms, and its
+    remainder, at t = d r, with w_k = t^k / k!: column 0 holds w_k for
+    |f| (column k of the scan), column 1 holds w_k for |f'|/d (column
+    k + 1), and the remainder is w_(K+1).
+
+    t is exact (r is a power of two), so the entries are those of every
+    call with the same d and level.  Read-only and cached: at most 128
+    entries of 12 floats, a few tens of KB in all.
+    """
     weights = [t**k / math.factorial(k) for k in range(1, _ORDER + 2)]
-    # the Taylor terms of f (column 0) and of f'/d (column 1), k = 1..K
     models = np.zeros((_ORDER + 1, 2))
     models[:-1, 0] = models[1:, 1] = weights[:-1]
-    return (values[:, :2] - values[:, 1:] @ models).max(axis=1) - weights[-1]
+    models.flags.writeable = False
+    return models, weights[-1]
 
 
 def _round_up_quotient(num: int, den: int) -> float:
@@ -180,7 +220,8 @@ class ConditionBracket:
     grid; ``upper`` is 1/B, rounded up, for the certified lower bound B of
     1/cond that the final grid's cells give, and +inf when B <= 0.
     ``achieved`` is False when the requested relative tolerance was not
-    reached before the grid budget ran out.
+    reached before the grid budget ran out, or when a grid point is
+    singular (``lower`` +inf), where the scan stops.
 
     ``levels``, ``scanned`` and ``exact`` count the work that produced the
     bracket: grid levels visited, points scanned in float and points
@@ -294,6 +335,20 @@ def global_condition_bracket(
     and G + 2E + 2 reach_err, so every field is a function of exact
     arithmetic unless such a coincidence occurs; the tests check the
     fields under a second evaluator.
+
+    A grid point with f(x) = f'(x) = 0 makes ``lower`` +inf, and then the
+    scan stops at that level with ``upper`` +inf and ``achieved`` False:
+    the exact grid minimum G is 0 there, B <= G, and no finer grid can
+    make either end finite.
+
+    Per call the bracket builds only what depends on f: column 0 of the
+    scan table, the scans of refined levels and the exact evaluations.
+    The first grid's points and power table and the table's derivative
+    factors come from the per-degree cache (``_constants``), and each
+    level's Taylor-model matrix from ``_taylor_model``.  They are the
+    floats that a build inside the call would give, and floats choose
+    only the active set, so every field and work count is as without the
+    caches.
     """
     if f.is_zero:
         raise ZeroPolynomialError("zero polynomial")
@@ -306,12 +361,10 @@ def global_condition_bracket(
         return ConditionBracket(1.0, 1.0, 1, 2.0, True)
 
     coeffs, norm = f.coeffs, f.one_norm()
+    first = _constants(d)
     table = _scan_table(coeffs, norm)
     scale = math.factorial(_ORDER + 1) * d * norm  # c of ``_reach``
     err = (4.0 * d + 16.0) * 2.0**-53  # the budget E of ``_scan``
-
-    def scan(ks: np.ndarray, level: int) -> np.ndarray:
-        return np.abs(_scan(table, ks.astype(float) * 2.0**-level))
 
     evaluated = {}  # x -> ``_exact_values`` at x, for every point evaluated
 
@@ -321,9 +374,8 @@ def global_condition_bracket(
             evaluated[x] = _exact_values(coeffs, Dyadic(k, level))
         return evaluated[x]
 
-    level = _first_level(d)
-    ks = np.arange(-(1 << level), (1 << level) + 1, dtype=np.int64)
-    values = scan(ks, level)
+    level, ks = first.level, first.ks
+    values = np.abs(_scan(table, first.xs, first.powers))
     levels, scanned = 1, ks.size
     lower = 0.0
 
@@ -335,6 +387,9 @@ def global_condition_bracket(
         level_min = float(inv_cond.min())
         for idx in np.nonzero(inv_cond <= level_min + 2.0 * err)[0]:
             lower = max(lower, _local_condition(exact(int(ks[idx]), level), d, norm))
+        if lower == math.inf:
+            # a singular grid point: no finer grid can bound the condition
+            return ConditionBracket(lower, math.inf, grid_size, delta, False, levels, scanned, len(evaluated))
 
         reach = _float_reach(values, d, radius)
         reach_err = err * math.exp(d * radius) + 2.0**-46
@@ -358,10 +413,11 @@ def global_condition_bracket(
         level += 1
         ks, odd = _children(ks, level)
         parents, values = values, np.empty((ks.size, values.shape[1]))
-        values[odd] = scan(ks[odd], level)
+        xs = ks[odd] * 2.0**-level
+        values[odd] = np.abs(_scan(table, xs))
         values[~odd] = parents
         levels += 1
-        scanned += int(odd.sum())
+        scanned += xs.size
 
 
 def _children(ks: np.ndarray, level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -387,38 +443,36 @@ def _scan_table(coeffs: tuple, norm: int) -> np.ndarray:
     with coefficients ``coeffs`` and 1-norm ``norm``.
 
     Column 0 is correctly rounded: one integer true division per entry.
-    Column k is column k-1 shifted up one row, its row j
-    times (j+1)/d (x^(j+1) differentiates to (j+1) x^j): two roundings per
-    column.  So an entry of column k is within gamma_(2k+1) of its exact
-    value (gamma_n = n u / (1 - n u), u = 2^-53), and the exact column has
-    a 1-norm of at most 1, since ||f^(k)||_1 <= d^k ||f||_1.
+    Row j of column k is coefficient j + k of column 0 times the
+    derivative factor (j+1) (j+2) ... (j+k) / d^k, itself correctly
+    rounded, or 0 when j + k > d; the factors and the row offsets j + k
+    are constants of the degree (``_constants``), so the table is one
+    gather and one multiply.  An entry is thus within gamma_3 of its
+    exact value (gamma_n = n u / (1 - n u), u = 2^-53), and the exact
+    column has a 1-norm of at most 1, since ||f^(k)||_1 <= d^k ||f||_1.
     """
-    d = len(coeffs) - 1
-    table = np.zeros((d + 1, _ORDER + 2))
-    table[:, 0] = [c / norm for c in coeffs]
-    steps = np.arange(1, d + 1) / d
-    for k in range(1, min(_ORDER + 1, d) + 1):
-        np.multiply(table[1 : d + 2 - k, k - 1], steps[: d + 1 - k], out=table[: d + 1 - k, k])
-    return table
+    constants = _constants(len(coeffs) - 1)
+    column = np.array([c / norm for c in coeffs] + [0.0])
+    return column[constants.rows] * constants.factors
 
 
 _BLOCK = 1024  # points per power table; at d = 1024 one table is 8 MiB
 
 
-def _scan(table: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _scan(table: np.ndarray, xs: np.ndarray, powers: np.ndarray | None = None) -> np.ndarray:
     """``table``'s polynomials at ``xs``: row i is powers(xs[i]) @ table.
 
     The points go in blocks of ``_BLOCK``.  Each block builds its power
-    table by doubling, x^(m + i) = x^i x^m with x^m = (x^(m/2))^2, in
-    Fortran order so that each doubling is one multiply of contiguous
-    columns, then takes one matrix product with ``table``.
+    table by doubling (``_powers``), unless ``powers`` holds the power
+    table of all of ``xs`` already, as for the first grid
+    (``_constants``), then takes one matrix product with ``table``.
 
     Error budget, at |x| <= 1 and d + 1 table rows, for the table built
     by ``_scan_table``: each value is within E of the exact value of its
     unrounded column, where E = (4d + 16) u and u = 2^-53 (every column
     has a 1-norm of at most 1).
 
-    * The table's entries are within gamma_(2K+3) of their exact values.
+    * The table's entries are within gamma_3 of their exact values.
     * Each power x^j is the product of two earlier ones, and the chain
       behind it holds at most j - 1 roundings, so it is within gamma_j of
       x^j, gamma_n = n u / (1 - n u).
@@ -428,25 +482,99 @@ def _scan(table: np.ndarray, xs: np.ndarray) -> np.ndarray:
     * Gradual underflow in the table, the powers and the products adds
       less than (2d + 2K + 6) 2^-1074 in all.
 
-    Together that is below (2d + 2K + 5) u = (2d + 15) u for d <= 2^20,
-    inside E.
+    Together that is below (2d + 5) u for d <= 2^20, inside E.  E is
+    looser than that: it is the budget the pruning margins are drawn
+    with, and a tighter one would move the active sets.
     """
     n = table.shape[0]
     out = np.empty((xs.size, table.shape[1]))
-    buffer = np.empty((min(xs.size, _BLOCK), n), order="F")
+    if powers is None:
+        buffer = np.empty((min(xs.size, _BLOCK), n), order="F")
     for start in range(0, xs.size, _BLOCK):
         x = xs[start : start + _BLOCK]
-        powers = buffer[: x.size]
-        powers[:, 0] = 1.0
-        powers[:, 1] = x
-        m = 2
-        while m < n:
-            top = powers[:, m // 2] * powers[:, m // 2]
-            width = min(m, n - m)
-            np.multiply(powers[:, :width], top[:, None], out=powers[:, m : m + width])
-            m *= 2
-        np.matmul(powers, table, out=out[start : start + x.size])
+        block = _powers(x, buffer[: x.size]) if powers is None else powers[start : start + _BLOCK]
+        np.matmul(block, table, out=out[start : start + x.size])
     return out
+
+
+def _powers(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out``, a Fortran-order array of x.size rows, filled with x^j in
+    column j by doubling, x^(m + i) = x^i x^m with x^m = (x^(m/2))^2, so
+    that each doubling is one multiply of contiguous columns."""
+    n = out.shape[1]
+    out[:, 0] = 1.0
+    out[:, 1] = x
+    m = 2
+    while m < n:
+        top = out[:, m // 2] * out[:, m // 2]
+        width = min(m, n - m)
+        np.multiply(out[:, :width], top[:, None], out=out[:, m : m + width])
+        m *= 2
+    return out
+
+
+class _Constants(NamedTuple):
+    """The bracket's constants of one degree d (``_build_constants``):
+    the first grid's level, indices ``ks`` and points ``xs``; its power
+    table ``powers`` (``_powers``), or None when it would take more than
+    ``_POWERS_BYTES``; the row offsets ``rows`` and derivative factors
+    ``factors`` of ``_scan_table``; and ``nbytes``, what they hold in
+    all."""
+
+    level: int
+    ks: np.ndarray
+    xs: np.ndarray
+    powers: np.ndarray | None
+    rows: np.ndarray
+    factors: np.ndarray
+    nbytes: int
+
+
+_CONSTANTS_BYTES = 40 << 20  # the entries kept, least recently used dropped first
+_POWERS_BYTES = _CONSTANTS_BYTES // 2  # the largest power table kept: 2049 x 1025 at d = 1024
+_constants_cache: OrderedDict[int, _Constants] = OrderedDict()
+_constants_lock = threading.Lock()
+
+
+def _constants(d: int) -> _Constants:
+    """The constants of degree d, cached per degree up to
+    ``_CONSTANTS_BYTES`` in all.  No entry holds a power table above
+    ``_POWERS_BYTES``, so the latest entry is kept unless its rows,
+    factors and grid alone pass the bound (at d > 2^18); it
+    is then used for its call only."""
+    with _constants_lock:
+        entry = _constants_cache.get(d)
+        if entry is not None:
+            _constants_cache.move_to_end(d)
+            return entry
+    entry = _build_constants(d)
+    with _constants_lock:
+        _constants_cache[d] = entry
+        while sum(e.nbytes for e in _constants_cache.values()) > _CONSTANTS_BYTES:
+            _constants_cache.popitem(last=False)
+    return entry
+
+
+def _build_constants(d: int) -> _Constants:
+    """The ``_Constants`` entry of degree d >= 1, built afresh and
+    read-only.  Row j, column k of ``rows`` is j + k, or d + 1 (the zero
+    that ``_scan_table`` appends to column 0) when j + k > d; ``factors``
+    holds (j+k)! / (j! d^k) there, by one int true division, or 0."""
+    level = _first_level(d)
+    ks = np.arange(-(1 << level), (1 << level) + 1, dtype=np.int64)
+    xs = ks * 2.0**-level
+    offsets = np.arange(d + 1)[:, None] + np.arange(_ORDER + 2)
+    rows = np.minimum(offsets, d + 1)
+    factors = np.array(
+        [[math.perm(j + k, k) / d**k if j + k <= d else 0.0 for k in range(_ORDER + 2)] for j in range(d + 1)]
+    )
+    powers = None
+    if xs.size * (d + 1) * 8 <= _POWERS_BYTES:
+        powers = _powers(xs, np.empty((xs.size, d + 1), order="F"))
+    arrays = [a for a in (ks, xs, powers, rows, factors) if a is not None]
+    for a in arrays:
+        a.flags.writeable = False
+    return _Constants(level, ks, xs, powers, rows, factors, sum(a.nbytes for a in arrays))
 
 
 # ``perfbench/tracer.py`` wraps the float evaluator by this name to count

@@ -414,34 +414,40 @@ def _gcd_with_derivative(fp: IntPolynomial) -> tuple[IntPolynomial, IntPolynomia
     coefficient, for a primitive f of degree at least 1 (see
     ``repeated_root_part``).
 
-    An f = x^j h(x^2) with h(0) != 0, as every even or odd f is, is
-    reduced to h, of half the degree.  Write q = h(x^2).  As q(0) != 0, x
-    does not divide q, so gcd(q, q') = gcd(h(x^2), 2x h'(x^2)) =
-    gcd(h(x^2), h'(x^2)), and that is gcd(h, h')(x^2): it divides both,
-    and a Bezout identity for gcd(h, h') taken at x^2 shows that it is
-    divided by every common divisor.  The root 0 of f has multiplicity j,
-    so gcd(f, f') = x^(j - 1) gcd(q, q') for j >= 1, and f / gcd(f, f')
-    takes x once.  h is primitive, as f is, with the same leading
-    coefficient, so both parts stay primitive and keep their signs.
+    A root at 0 is split off first.  Write f = x^j q with j >= 1 and
+    q(0) != 0.  x does not divide q, so the root 0 of f has multiplicity
+    j, and gcd(f, f') = x^(j - 1) gcd(q, q'), f / gcd(f, f') =
+    x q / gcd(q, q'): the gcd runs on q, whose certificate
+    (``_coprime_with_derivative``) usually answers at once.
+
+    An even f = h(x^2) with h(0) != 0 is reduced to h, of half the
+    degree: gcd(f, f') = gcd(h(x^2), 2x h'(x^2)) = gcd(h(x^2), h'(x^2)),
+    and that is gcd(h, h')(x^2): it divides both, and a Bezout identity
+    for gcd(h, h') taken at x^2 shows that it is divided by every common
+    divisor.  So an odd f, x h(x^2), runs at half its degree too.  q and h
+    are primitive, as f is, with f's leading coefficient, so both parts
+    stay primitive and keep their signs.
     """
     coeffs = fp.coeffs
     j = 0
     while not coeffs[j]:
         j += 1
-    if any(islice(coeffs, j + 1, None, 2)):
+    if j:
+        if len(coeffs) - j == 1:  # f = +-x^j
+            common, part = (1,), (1,)
+        else:
+            common, part = (p.coeffs for p in _gcd_with_derivative(IntPolynomial._of_ints(coeffs[j:])))
+        return IntPolynomial._of_ints((0,) * (j - 1) + common), IntPolynomial._of_ints((0, *part))
+    if any(islice(coeffs, 1, None, 2)):
         return _gcd_at_full_degree(fp)
-    if len(coeffs) - j == 1:  # f = +-x^j
-        common, part = (1,), (1,)
-    else:
-        half = IntPolynomial._of_ints(coeffs[j::2])
-        common, part = (p.coeffs for p in _gcd_with_derivative(half))
-    return _of_square(common, max(j - 1, 0)), _of_square(part, min(j, 1))
+    common, part = (p.coeffs for p in _gcd_with_derivative(IntPolynomial._of_ints(coeffs[::2])))
+    return _of_square(common), _of_square(part)
 
 
-def _of_square(coeffs: tuple, j: int) -> IntPolynomial:
-    """x^j p(x^2), for p with the coefficients ``coeffs``."""
-    out = [0] * (j + 2 * len(coeffs) - 1)
-    out[j::2] = coeffs
+def _of_square(coeffs: tuple) -> IntPolynomial:
+    """p(x^2), for p with the coefficients ``coeffs``."""
+    out = [0] * (2 * len(coeffs) - 1)
+    out[::2] = coeffs
     return IntPolynomial._of_ints(tuple(out))
 
 
@@ -520,16 +526,11 @@ def _coprime_with_derivative(fp: IntPolynomial) -> bool:
     polynomials do.  Inputs with r > ``_ROOT_EXPONENT_CAP`` are declined,
     keeping the gcd's operands near (r + s) d + tau bits.
 
-    A root at 0 is taken apart: f = x^2 g has a repeated root, and
-    f = x g with g(0) != 0 has one exactly when g does, so g is tested.
-    Its root exponent is f's, and gcd(g(xi), g'(xi)) divides
-    gcd(f(xi), f'(xi)), so g is declined only where f would be.
+    ``_gcd_with_derivative`` splits a root at 0 off before it comes here,
+    but the proof does not need f(0) != 0: x is then a factor m with
+    |m(xi)| = xi.
     """
     coeffs = fp.coeffs
-    if not coeffs[0]:
-        if not coeffs[1]:
-            return False
-        coeffs = coeffs[1:]
     r = _root_exponent(coeffs)
     if r > _ROOT_EXPONENT_CAP:
         return False

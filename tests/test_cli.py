@@ -172,7 +172,8 @@ class TestAnalyze:
         # one square-free certificate per square-free input, taken by the
         # oracle's square_free_part: the certificate is the pre-test, and no
         # modular Euclid runs; the even 4x^2 - 1 is certified on its
-        # degree-1 half 4y - 1
+        # degree-1 half 4y - 1, and the dyadic-roots input, x times a
+        # quartic, on that quartic
         calls = []
         certify = rootiso.polynomial._coprime_with_derivative
         euclid = rootiso.polynomial._gcd_with_derivative_mod_p
@@ -187,7 +188,7 @@ class TestAnalyze:
 
         monkeypatch.setattr(rootiso.polynomial, "_coprime_with_derivative", counting_certify)
         monkeypatch.setattr(rootiso.polynomial, "_gcd_with_derivative_mod_p", counting_euclid)
-        for coeffs, degree in (("-1 0 4", 1), ("3 -1 -7 2 5 1", 5), ("0 15 -19 -58 40 64", 5), (_uniform_64(0), 64)):
+        for coeffs, degree in (("-1 0 4", 1), ("3 -1 -7 2 5 1", 5), ("0 15 -19 -58 40 64", 4), (_uniform_64(0), 64)):
             calls.clear()
             code, out, _ = run_cli(capsys, "analyze", "--coeffs", coeffs, "--max-grid", "65536")
             assert code == 0 and json.loads(out)["separation_bound"] is not None
@@ -201,7 +202,8 @@ class TestAnalyze:
     GOLDEN = {
         "quadratic": (("-1 0 4",), "7b3f188e0596072cf648b3bff40d7c18a91140dc7ad2a08734e36ee79a0e022d"),
         "degree-one": (("0 1",), "78a5c6cd66bcfe4647ee89a0a0569cb450b00e0abb3ee60927685c862430e35d"),
-        "double-root": (("1 -4 4",), "ff5f241b30e17b2b4a8845d160085f2fc3e88881d5fa4757bedac301d2f78542"),
+        # singular at the grid point 1/2: the bracket stops at its first grid
+        "double-root": (("1 -4 4",), "09c1caf89d8d2c3487cabf77c20401832052e49aaf148c61aaca7794c7e574fd"),
         # roots 1/2, -3/4, 5/8, -1 and 0, all dyadic grid points
         "dyadic-roots": (("0 15 -19 -58 40 64",), "70134a54ed0c36959ecb4bc3e981ca68caafd2f55708929ee1ae4afd84d66383"),
         "uniform-0": ((_uniform_64(0),), "cfd4341871149c89da26819e72e86ab16c8e954ed4cd852b77f31cfb8e82fb69"),

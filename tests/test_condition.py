@@ -1,3 +1,5 @@
+import hashlib
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -85,10 +87,13 @@ class TestBracket:
 
     def test_double_root_on_grid(self):
         # (2x-1)^2: the singular point 1/2 is itself a grid point, so the
-        # grid maximum is already infinite
-        br = global_condition_bracket(poly(1, -4, 4), max_grid=1 << 12)
-        assert not br.achieved
-        assert br.upper == math.inf
+        # grid maximum is already infinite, and the scan stops there
+        # whatever the budget
+        for max_grid in (1 << 12, 1 << 26):
+            br = global_condition_bracket(poly(1, -4, 4), max_grid=max_grid)
+            assert not br.achieved
+            assert br.lower == br.upper == math.inf
+            assert (br.levels, br.grid_size, br.delta) == (1, 9, 0.25)
 
     def test_double_root_off_grid(self):
         # (3x-1)^2: singular at 1/3, never a dyadic grid point; the lower
@@ -153,9 +158,9 @@ class TestBracket:
         points = []
         scan = condition_mod._scan
 
-        def counting_scan(table, xs):
+        def counting_scan(table, xs, powers=None):
             points.append(xs.size)
-            return scan(table, xs)
+            return scan(table, xs, powers)
 
         monkeypatch.setattr(condition_mod, "_scan", counting_scan)
         f = uniform_model(64, 32).sample(1, 0)
@@ -196,7 +201,8 @@ def _reference_bracket(f, rel_tol=0.5, max_grid=1 << 22, full_scan_points=1 << 1
     included, and the exact reach is computed at every level.  Grids below
     ``full_scan_points`` points keep every point for the next level, and
     larger ones drop a point only by the global slope d; with ``math.inf``
-    no point is ever dropped, which is the exhaustive scan."""
+    no point is ever dropped, which is the exhaustive scan.  A grid with a
+    singular point ends the scan."""
     d = f.degree
     if d == 0:
         return condition_mod.ConditionBracket(1.0, 1.0, 1, 2.0, True)
@@ -227,6 +233,8 @@ def _reference_bracket(f, rel_tol=0.5, max_grid=1 << 22, full_scan_points=1 << 1
             h = max(_exact_taylor(f, Fraction(int(ks[idx]), 1 << level))[:2])
             best = h if best is None else min(best, h)
         lower = _cond(best)
+        if lower == math.inf:
+            return condition_mod.ConditionBracket(lower, math.inf, grid_size, delta, False)
         # any float error is far below 2^-20: the cell of least exact
         # reach is among these
         reach = _cell_reach(taylor.T, d, float(radius))
@@ -511,9 +519,9 @@ class TestScan:
         scan = condition_mod._scan
         exact = condition_mod._exact_values
 
-        def counting_scan(table, xs):
+        def counting_scan(table, xs, powers=None):
             scanned.extend(xs.tolist())
-            return scan(table, xs)
+            return scan(table, xs, powers)
 
         def counting_exact(coeffs, x):
             evaluated.append(x.to_fraction())
@@ -563,6 +571,25 @@ class TestScan:
             num, shift = condition_mod._reach(values, d, norm, m)
             scale = math.factorial(_ORDER + 1) * d * norm
             assert Fraction(num, scale << shift) == _exact_reach(f, x, Fraction(1, 1 << m))
+        # coefficients wider than 2^1000, past the float range
+        for _ in range(20):
+            f = make_poly(rng, rng.randint(1, 12), 1100)
+            assert max(map(abs, f.coeffs)) > 1 << 1000
+            e = rng.randint(0, 30)
+            k = rng.randint(-(1 << e), 1 << e)
+            reduced, taylor = condition_mod._exact_values(f.coeffs, Dyadic(k, e))
+            x, q = Fraction(k, 1 << e), Fraction(1 << reduced)
+            for j, g in enumerate(_derivatives(f)):
+                assert taylor[j] / q ** (f.degree - j) == g.evaluate_fraction(x) / math.factorial(j), (j, f, x)
+
+    def test_exact_kernel_guards_its_order(self):
+        # ``_exact_values`` holds K + 2 = 7 accumulators, so the module
+        # refuses to load with another K
+        source = inspect.getsource(condition_mod)
+        assert source.count("_ORDER = 5\n") == 1
+        code = compile(source.replace("_ORDER = 5\n", "_ORDER = 6\n"), condition_mod.__file__, "exec")
+        with pytest.raises(ImportError, match="_ORDER = 5"):
+            exec(code, {"__name__": "rootiso._condition_k6", "__package__": "rootiso"})
 
     def test_fields_independent_of_float_evaluator(self, monkeypatch):
         # floats only choose the cells and points evaluated exactly, so a
@@ -576,7 +603,7 @@ class TestScan:
         cases += [(_times(poly(1, -6, 9), make_poly(rng, 9, 8)), 1 << 16), (poly(1, -4, 4), 1 << 12)]
         brackets = [(global_condition_bracket(f, max_grid=max_grid), f, max_grid) for f, max_grid in cases]
 
-        def horner_scan(table, xs):
+        def horner_scan(table, xs, powers=None):
             return np.stack([_float_horner(table[::-1, col], xs) for col in range(table.shape[1])], axis=1)
 
         monkeypatch.setattr(condition_mod, "_scan", horner_scan)
@@ -606,6 +633,38 @@ class TestScan:
             ref_out, ref_odd = _mask_children(ks, level)
             assert out.tolist() == ref_out.tolist() and odd.tolist() == ref_odd.tolist(), (level, ks)
         assert min(seen.values()) > 500, seen
+
+    def test_fields_and_work_at_mc_steps_settings(self):
+        # the fields and the levels, scanned and exact counts of 64 uniform
+        # brackets at the settings of the mc-steps benchmark, pinned to
+        # their values before the scan's constants were cached: a float
+        # evaluator or a cache that moves a single count fails this
+        rows = []
+        for d in (16, 64):
+            for i in range(32):
+                br = global_condition_bracket(uniform_model(d, 32).sample(35, i), rel_tol=0.5, max_grid=1 << 26)
+                rows.append((*_bracket_fields(br), br.levels, br.scanned, br.exact))
+        assert [sum(col) for col in list(zip(*rows))[4:]] == [64, 82, 5251, 111]
+        digest = "6ca03d7627759c9bfcd65fbe25efd2246e8b56c3aadc2bec27379cce1292b0d5"
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+    def test_constants_cache_within_its_bound(self):
+        # the per-degree constants stay read-only and within their byte
+        # bound after a d = 1024 bracket, whose first grid's power table
+        # alone is 2049 x 1025 floats, and brackets at small degrees; a
+        # degree whose power table would pass its own bound holds none
+        cache = condition_mod._constants_cache
+        for d in (1024, 2, 16, 64, 256, 1024, 3, 17):
+            global_condition_bracket(uniform_model(d, 32).sample(1, 0), max_grid=1)
+            assert sum(e.nbytes for e in cache.values()) <= condition_mod._CONSTANTS_BYTES
+        assert list(cache)[-1] == 17
+        big = condition_mod._constants(1024)
+        assert big.powers.shape == (2049, 1025) and big.nbytes > big.powers.nbytes
+        assert condition_mod._constants(1025).powers is None
+        assert sum(e.nbytes for e in cache.values()) <= condition_mod._CONSTANTS_BYTES
+        for entry in cache.values():
+            arrays = [entry.ks, entry.xs, entry.rows, entry.factors] + [entry.powers] * (entry.powers is not None)
+            assert not any(a.flags.writeable for a in arrays)
 
     def test_uniform_degree_256_achieved(self):
         # the local slope certifies a sharp upper end at the paper's

@@ -387,7 +387,8 @@ class TestParityReduction:
 
     def test_runs_at_half_degree(self, monkeypatch):
         # gcd(f, f') runs at full degree only on h, of degree at most d / 2
-        # (and again on its own half when h is even too)
+        # (and again on its own half when h is even too); any other input
+        # runs at its degree less its root at 0, which is split off first
         degrees = []
         full = polynomial._gcd_at_full_degree
         monkeypatch.setattr(polynomial, "_gcd_at_full_degree", lambda g: degrees.append(g.degree) or full(g))
@@ -399,7 +400,7 @@ class TestParityReduction:
             if not any(coeffs[j + 1 :: 2]):
                 assert all(2 * d <= f.degree - j for d in degrees), (f, degrees)
             else:
-                assert degrees == [f.degree], f
+                assert degrees == [f.degree - j], f
         # h(y) = (4y^2 - 1)^2 is even again: f = (4x^4 - 1)^2 runs at degree 2
         quartic = poly(-1, 0, 0, 0, 4)
         degrees.clear()
@@ -415,6 +416,51 @@ class TestParityReduction:
         self._full(monkeypatch)
         assert got == [eps_real_separation(f, 0.5 / f.degree) for f in cases]
         assert got[1] == got[2] == got[3] == 0.0 and 0 < got[4] < math.inf
+
+
+class TestRootAtZero:
+    """gcd(f, f') and f / gcd(f, f') of f = x^j q, q(0) != 0, from those
+    of q, against the gcd at full degree."""
+
+    def _cases(self):
+        rng = random.Random(61)
+        g = uniform_model(40, 32).sample(1, 0)
+        h = make_poly(rng, 7, 12)
+        h2 = _multiply(h, h)
+        bases = [g, g.scale(-3), h2, _multiply(h2, make_poly(rng, 5, 12)).scale(-1), _chebyshev(8)]
+        x = poly(0, 1)
+        for base in bases:
+            assert base.coefficient(0) != 0
+            f = base
+            for j in range(1, 5):
+                f = _multiply(x, f)
+                yield j, base, f
+
+    def test_matches_the_gcd_at_full_degree(self):
+        for j, base, f in self._cases():
+            fp = f.primitive_part()
+            got = polynomial._gcd_with_derivative(fp)
+            assert got == polynomial._gcd_at_full_degree(fp), (j, base)
+            common, part = got
+            assert common.coeffs[: j - 1] == (0,) * (j - 1) and common.coefficient(j - 1) != 0
+            assert part.coeffs[0] == 0 and part.coefficient(1) != 0
+            if f.degree <= 16:
+                _check_square_free_part(f)
+
+    def test_certificate_runs_on_q(self, monkeypatch):
+        # a square-free q is certified at its own degree, and x^j q runs
+        # no modular Euclid
+        calls = []
+        certify = polynomial._coprime_with_derivative
+        euclid = polynomial._gcd_with_derivative_mod_p
+        monkeypatch.setattr(polynomial, "_coprime_with_derivative", lambda g: calls.append(g.degree) or certify(g))
+        monkeypatch.setattr(polynomial, "_gcd_with_derivative_mod_p", lambda g, p: calls.append((g.degree, p)) or euclid(g, p))
+        g = uniform_model(64, 32).sample(1, 0)
+        for j in range(1, 5):
+            calls.clear()
+            f = IntPolynomial((0,) * j + g.coeffs)
+            assert square_free_part(f) == IntPolynomial((0, *_positive_primitive(g).coeffs))
+            assert calls == [64], j
 
 
 class TestModPCertificate:
@@ -520,18 +566,20 @@ class TestModularGcd:
         return degrees
 
     def test_square_free_over_z_but_not_mod_p(self, monkeypatch):
-        # x (x - p) is x^2 mod p: the first image has degree 1
-        f = _multiply(poly(0, 1), poly(-_CHECK_PRIME, 1))
+        # (x - 1) (x - 1 - p) is (x - 1)^2 mod p: the first image has
+        # degree 1 (a root at 0 would be split off before the gcd)
+        f = _multiply(poly(-1, 1), poly(-1 - _CHECK_PRIME, 1))
         assert self._image_degrees(monkeypatch, f) == [1, 0]
         assert square_free_part(f) == f
 
     def test_lower_degree_restarts(self, monkeypatch):
-        # (x - 1)^2 x (x - p) has the image x (x - 1) at the first prime;
-        # the true gcd x - 1 appears at the next
-        f = _multiply(_multiply(poly(-1, 1), poly(-1, 1)), _multiply(poly(0, 1), poly(-_CHECK_PRIME, 1)))
+        # (x + 1)^2 (x - 1) (x - 1 - p) has the image (x + 1) (x - 1) at
+        # the first prime; the true gcd x + 1 appears at the next
+        unlucky = _multiply(poly(-1, 1), poly(-1 - _CHECK_PRIME, 1))
+        f = _multiply(_multiply(poly(1, 1), poly(1, 1)), unlucky)
         assert self._image_degrees(monkeypatch, f) == [2, 1]
-        assert repeated_root_part(f) == poly(-1, 1)
-        assert square_free_part(f) == _multiply(poly(-1, 1), _multiply(poly(0, 1), poly(-_CHECK_PRIME, 1)))
+        assert repeated_root_part(f) == poly(1, 1)
+        assert square_free_part(f) == _multiply(poly(1, 1), unlucky)
 
     def test_wide_gcd_needs_several_primes(self, monkeypatch):
         rng = random.Random(55)
@@ -558,11 +606,11 @@ class TestModularGcd:
             assert len(divisors) == 2, degree
 
     def test_unlucky_prime_after_a_lucky_one_is_skipped(self, monkeypatch):
-        # x (x - p) with p the second prime: its image there has one degree
-        # more than the first, and must not enter the combination
+        # (x - 1) (x - 1 - p) with p the second prime: its image there has
+        # one degree more than the first, and must not enter the combination
         second = self.PRIMES[1]
         h = make_poly(random.Random(56), 3, 220)
-        f = _multiply(_multiply(h, h), _multiply(poly(0, 1), poly(-second, 1)))
+        f = _multiply(_multiply(h, h), _multiply(poly(-1, 1), poly(-1 - second, 1)))
         degrees = self._image_degrees(monkeypatch, f)
         assert degrees[:3] == [3, 4, 3] and set(degrees[2:]) == {3}
 
@@ -698,9 +746,11 @@ class TestCoprimeWithDerivative:
             g = make_poly(rng, rng.randint(1, 8), 16)
             if g.coefficient(0) == 0:
                 continue
+            # the proof holds with a root at 0, x being a factor m with
+            # |m(xi)| = xi
             assert not _coprime(_multiply(_multiply(x, x), g))
             assert not _coprime(_multiply(_multiply(x, _multiply(x, x)), g))
-            assert _coprime(_multiply(x, g)) == _coprime(g)
+            assert not _coprime(_multiply(x, _multiply(g, g)))
 
     def test_declines_roots_beyond_two_to_the_margin(self, monkeypatch):
         # r above the decline cap: no evaluation at all, and the modular

@@ -234,7 +234,7 @@ _MAIN = {
         },
     ),
     "bench_sqfree": (
-        {"UNIFORM": {16: (1, 1)}, "ROUNDS": 1, "REPEATS": 1},
+        {"UNIFORM": {16: (1, 1)}, "ROUNDS": 1, "REPEATS": 1, "X2_SAMPLES": 1},
         {
             "corpora": (
                 _TIMES
