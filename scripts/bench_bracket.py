@@ -15,7 +15,7 @@ tolerance within the grid budget.
 
 The bracket's fields (lower, upper, grid size, spacing, achieved) of every
 sample are hashed per degree; the script exits 1 if a degree's hash
-differs from that of another stored run.
+differs from that of the file's baseline run (``scripts/benchlib.py``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from speed import Clock
 from rootiso.condition import global_condition_bracket
 
 # degree: (samples, repeats per sample)
-PLAN = {16: (40, 3), 64: (20, 3), 256: (8, 1), 512: (4, 1), 1024: (2, 1)}
+PLAN = {16: (40, 3), 64: (20, 3), 256: (8, 1), 512: (8, 3), 1024: (8, 3)}
 
 
 def _fields(br) -> tuple:
@@ -67,8 +67,8 @@ def run() -> dict:
 
 
 def main(argv=None) -> int:
-    runs, label, record = benchlib.run_and_store(__doc__, "BENCH_bracket.json", run, argv=argv)
-    return benchlib.compare_hashes(runs, label, record, "degrees", "fields_sha256", "bracket fields")
+    baseline, against, record = benchlib.run_and_store(__doc__, "BENCH_bracket.json", run, argv=argv)
+    return benchlib.compare_hashes(baseline, against, record, "degrees", "fields_sha256", "bracket fields")
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ same counters.
 
 Every result's ``to_json()`` and its trace's node records are hashed per
 degree (both entry points) and per family; the script exits 1 if a hash
-differs from that of another stored run.
+differs from that of the file's baseline run (``scripts/benchlib.py``).
 """
 
 from __future__ import annotations
@@ -133,9 +133,9 @@ def run() -> dict:
 
 
 def main(argv=None) -> int:
-    runs, label, record = benchlib.run_and_store(__doc__, "BENCH_isolate.json", run, argv=argv)
-    status = benchlib.compare_hashes(runs, label, record, "degrees", "outputs_sha256", "outputs")
-    return status | benchlib.compare_hashes(runs, label, record, "families", "outputs_sha256", "outputs")
+    baseline, against, record = benchlib.run_and_store(__doc__, "BENCH_isolate.json", run, argv=argv)
+    status = benchlib.compare_hashes(baseline, against, record, "degrees", "outputs_sha256", "outputs")
+    return status | benchlib.compare_hashes(baseline, against, record, "families", "outputs_sha256", "outputs")
 
 
 if __name__ == "__main__":

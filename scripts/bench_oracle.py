@@ -18,7 +18,7 @@ Horner pass it counted instead, three calls per sweep.)
 
 Every sample's roots and residual, or its failure with the sweeps and
 last residual, are hashed per degree; the script exits 1 if a degree's
-hash differs from that of another stored run.
+hash differs from that of the file's baseline run (``scripts/benchlib.py``).
 """
 
 from __future__ import annotations
@@ -95,8 +95,8 @@ def run() -> dict:
 
 
 def main(argv=None) -> int:
-    runs, label, record = benchlib.run_and_store(__doc__, "BENCH_oracle.json", run, argv=argv)
-    return benchlib.compare_hashes(runs, label, record, "degrees", "roots_sha256", "roots")
+    baseline, against, record = benchlib.run_and_store(__doc__, "BENCH_oracle.json", run, argv=argv)
+    return benchlib.compare_hashes(baseline, against, record, "degrees", "roots_sha256", "roots")
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ it evaluates at.
 
 Every ``square_free_part`` and ``repeated_root_part`` output is hashed
 per corpus; the script exits 1 if a corpus's hash differs from that of
-another stored run.
+the file's baseline run (``scripts/benchlib.py``).
 """
 
 from __future__ import annotations
@@ -147,8 +147,8 @@ def run() -> dict:
 
 
 def main(argv=None) -> int:
-    runs, label, record = benchlib.run_and_store(__doc__, "BENCH_sqfree.json", run, argv=argv)
-    return benchlib.compare_hashes(runs, label, record, "corpora", "outputs_sha256", "outputs")
+    baseline, against, record = benchlib.run_and_store(__doc__, "BENCH_sqfree.json", run, argv=argv)
+    return benchlib.compare_hashes(baseline, against, record, "corpora", "outputs_sha256", "outputs")
 
 
 if __name__ == "__main__":

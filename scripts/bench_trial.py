@@ -19,7 +19,7 @@ hashes the summary's JSON text and the CSV per report.
 
 Timing and storage are described in ``scripts/benchlib.py``; the run goes
 to ``BENCH_trial.json``, and the script exits 1 if a hash differs from
-that of another stored run.
+that of the file's baseline run (``scripts/benchlib.py``).
 """
 
 from __future__ import annotations
@@ -125,9 +125,9 @@ def run() -> dict:
 
 
 def main(argv=None) -> int:
-    runs, label, record = benchlib.run_and_store(__doc__, "BENCH_trial.json", run, argv=argv)
-    status = benchlib.compare_hashes(runs, label, record, "models", "outputs_sha256", "coefficients")
-    return status | benchlib.compare_hashes(runs, label, record, "reports", "outputs_sha256", "summary and CSV")
+    baseline, against, record = benchlib.run_and_store(__doc__, "BENCH_trial.json", run, argv=argv)
+    status = benchlib.compare_hashes(baseline, against, record, "models", "outputs_sha256", "coefficients")
+    return status | benchlib.compare_hashes(baseline, against, record, "reports", "outputs_sha256", "summary and CSV")
 
 
 if __name__ == "__main__":

@@ -28,8 +28,12 @@ Storage.  ``run_and_store`` parses a script's ``--label`` and ``--out``,
 runs it, adds the commit (and whether ``src/`` differed from it), the
 machine, ``SEED`` and ``BITSIZE`` to its record, and stores the record
 under ``runs[label]`` of its ``BENCH_*.json``, next to the runs of other
-labels.  ``compare_hashes`` then checks the record's output hashes against
-every other stored run, and the script exits 1 if any differs.
+labels, which are kept as history.  The top-level ``baseline`` of the file
+names the one run whose outputs are today's; a file without one takes its
+first run.  ``compare_hashes`` then checks the record's output hashes
+against that run's, as stored before this run, and the script exits 1 if
+any differs.  A change that moves an output by design records a new run
+and names it the baseline.
 """
 
 from __future__ import annotations
@@ -84,10 +88,11 @@ def _git(*args: str) -> str | None:
     return out.stdout.strip()
 
 
-def run_and_store(doc: str, name: str, run, argv=None) -> tuple[dict, str, dict]:
+def run_and_store(doc: str, name: str, run, argv=None) -> tuple[str, dict | None, dict]:
     """Run ``run()``, which returns the results of a record, and store the
     record in the file ``name`` at the repository root (or ``--out``).
-    Returns every stored run, this run's label and its record.
+    Returns the baseline's label, its record as stored before this run (None
+    if there was none) and this run's record.
     """
     parser = argparse.ArgumentParser(description=doc.splitlines()[0])
     parser.add_argument("--label", required=True, help=f"key of this run in {name}")
@@ -111,26 +116,28 @@ def run_and_store(doc: str, name: str, run, argv=None) -> tuple[dict, str, dict]
     if os.path.exists(args.out):
         with open(args.out) as fh:
             bench = json.load(fh)
+    baseline = bench.setdefault("baseline", args.label)
+    against = bench["runs"].get(baseline)
     bench["runs"][args.label] = record
     with open(args.out, "w") as fh:
         json.dump(bench, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return bench["runs"], args.label, record
+    return baseline, against, record
 
 
-def compare_hashes(runs: dict, label: str, record: dict, section: str, key: str, what: str) -> int:
+def compare_hashes(baseline: str, against: dict | None, record: dict, section: str, key: str, what: str) -> int:
     """Print, per entry of ``record[section]``, whether its hash ``key``
-    equals that of the same entry in every other stored run with the same
-    seed, bitsize and sample count; 1 if any differs, else 0."""
+    equals that of the same entry in ``against``, the run labelled
+    ``baseline``, when both have the same seed, bitsize and sample count;
+    1 if any differs, else 0."""
+    if against is None or against.get("seed") != record["seed"] or against.get("bitsize") != record["bitsize"]:
+        return 0
     status = 0
-    for other_label, other in runs.items():
-        if other_label == label or other.get("seed") != record["seed"] or other.get("bitsize") != record["bitsize"]:
+    for name, entry in record[section].items():
+        theirs = against.get(section, {}).get(name)
+        if theirs is None or key not in theirs or theirs["samples"] != entry["samples"]:
             continue
-        for name, entry in record[section].items():
-            theirs = other.get(section, {}).get(name)
-            if theirs is None or key not in theirs or theirs["samples"] != entry["samples"]:
-                continue
-            same = theirs[key] == entry[key]
-            print(f"{section} {name}: {what} {'equal to' if same else 'DIFFER from'} run {other_label!r}")
-            status |= not same
+        same = theirs[key] == entry[key]
+        print(f"{section} {name}: {what} {'equal to' if same else 'DIFFER from'} run {baseline!r}")
+        status |= not same
     return status

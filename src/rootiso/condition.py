@@ -44,10 +44,11 @@ carried over keep their scanned values, and no dyadic is evaluated exactly
 twice.
 
 What does not depend on f is built once per degree and cached read-only
-(``_constants``, at most ``_CONSTANTS_BYTES`` with the least recently
-used degree dropped first): the first grid's indices, points and power
-table, and the row offsets and derivative factors that turn the correctly
-rounded column 0 into the scan table.  The Taylor-model matrix of
+(``_constants``, a ``BoundedCache`` as the solver's constants are: at most
+``_CONSTANTS_BYTES``, the least recently used degree dropped first): the
+first grid's indices, points and power table, and the row offsets and
+derivative factors that turn the correctly rounded column 0 into the scan
+table.  The Taylor-model matrix of
 ``_float_reach`` is cached per d r (``_taylor_model``).  A cached entry
 holds the same floats a fresh build would, and floats only choose the
 points evaluated exactly, so the caches leave every field of a bracket and
@@ -57,8 +58,6 @@ its work counts as they are.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
@@ -67,6 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._cache import bounded_cache
 from .dyadic import Dyadic
 from .polynomial import IntPolynomial, ZeroPolynomialError
 
@@ -78,6 +78,11 @@ class UnboundedConditionError(ArithmeticError):
 _ONE = Dyadic(1)
 # the order K of a cell's Taylor model
 _ORDER = 5
+
+
+# the finest grid level: its indices |k| <= 2^53, their doubles in
+# ``_children`` and the points k 2^-level are exact in int64 and float64
+_MAX_LEVEL = 53
 
 
 def _first_level(d: int) -> int:
@@ -220,8 +225,9 @@ class ConditionBracket:
     grid; ``upper`` is 1/B, rounded up, for the certified lower bound B of
     1/cond that the final grid's cells give, and +inf when B <= 0.
     ``achieved`` is False when the requested relative tolerance was not
-    reached before the grid budget ran out, or when a grid point is
-    singular (``lower`` +inf), where the scan stops.
+    reached before the grid budget or the finest grid (spacing 2^-53) ran
+    out, or when a grid point is singular (``lower`` +inf), where the scan
+    stops.
 
     ``levels``, ``scanned`` and ``exact`` count the work that produced the
     bracket: grid levels visited, points scanned in float and points
@@ -262,10 +268,13 @@ def global_condition_bracket(
 
     Scans dyadic grids x = k 2^-level, |k| <= 2^level, starting at
     spacing at most 1/d (``_first_level``) and halving until
-    upper <= (1 + rel_tol) lower or the grid would exceed ``max_grid``
-    points (the initial grid is always evaluated, whatever the positive
-    budget).  Write h = 1/cond, delta for the spacing, r = delta/2 for
-    the radius of a grid point's cell and t = d r <= 1/2.
+    upper <= (1 + rel_tol) lower, or the grid would exceed ``max_grid``
+    points, or the spacing reaches 2^-53 (``_MAX_LEVEL``), the finest at
+    which every index and point is exact in int64 and float64 (the
+    initial grid is always evaluated, whatever the positive budget).
+    Exact values are kept per point, keyed by its ``Dyadic`` k/2^level.
+    Write h = 1/cond, delta for the spacing, r = delta/2 for the radius of
+    a grid point's cell and t = d r <= 1/2.
 
     The reach of a cell is its order-K Taylor model (module docstring;
     ``_reach`` exactly, ``_float_reach`` in floats).  In the scaled
@@ -369,9 +378,9 @@ def global_condition_bracket(
     evaluated = {}  # x -> ``_exact_values`` at x, for every point evaluated
 
     def exact(k: int, level: int) -> tuple[int, list[int]]:
-        x = k * 2.0**-level
+        x = Dyadic(k, level)
         if x not in evaluated:
-            evaluated[x] = _exact_values(coeffs, Dyadic(k, level))
+            evaluated[x] = _exact_values(coeffs, x)
         return evaluated[x]
 
     level, ks = first.level, first.ks
@@ -400,7 +409,7 @@ def global_condition_bracket(
         ]
         shift = max(s for _, s in reaches)
         upper = _round_up_quotient(scale << shift, min(a << (shift - s) for a, s in reaches))
-        last = (1 << (level + 2)) + 1 > max_grid
+        last = level >= _MAX_LEVEL or (1 << (level + 2)) + 1 > max_grid
         work = (levels, scanned, len(evaluated))
         if math.isfinite(upper) and upper <= (1.0 + rel_tol) * lower:
             return ConditionBracket(lower, upper, grid_size, delta, True, *work)
@@ -514,7 +523,7 @@ def _powers(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 class _Constants(NamedTuple):
-    """The bracket's constants of one degree d (``_build_constants``):
+    """The bracket's constants of one degree d (``_constants``):
     the first grid's level, indices ``ks`` and points ``xs``; its power
     table ``powers`` (``_powers``), or None when it would take more than
     ``_POWERS_BYTES``; the row offsets ``rows`` and derivative factors
@@ -532,34 +541,20 @@ class _Constants(NamedTuple):
 
 _CONSTANTS_BYTES = 40 << 20  # the entries kept, least recently used dropped first
 _POWERS_BYTES = _CONSTANTS_BYTES // 2  # the largest power table kept: 2049 x 1025 at d = 1024
-_constants_cache: OrderedDict[int, _Constants] = OrderedDict()
-_constants_lock = threading.Lock()
 
 
+@bounded_cache(_CONSTANTS_BYTES)
 def _constants(d: int) -> _Constants:
-    """The constants of degree d, cached per degree up to
-    ``_CONSTANTS_BYTES`` in all.  No entry holds a power table above
-    ``_POWERS_BYTES``, so the latest entry is kept unless its rows,
-    factors and grid alone pass the bound (at d > 2^18); it
-    is then used for its call only."""
-    with _constants_lock:
-        entry = _constants_cache.get(d)
-        if entry is not None:
-            _constants_cache.move_to_end(d)
-            return entry
-    entry = _build_constants(d)
-    with _constants_lock:
-        _constants_cache[d] = entry
-        while sum(e.nbytes for e in _constants_cache.values()) > _CONSTANTS_BYTES:
-            _constants_cache.popitem(last=False)
-    return entry
+    """The constants of degree d >= 1, built once and cached read-only per
+    degree up to ``_CONSTANTS_BYTES`` in all (``BoundedCache``).  No entry
+    holds a power table above ``_POWERS_BYTES``, so an entry passes the
+    bound by itself only when its rows, factors and grid do, at
+    d > 2^18; it is then kept alone, and the next bracket of that degree
+    does not build it again.
 
-
-def _build_constants(d: int) -> _Constants:
-    """The ``_Constants`` entry of degree d >= 1, built afresh and
-    read-only.  Row j, column k of ``rows`` is j + k, or d + 1 (the zero
-    that ``_scan_table`` appends to column 0) when j + k > d; ``factors``
-    holds (j+k)! / (j! d^k) there, by one int true division, or 0."""
+    Row j, column k of ``rows`` is j + k, or d + 1 (the zero that
+    ``_scan_table`` appends to column 0) when j + k > d; ``factors`` holds
+    (j+k)! / (j! d^k) there, by one int true division, or 0."""
     level = _first_level(d)
     ks = np.arange(-(1 << level), (1 << level) + 1, dtype=np.int64)
     xs = ks * 2.0**-level

@@ -54,8 +54,6 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, islice, repeat
@@ -64,6 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._cache import bounded_cache
 from .dyadic import Dyadic, DyadicInterval
 from .polynomial import (
     IntPolynomial,
@@ -473,7 +472,7 @@ def _split(node: _Node, g: IntPolynomial):
       + 2 n 2^-1075   for products, and for entries of L (once d >= 1023),
                       that fall below the normal range,
     so by err + (n + 2) u p + n 2^-1073, which the new bound takes,
-    rounded up.  An entry with |y| > err then has the sign of the exact
+    rounded up (``_split_bound``).  An entry with |y| > err then has the sign of the exact
     entry.
 
     The ends of each half are exact multiples of g's values at the ends
@@ -491,6 +490,12 @@ def _split(node: _Node, g: IntPolynomial):
     return _split_halves(node, g, 0)
 
 
+def _split_bound(err: float, peak: float, n: int) -> float:
+    """The error bound of both halves of a node with n entries, error
+    bound ``err`` and peak ``peak``, as ``_split`` derives it."""
+    return (err + (n + 2) * _U * peak + n * _SUBNORMAL) * _ROUND_UP
+
+
 def _split_halves(node: _Node, g: IntPolynomial, first: int):
     """``_split``, returning and counting only the halves from ``first``
     on: both for 0, the right one for 1.  A half that is not kept takes no
@@ -498,7 +503,7 @@ def _split_halves(node: _Node, g: IntPolynomial, first: int):
     halves were kept, to the left one when both are uncertain."""
     f = node.f
     n = len(f)
-    err = (node.err + (n + 2) * _U * node.peak + n * _SUBNORMAL) * _ROUND_UP
+    err = _split_bound(node.err, node.peak, n)
     halving = _halving_matrix(n)
     out = np.empty((2, n))
     np.matmul(halving, f, out=out[0])
@@ -630,7 +635,7 @@ def _root_image(coeffs) -> tuple[np.ndarray, float, float, int]:
 
     The Bernstein coefficients are b = M c for M = D^-1 K, K[i, j] =
     [X^i] (X - 1)^j (X + 1)^(d - j) and D = diag C(d, i), and every
-    |M[i, j]| <= 1 (``_bernstein_matrix``).  Take x, the coefficients
+    |M[i, j]| <= 1 (``_build_bernstein_matrix``).  Take x, the coefficients
     scaled into [-1, 1] (``_unit_scaled``), and let y = M x exactly.  With
     n = d + 1, N = ||x||_1 >= 1/2 and u = 2^-53, the computed product
     differs from y by at most
@@ -656,7 +661,7 @@ def _root_image(coeffs) -> tuple[np.ndarray, float, float, int]:
     """
     n = len(coeffs)
     x, top = _unit_scaled(coeffs)
-    f = _bernstein_matrix(n) @ x
+    f = _degree(n).matrix @ x
     norm = float(np.abs(x).sum())
     peak = float(np.abs(f).max())
     e = max(math.frexp(peak)[1], -53)
@@ -679,43 +684,14 @@ class _Degree(NamedTuple):
 
 
 _BERNSTEIN_CACHE_BYTES = 32 << 20  # the entries kept, least recently used dropped first
-_bernstein: OrderedDict[int, _Degree] = OrderedDict()
-_bernstein_lock = threading.Lock()
 
 
-def _bernstein_matrix(n: int) -> np.ndarray:
-    """M of size n, M[i, j] = K[i, j] / C(d, i) correctly rounded, for
-    d = n - 1 and K[i, j] = [X^i] (X - 1)^j (X + 1)^(d - j).
-
-    M maps power coefficients to Bernstein coefficients on [-1, 1]:
-    X^j = sum_i M[i, j] B_i for B_i = C(d, i) s^i t^(d - i), s = (1 + X)/2
-    and t = (1 - X)/2, since X^j (s + t)^(d - j) = (s - t)^j (s + t)^(d - j).
-    |K[i, j]| <= C(d, i), so |M| <= 1.  It is cached read-only in its size's
-    ``_degree`` entry.
-    """
-    return _degree(n).matrix
-
-
+@bounded_cache(_BERNSTEIN_CACHE_BYTES)
 def _degree(n: int) -> _Degree:
-    """The constants of size n, cached per size up to
-    ``_BERNSTEIN_CACHE_BYTES`` in all (a single larger entry is kept
-    alone), so the matrix and the exact vectors' constants of a size are
-    kept and dropped together."""
-    with _bernstein_lock:
-        entry = _bernstein.get(n)
-        if entry is not None:
-            _bernstein.move_to_end(n)
-            return entry
-    entry = _build_degree(n)
-    with _bernstein_lock:
-        _bernstein[n] = entry
-        while len(_bernstein) > 1 and sum(e.nbytes for e in _bernstein.values()) > _BERNSTEIN_CACHE_BYTES:
-            _bernstein.popitem(last=False)
-    return entry
-
-
-def _build_degree(n: int) -> _Degree:
-    """The ``_Degree`` entry of size n, built afresh."""
+    """The constants of size n, built once and cached per size up to
+    ``_BERNSTEIN_CACHE_BYTES`` in all (``BoundedCache``: a single larger
+    entry is kept alone), so the matrix and the exact vectors' constants
+    of a size are kept and dropped together."""
     binomials = _binomials(n - 1)
     lcm = math.lcm(*binomials)
     multipliers = [lcm // c for c in binomials]
@@ -726,10 +702,18 @@ def _build_degree(n: int) -> _Degree:
 
 
 def _build_bernstein_matrix(binomials: list[int]) -> np.ndarray:
-    """M of size n from exact integers, a quarter of it computed, given
-    the binomials C(d, 0), ..., C(d, d) for d = n - 1.
+    """M of size n, M[i, j] = K[i, j] / C(d, i) correctly rounded, for
+    d = n - 1 and K[i, j] = [X^i] (X - 1)^j (X + 1)^(d - j), given the
+    binomials C(d, 0), ..., C(d, d).
 
-    Its columns come from (X + 1) C_(j+1) = (X - 1) C_j for C_j the
+    M maps power coefficients to Bernstein coefficients on [-1, 1]:
+    X^j = sum_i M[i, j] B_i for B_i = C(d, i) s^i t^(d - i), s = (1 + X)/2
+    and t = (1 - X)/2, since X^j (s + t)^(d - j) = (s - t)^j (s + t)^(d - j).
+    |K[i, j]| <= C(d, i), so |M| <= 1.  It is cached read-only in its size's
+    ``_degree`` entry.
+
+    M is built from exact integers, a quarter of it computed.  Its
+    columns come from (X + 1) C_(j+1) = (X - 1) C_j for C_j the
     polynomial of column j: u_j[i] = (-1)^(i + j) K[i, j] makes u_(j+1)
     the prefix sums of u_j[i] + u_j[i - 1], so rows i <= d/2 need only
     rows i <= d/2.  Each entry is one int true division, which rounds
@@ -863,7 +847,7 @@ def _refine_off_zero(node: _Node, g: IntPolynomial):
     halving = _halving_matrix(n)
     while True:
         m = far.half()
-        err = (err + (n + 2) * _U * peak + n * _SUBNORMAL) * _ROUND_UP
+        err = _split_bound(err, peak, n)
         apex = float(halving[-1] @ f)
         s = (1 if apex > 0 else -1) if abs(apex) > err else g.evaluate_dyadic(m).sign()
         if s == 0:

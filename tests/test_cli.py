@@ -232,6 +232,14 @@ class TestAnalyze:
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_double_root_past_the_float_grid(self, capsys):
+        # (3x - 1)^2 has an infinite condition, and no grid of any budget
+        # certifies a finite upper end for it
+        for e in (54, 58, 62, 80):
+            code, out, _ = run_cli(capsys, "analyze", "--coeffs", "1 -6 9", "--max-grid", str(1 << e))
+            cond = json.loads(out)["cond"]
+            assert code == 0 and cond["achieved"] is False and cond["upper"] is None, e
+
     def test_stats_on_stderr_only(self, capsys):
         # --stats adds the bracket's and the oracle's work counts to stderr
         # and leaves stdout byte for byte as it is

@@ -9,6 +9,7 @@ import pytest
 
 import rootiso.condition as condition_mod
 from conftest import make_poly
+from rootiso._cache import BoundedCache
 from rootiso.condition import (
     UnboundedConditionError,
     global_condition_bracket,
@@ -103,6 +104,21 @@ class TestBracket:
         assert small.upper == math.inf and large.upper == math.inf
         assert math.isfinite(small.lower) and math.isfinite(large.lower)
         assert large.lower > 4 * small.lower
+
+    def test_double_root_past_the_float_grid(self):
+        # double roots at p/q, q odd, are never grid points.  Past 2^54
+        # grid points (level 53) a float key or index would merge distinct
+        # points and could certify a finite upper end; the scan stops at
+        # level 53 instead, uncertified, whatever the budget
+        rng = random.Random(36)
+        cases = [(1, 3), (-2, 5), (5, 7), (-40, 101), (1000, 3001)]
+        cases += [(rng.randrange(1, q), q) for q in ((1 << 20) + 1, (1 << 40) + 3)]
+        for p, q in cases:
+            f = poly(p * p, -2 * p * q, q * q)
+            for e in range(54, 81):
+                br = global_condition_bracket(f, max_grid=1 << e)
+                assert not br.achieved and br.upper == math.inf and br.to_json()["upper"] is None, (p, q, e)
+                assert br.grid_size == (1 << min(e - 1, 54)) + 1, (p, q, e)
 
     def test_validation(self):
         with pytest.raises(ZeroPolynomialError):
@@ -653,18 +669,34 @@ class TestScan:
         # bound after a d = 1024 bracket, whose first grid's power table
         # alone is 2049 x 1025 floats, and brackets at small degrees; a
         # degree whose power table would pass its own bound holds none
-        cache = condition_mod._constants_cache
+        cache = condition_mod._constants
+        assert isinstance(cache, BoundedCache) and cache.budget == condition_mod._CONSTANTS_BYTES
         for d in (1024, 2, 16, 64, 256, 1024, 3, 17):
             global_condition_bracket(uniform_model(d, 32).sample(1, 0), max_grid=1)
-            assert sum(e.nbytes for e in cache.values()) <= condition_mod._CONSTANTS_BYTES
-        assert list(cache)[-1] == 17
+            assert sum(e.nbytes for e in cache.entries.values()) <= condition_mod._CONSTANTS_BYTES
+        assert list(cache.entries)[-1] == 17
         big = condition_mod._constants(1024)
         assert big.powers.shape == (2049, 1025) and big.nbytes > big.powers.nbytes
         assert condition_mod._constants(1025).powers is None
-        assert sum(e.nbytes for e in cache.values()) <= condition_mod._CONSTANTS_BYTES
-        for entry in cache.values():
+        assert sum(e.nbytes for e in cache.entries.values()) <= condition_mod._CONSTANTS_BYTES
+        for entry in cache.entries.values():
             arrays = [entry.ks, entry.xs, entry.rows, entry.factors] + [entry.powers] * (entry.powers is not None)
             assert not any(a.flags.writeable for a in arrays)
+
+    def test_constants_cache_keeps_one_entry_over_its_bound(self, monkeypatch):
+        # an entry that passes the bound by itself, as one at d > 2^18 does
+        # under the real bound, is kept alone and serves the next bracket
+        # of its degree; the next degree's entry then takes its place
+        build = condition_mod._constants.__wrapped__
+        fs = {d: uniform_model(d, 32).sample(1, 0) for d in (16, 64)}
+        want = {d: _bracket_fields(global_condition_bracket(f)) for d, f in fs.items()}
+        built = []
+        cache = BoundedCache(lambda d: built.append(d) or build(d), build(64).nbytes - 1)
+        monkeypatch.setattr(condition_mod, "_constants", cache)
+        for d in (64, 64, 16, 64):
+            assert _bracket_fields(global_condition_bracket(fs[d])) == want[d]
+        assert built == [64, 16, 64] and list(cache.entries) == [64]
+        assert not any(a.flags.writeable for a in (cache.entries[64].ks, cache.entries[64].powers))
 
     def test_uniform_degree_256_achieved(self):
         # the local slope certifies a sharp upper end at the paper's

@@ -97,14 +97,16 @@ def test_compare_hashes(load, capsys):
         return {"seed": seed, "bitsize": 32, "corpora": {"uniform-16": {"samples": samples, "sha": h}}}
 
     this = record("a")
-    assert benchlib.compare_hashes({"this": this, "same": record("a")}, "this", this, "corpora", "sha", "outputs") == 0
+    assert benchlib.compare_hashes("same", record("a"), this, "corpora", "sha", "outputs") == 0
     assert capsys.readouterr().out == "corpora uniform-16: outputs equal to run 'same'\n"
-    assert benchlib.compare_hashes({"this": this, "other": record("b")}, "this", this, "corpora", "sha", "outputs") == 1
+    assert benchlib.compare_hashes("other", record("b"), this, "corpora", "sha", "outputs") == 1
     assert "DIFFER from run 'other'" in capsys.readouterr().out
-    # another seed or sample count, or a run that stored no such hash, is skipped
-    skipped = {"this": this, "seed": record("b", seed=2), "samples": record("b", samples=3), "old": record(None)}
-    del skipped["old"]["corpora"]["uniform-16"]["sha"]
-    assert benchlib.compare_hashes(skipped, "this", this, "corpora", "sha", "outputs") == 0
+    # a baseline of another seed or sample count, one that stored no such
+    # hash, or none at all, is skipped
+    old = record(None)
+    del old["corpora"]["uniform-16"]["sha"]
+    for label, baseline in (("seed", record("b", seed=2)), ("samples", record("b", samples=3)), ("old", old), ("new", None)):
+        assert benchlib.compare_hashes(label, baseline, this, "corpora", "sha", "outputs") == 0
     assert capsys.readouterr().out == ""
 
 
@@ -257,8 +259,21 @@ def test_main_stores_two_runs(load, monkeypatch, tmp_path, capsys, name):
     assert bench.main(["--label", "second", "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "equal to run 'first'" in printed and "DIFFER" not in printed
-    runs = json.loads(out.read_text())["runs"]
-    assert set(runs) == {"first", "second"}
+    stored = json.loads(out.read_text())
+    # the file's first run is its baseline, and only the baseline is
+    # compared: a later run with other outputs is not
+    assert stored["baseline"] == "first"
+    for section, (_, hash_key) in sections.items():
+        for entry in stored["runs"]["second"][section].values():
+            entry[hash_key] = "other"
+    out.write_text(json.dumps(stored))
+    assert bench.main(["--label", "third", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "equal to run 'first'" in printed and "run 'second'" not in printed and "DIFFER" not in printed
+    stored = json.loads(out.read_text())
+    runs = stored["runs"]
+    assert set(runs) == {"first", "second", "third"} and stored["baseline"] == "first"
+    del runs["second"]
     for record in runs.values():
         assert set(record) == {"commit", "uncommitted_changes", "machine", "seed", "bitsize", *sections}
         assert set(record["machine"]) == {"nproc", "python", "processor", "numpy"}

@@ -6,7 +6,7 @@ import math
 import random
 import sys
 import threading
-from collections import Counter, OrderedDict, deque
+from collections import Counter, deque
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,6 +22,7 @@ from conftest import make_poly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from rootiso import polynomial, solver
+from rootiso._cache import BoundedCache
 from rootiso.cli import main
 from rootiso.dyadic import Dyadic, DyadicInterval
 from rootiso.polynomial import (
@@ -406,7 +407,7 @@ class TestExactVectorKernel:
 
     def test_constants_per_degree(self):
         for n in (1, 2, 3, 17, 64, 129):
-            entry = solver._build_degree(n)
+            entry = solver._degree.__wrapped__(n)
             binomials = [math.comb(n - 1, i) for i in range(n)]
             assert solver._binomials(n - 1) == binomials and entry.lcm == math.lcm(*binomials)
             assert entry.multipliers == [entry.lcm // c for c in binomials]
@@ -417,21 +418,20 @@ class TestExactVectorKernel:
         # the exact vectors' constants of a size live in its matrix's cache
         # entry: they are built with it, reused with it and dropped with it
         built = []
-        build = solver._build_degree
-        monkeypatch.setattr(solver, "_bernstein", OrderedDict())
-        monkeypatch.setattr(solver, "_BERNSTEIN_CACHE_BYTES", build(40).nbytes + build(41).nbytes)
-        monkeypatch.setattr(solver, "_build_degree", lambda n: built.append(n) or build(n))
+        build = solver._degree.__wrapped__
+        cache = BoundedCache(lambda n: built.append(n) or build(n), build(40).nbytes + build(41).nbytes)
+        monkeypatch.setattr(solver, "_degree", cache)
         f, interval = chebyshev(39), DyadicInterval(Dyadic(1, 3), Dyadic(3, 3))
         want = _reference_exact_vector(f, interval)
         assert _exact_vector(f, interval) == want and built == [40]
-        entry = solver._bernstein[40]
-        assert solver._bernstein_matrix(40) is entry.matrix and built == [40]
-        solver._bernstein_matrix(41)
-        assert list(solver._bernstein) == [40, 41]
-        solver._bernstein_matrix(42)
-        assert 40 not in solver._bernstein and all(e is not entry for e in solver._bernstein.values())
+        entry = cache.entries[40]
+        assert solver._degree(40).matrix is entry.matrix and built == [40]
+        solver._degree(41)
+        assert list(cache.entries) == [40, 41]
+        solver._degree(42)
+        assert 40 not in cache.entries and all(e is not entry for e in cache.entries.values())
         assert _exact_vector(f, interval) == want and built == [40, 41, 42, 40]
-        assert solver._bernstein[40] is not entry and list(solver._bernstein) == [40]
+        assert cache.entries[40] is not entry and list(cache.entries) == [40]
 
 
 def _bernstein(f, interval):
@@ -1147,7 +1147,7 @@ class TestRootImage:
 
     def test_matrix_entries_correctly_rounded(self):
         for d in range(41):
-            m = solver._bernstein_matrix(d + 1)
+            m = solver._degree(d + 1).matrix
             assert not m.flags.writeable and m.shape == (d + 1, d + 1)
             rows = range(d + 1)
             want = [[float(Fraction(_krawtchouk(d, i, j), math.comb(d, i))) for j in rows] for i in rows]
@@ -1158,22 +1158,27 @@ class TestRootImage:
         # room for the entries of sizes 38, 40 and 41, matrices and exact
         # vectors' constants, and so for 38, 39 and 40: a fourth size drops
         # the least recently used, and an entry over the budget is kept alone
-        monkeypatch.setattr(solver, "_bernstein", OrderedDict())
-        monkeypatch.setattr(solver, "_BERNSTEIN_CACHE_BYTES", sum(solver._build_degree(n).nbytes for n in (38, 40, 41)))
-        first = solver._bernstein_matrix(40)
-        solver._bernstein_matrix(39)
-        solver._bernstein_matrix(38)
-        assert solver._bernstein_matrix(40) is first
-        solver._bernstein_matrix(41)
-        assert list(solver._bernstein) == [38, 40, 41]
-        solver._bernstein_matrix(100)
-        assert list(solver._bernstein) == [100]
+        # and served again without a rebuild
+        assert isinstance(solver._degree, BoundedCache) and solver._degree.budget == solver._BERNSTEIN_CACHE_BYTES
+        build = solver._degree.__wrapped__
+        cache = BoundedCache(build, sum(build(n).nbytes for n in (38, 40, 41)))
+        monkeypatch.setattr(solver, "_degree", cache)
+        first = solver._degree(40).matrix
+        solver._degree(39)
+        solver._degree(38)
+        assert solver._degree(40).matrix is first
+        solver._degree(41)
+        assert list(cache.entries) == [38, 40, 41]
+        big = solver._degree(100)
+        assert list(cache.entries) == [100]
+        assert solver._degree(100) is big and list(cache.entries) == [100]
 
     def test_matrix_cache_shared_by_threads(self, monkeypatch):
         # threads that share the cache, over a budget that forces evictions,
         # all read correct matrices, and the cache keeps within its budget
-        monkeypatch.setattr(solver, "_bernstein", OrderedDict())
-        monkeypatch.setattr(solver, "_BERNSTEIN_CACHE_BYTES", 4 * solver._build_degree(30).nbytes)
+        build = solver._degree.__wrapped__
+        cache = BoundedCache(build, 4 * build(30).nbytes)
+        monkeypatch.setattr(solver, "_degree", cache)
         want = {n: solver._build_bernstein_matrix(solver._binomials(n - 1)) for n in range(20, 31)}
         wrong = []
 
@@ -1182,7 +1187,7 @@ class TestRootImage:
             try:
                 for _ in range(200):
                     n = rng.randint(20, 30)
-                    if not np.array_equal(solver._bernstein_matrix(n), want[n]):
+                    if not np.array_equal(solver._degree(n).matrix, want[n]):
                         wrong.append(n)
             except Exception as exc:  # a thread's failure is reported, not lost
                 wrong.append(exc)
@@ -1198,7 +1203,7 @@ class TestRootImage:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads) and wrong == []
-        assert sum(m.nbytes for m in solver._bernstein.values()) <= solver._BERNSTEIN_CACHE_BYTES
+        assert sum(m.nbytes for m in cache.entries.values()) <= cache.budget
 
     @settings(max_examples=120, deadline=None)
     @given(
