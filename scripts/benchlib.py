@@ -28,12 +28,13 @@ Storage.  ``run_and_store`` parses a script's ``--label`` and ``--out``,
 runs it, adds the commit (and whether ``src/`` differed from it), the
 machine, ``SEED`` and ``BITSIZE`` to its record, and stores the record
 under ``runs[label]`` of its ``BENCH_*.json``, next to the runs of other
-labels, which are kept as history.  The top-level ``baseline`` of the file
-names the one run whose outputs are today's; a file without one takes its
-first run.  ``compare_hashes`` then checks the record's output hashes
-against that run's, as stored before this run, and the script exits 1 if
-any differs.  A change that moves an output by design records a new run
-and names it the baseline.
+labels, which are kept as history.  The file is written by the library's
+JSON writer (``rootiso._json``), so a non-finite number in it reads null.
+The top-level ``baseline`` of the file names the one run whose outputs
+are today's; a file without one takes its first run.  ``compare_hashes``
+then checks the record's output hashes against that run's, as stored
+before this run, and the script exits 1 if any differs.  A change that
+moves an output by design records a new run and names it the baseline.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 import numpy as np
 from speed import REF_KERNEL_S
 
+from rootiso import _json
 from rootiso.models import uniform_model
 
 SEED = 1
@@ -120,8 +122,7 @@ def run_and_store(doc: str, name: str, run, argv=None) -> tuple[str, dict | None
     against = bench["runs"].get(baseline)
     bench["runs"][args.label] = record
     with open(args.out, "w") as fh:
-        json.dump(bench, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json.dumps(_json.strict(bench), sort_keys=True))
     return baseline, against, record
 
 

@@ -10,17 +10,18 @@ line and in polynomial files (one polynomial per line, whitespace
 separated decimal integers).  Exit codes: 0 success, 1 usage error
 (including malformed input files), 2 computational error.  The seed
 defaults to a fixed constant, never the clock; identical argv produce
-identical stdout bytes.
+identical stdout bytes.  All JSON output goes through ``_json``: RFC 8259
+JSON, in which a non-finite number reads null.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 
+from . import _json
 from .condition import (
     UnboundedConditionError,
     global_condition_bracket,
@@ -95,7 +96,7 @@ def _build_parser() -> _Parser:
     exp.add_argument("--d-list", type=_comma_list(int), help="comma-separated degrees (steps only)")
     exp.add_argument("--trials", type=_positive(int), default=100)
     exp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    exp.add_argument("--threads", type=int, default=1, help="worker processes for trials")
+    exp.add_argument("--threads", type=_positive(int), default=1, help="worker processes for trials")
     exp.add_argument("--t-grid", type=_comma_list(float), help="comma-separated tail thresholds")
     exp.add_argument("--rel-tol", type=_positive(float), default=0.5)
     exp.add_argument("--max-grid", type=_positive(int), default=1 << 18)
@@ -256,7 +257,7 @@ def _cmd_isolate(args) -> int:
             )
     payloads = [result.to_json() for result in results]
     doc = payloads[0] if args.coeffs is not None else {"results": payloads}
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(_json.dumps(doc), args.out)
     return 0
 
 
@@ -272,6 +273,8 @@ def _cmd_analyze(args) -> int:
             )
 
     doc = {"degree": f.degree, "cond": bracket.to_json()}
+    # a field that is not computed stays None
+    doc.update(dict.fromkeys(("separation_bound", "separation", "rho_bound", "rho_count")))
     separate = math.isfinite(bracket.upper) and f.degree >= 1
     # one oracle pass serves both the separation and the cover count
     roots = None
@@ -286,22 +289,12 @@ def _cmd_analyze(args) -> int:
         doc["separation_bound"] = separation_lower_bound(f, cond_upper=bracket.upper)
         eps = separation_epsilon(f, bracket.upper)
         # no repeated root lies within eps of the interval (separation_epsilon)
-        doc["separation"] = _finite_or_none(root_set_separation(roots, eps))
-    else:
-        doc["separation_bound"] = None
-        doc["separation"] = None
+        doc["separation"] = root_set_separation(roots, eps)
     if f.degree >= 2:
-        doc["rho_bound"] = _finite_or_none(cover_root_count_bound(f))
+        doc["rho_bound"] = cover_root_count_bound(f)
         doc["rho_count"] = roots_in_cover(roots, disk_cover(f.degree)).to_json()
-    else:
-        doc["rho_bound"] = None
-        doc["rho_count"] = None
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(_json.dumps(_json.strict(doc)), args.out)
     return 0
-
-
-def _finite_or_none(x: float):
-    return x if math.isfinite(x) else None
 
 
 def _cmd_gen(args) -> int:
@@ -357,11 +350,11 @@ _EXPERIMENTS = {
 
 
 def _cmd_experiment(args) -> int:
-    report = _EXPERIMENTS[args.kind](args, max(1, args.threads))
+    report = _EXPERIMENTS[args.kind](args, args.threads)
     paths = report.write(args.out_dir, fmt=args.format)
     summary = report.json_summary()
     summary["files"] = paths
-    sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_json.dumps(summary, sort_keys=True))
     if report.timing:
         print(f"wall time: {report.timing['total_seconds']:.2f}s", file=sys.stderr)
     return 0

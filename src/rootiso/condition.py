@@ -66,6 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _json
 from ._cache import bounded_cache
 from .dyadic import Dyadic
 from .polynomial import IntPolynomial, ZeroPolynomialError
@@ -249,14 +250,17 @@ class ConditionBracket:
         return self.upper / self.lower
 
     def to_json(self) -> dict:
-        return {
-            "lower": self.lower,
-            "upper": None if math.isinf(self.upper) else self.upper,
-            "lg_upper": None if math.isinf(self.upper) else math.log2(self.upper),
-            "grid_size": self.grid_size,
-            "delta": self.delta,
-            "achieved": self.achieved,
-        }
+        """The bracket's fields, each +inf as None (``_json.strict``)."""
+        return _json.strict(
+            {
+                "lower": self.lower,
+                "upper": self.upper,
+                "lg_upper": math.log2(self.upper),
+                "grid_size": self.grid_size,
+                "delta": self.delta,
+                "achieved": self.achieved,
+            }
+        )
 
 
 def global_condition_bracket(

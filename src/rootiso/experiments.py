@@ -31,6 +31,7 @@ from itertools import repeat
 
 import numpy as np
 
+from . import _json
 from .condition import global_condition_bracket, local_condition
 from .dyadic import Dyadic
 from .models import RandomModel
@@ -125,7 +126,7 @@ class ExperimentReport:
         return out.getvalue()
 
     def json_summary(self) -> dict:
-        return _jsonable(
+        return _json.strict(
             {
                 "kind": self.kind,
                 "config": self.config,
@@ -135,7 +136,6 @@ class ExperimentReport:
         )
 
     def write(self, out_dir, fmt: str = "csv"):
-        import json
         import os
 
         os.makedirs(out_dir, exist_ok=True)
@@ -148,8 +148,7 @@ class ExperimentReport:
         if fmt in ("json", "both"):
             path = os.path.join(out_dir, f"{self.kind}.json")
             with open(path, "w") as fh:
-                json.dump(self.json_summary(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                fh.write(_json.dumps(self.json_summary(), sort_keys=True))
             paths.append(path)
         return paths
 
@@ -160,17 +159,6 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return repr(v)
     return str(v)
-
-
-def _jsonable(obj):
-    """Strict-JSON-safe copy: non-finite floats become strings."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -386,21 +374,26 @@ def _depth_allowance(d: int, cond_upper: float) -> int | None:
     return math.ceil(math.log2(12.0 * d * cond_upper)) + 2
 
 
-def checked_t_grid(kind: str, model: RandomModel, t_grid) -> list[float]:
+def checked_t_grid(kind: str, model: RandomModel, t_grid=None) -> list[float]:
     """The tail thresholds ``t_grid`` of experiment ``kind`` on ``model``,
     as floats, or ValueError if one lies outside the kind's range.
 
     ``cond_tail`` takes (1, 2^(tau+1)] and ``cond_tail_local`` (1, 2^tau],
     for tau = ``model.tau_bound()``; ``rho_check`` takes (0, tau l], for
-    l = 2N + 1 the number of disks of ``disk_cover(d)``.  ``cond_tail``
-    needs at least one threshold.
+    l the number of disks of ``disk_cover(d)``.  ``cond_tail`` needs at
+    least one threshold.  ``t_grid=None`` takes the kind's default grid:
+    2^k for odd k <= min(lg L, 40) on the condition tails of limit L, and
+    1, 2, ..., min(tau l, 40) on ``rho_check``.
     """
     tau = model.tau_bound()
     if kind == "rho_check":
-        floor, limit = 0.0, float(tau * (2 * disk_cover(model.degree).N + 1))
+        floor, limit = 0.0, float(tau * len(disk_cover(model.degree).centers))
+        default = range(1, min(int(limit), 40) + 1)
     else:
-        floor, limit = 1.0, 2.0 ** (tau + (kind == "cond_tail"))
-    t_grid = [float(t) for t in t_grid]
+        lg_limit = tau + (kind == "cond_tail")
+        floor, limit = 1.0, 2.0**lg_limit
+        default = [2**k for k in range(1, min(lg_limit, 40) + 1, 2)]
+    t_grid = [float(t) for t in (default if t_grid is None else t_grid)]
     if (kind != "rho_check" and not t_grid) or any(not floor < t <= limit for t in t_grid):
         raise ValueError(f"t_grid must lie within ({floor:g}, {limit:g}], got {t_grid}")
     return t_grid
@@ -426,12 +419,10 @@ def run_cond_tail(
     condition at that dyadic point and the curve is min(1, 16 d^3 e^{2u}/t^2).
 
     Thresholds must lie in (1, L] with L = 2^(tau+1), or L = 2^tau for the
-    local variant; ``t_grid=None`` takes 2^k for odd k <= min(lg L, 40).
+    local variant; ``t_grid=None`` takes 2^k for odd k <= min(lg L, 40)
+    (``checked_t_grid``).
     """
     kind = "cond_tail" if local_point is None else "cond_tail_local"
-    if t_grid is None:
-        lg_limit = model.tau_bound() + (1 if local_point is None else 0)
-        t_grid = [2**k for k in range(1, min(lg_limit, 40) + 1, 2)]
     t_grid = checked_t_grid(kind, model, t_grid)
     opt = MeasureOptions(
         with_condition=True, rel_tol=rel_tol, max_grid=max_grid, local_point=local_point
@@ -480,7 +471,8 @@ def run_rho_check(
     evaluation-based per-trial bound dominates the count on average.
 
     Thresholds must lie in (0, tau l], for l = 2N + 1 the number of disks
-    of ``disk_cover(d)``; ``t_grid=None`` takes 1, 2, ..., min(tau l, 40).
+    of ``disk_cover(d)``; ``t_grid=None`` takes 1, 2, ..., min(tau l, 40)
+    (``checked_t_grid``).
     """
     d = model.degree
     u = model.uniformity()
@@ -490,9 +482,7 @@ def run_rho_check(
             "bitsize below 10 ln(e d) + 2u: moment-scale hypotheses do not apply",
             stacklevel=2,
         )
-    lg_blocks = 2 * disk_cover(d).N + 1  # the cover's disk count
-    if t_grid is None:
-        t_grid = list(range(1, min(int(tau * lg_blocks), 40) + 1))
+    lg_blocks = len(disk_cover(d).centers)  # the cover's disk count
     t_grid = checked_t_grid("rho_check", model, t_grid)
 
     rows = _collect(model, trials, seed, MeasureOptions(with_rho=True), workers)

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -27,3 +28,13 @@ def make_poly(rng: random.Random, degree: int, bitsize: int) -> IntPolynomial:
 @pytest.fixture(scope="session")
 def rng_factory():
     return lambda seed: random.Random(seed)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+@pytest.fixture(scope="session")
+def strict_loads():
+    """``json.loads`` that rejects ``Infinity``, ``-Infinity`` and ``NaN``."""
+    return lambda text: json.loads(text, parse_constant=_reject_constant)

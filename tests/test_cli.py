@@ -202,8 +202,9 @@ class TestAnalyze:
     GOLDEN = {
         "quadratic": (("-1 0 4",), "7b3f188e0596072cf648b3bff40d7c18a91140dc7ad2a08734e36ee79a0e022d"),
         "degree-one": (("0 1",), "78a5c6cd66bcfe4647ee89a0a0569cb450b00e0abb3ee60927685c862430e35d"),
-        # singular at the grid point 1/2: the bracket stops at its first grid
-        "double-root": (("1 -4 4",), "09c1caf89d8d2c3487cabf77c20401832052e49aaf148c61aaca7794c7e574fd"),
+        # singular at the grid point 1/2: the bracket stops at its first
+        # grid, and its +inf lower end reads null
+        "double-root": (("1 -4 4",), "56561a6cf12206ad54f940af92ea900935f8ac5c6ca6fb72bb7a36046a7fe3d7"),
         # roots 1/2, -3/4, 5/8, -1 and 0, all dyadic grid points
         "dyadic-roots": (("0 15 -19 -58 40 64",), "70134a54ed0c36959ecb4bc3e981ca68caafd2f55708929ee1ae4afd84d66383"),
         "uniform-0": ((_uniform_64(0),), "cfd4341871149c89da26819e72e86ab16c8e954ed4cd852b77f31cfb8e82fb69"),
@@ -226,11 +227,14 @@ class TestAnalyze:
     }
 
     @pytest.mark.parametrize("name", list(GOLDEN))
-    def test_golden_outputs(self, capsys, name):
+    def test_golden_outputs(self, capsys, strict_loads, name):
         argv, digest = self.GOLDEN[name]
         code, out, err = run_cli(capsys, "analyze", "--coeffs", *argv)
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+        # RFC 8259 JSON: a non-finite value reads null
+        cond = strict_loads(out)["cond"]
+        assert (cond["lower"] is None) == (name == "double-root")
 
     def test_double_root_past_the_float_grid(self, capsys):
         # (3x - 1)^2 has an infinite condition, and no grid of any budget
@@ -381,14 +385,18 @@ class TestExperimentCommand:
     }
 
     @pytest.mark.parametrize("argv", list(GOLDEN), ids=[argv[0] for argv in GOLDEN])
-    def test_golden_outputs(self, capsys, tmp_path, argv):
-        code, _, err = run_cli(
+    def test_golden_outputs(self, capsys, tmp_path, strict_loads, argv):
+        code, out, err = run_cli(
             capsys, "experiment", *argv, "--seed", "5", "--format", "both",
             "--out-dir", str(tmp_path),
         )
         assert code == 0, err
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
         assert digests == self.GOLDEN[argv]
+        # the file and stdout are RFC 8259 JSON; stdout also lists the files
+        summary = strict_loads(out)
+        del summary["files"]
+        assert [strict_loads(p.read_text()) for p in tmp_path.glob("*.json")] == [summary]
 
 
 @pytest.mark.parametrize(
@@ -424,13 +432,16 @@ def test_malformed_list_is_usage_error(capsys, tmp_path, monkeypatch, argv):
         ("analyze", "--coeffs", "-1 0 4", "--max-grid", "0"),
         ("analyze", "--coeffs", "-1 0 4", "--max-grid", "-5"),
         ("experiment", "steps", "--trials", "2", "--max-grid", "0"),
+        ("experiment", "steps", "--trials", "2", "--threads", "0"),
+        ("experiment", "steps", "--trials", "2", "--threads", "-3"),
         ("experiment", "rho-check", "--degree", "8", "--bitsize", "48", "--trials", "2", "--t-grid", "1000"),
         ("experiment", "cond-tail", "--degree", "8", "--bitsize", "16", "--trials", "2", "--t-grid", "1e30"),
         ("experiment", "cond-tail-local", "--degree", "8", "--bitsize", "16", "--trials", "2", "--t-grid", "4,65537"),
     ],
     ids=["count-negative", "count-zero", "trials-zero", "rel-tol-negative", "rel-tol-nan", "t-grid-below-one",
          "rho-check-degree-one", "d-list-repeated", "rho-check-t-grid-zero", "rho-check-t-grid-negative",
-         "max-grid-zero", "max-grid-negative", "experiment-max-grid-zero", "rho-check-t-grid-above-limit",
+         "max-grid-zero", "max-grid-negative", "experiment-max-grid-zero", "threads-zero", "threads-negative",
+         "rho-check-t-grid-above-limit",
          "cond-tail-t-grid-above-limit", "cond-tail-local-t-grid-above-limit"],
 )
 def test_out_of_range_flag_is_usage_error(capsys, tmp_path, monkeypatch, argv):

@@ -17,6 +17,7 @@ from rootiso.experiments import (
     ExperimentReport,
     MeasureOptions,
     TrialRecord,
+    checked_t_grid,
     measure_trial,
     run_cond_tail,
     run_instance_bound,
@@ -200,6 +201,24 @@ def test_rho_check_threshold_range():
     assert [row["t"] for row in report.extras["curve"]] == [0.5, 336.0]
 
 
+def test_default_t_grids():
+    # t_grid=None takes each kind's default, built from the limit that the
+    # thresholds are checked against: 2^(tau+1), 2^tau and tau l
+    def odd_powers(top):
+        return [float(2**k) for k in range(1, top + 1, 2)]
+
+    assert checked_t_grid("cond_tail", uniform_model(8, 16)) == odd_powers(17)
+    assert checked_t_grid("cond_tail_local", uniform_model(8, 16)) == odd_powers(16)
+    assert checked_t_grid("cond_tail", uniform_model(8, 48)) == odd_powers(40)
+    # tau l = 2 * 7 at d = 8, below the cap of 40
+    assert checked_t_grid("rho_check", uniform_model(8, 2)) == [float(t) for t in range(1, 2 * 7 + 1)]
+    assert checked_t_grid("rho_check", uniform_model(8, 48)) == [float(t) for t in range(1, 41)]
+    assert checked_t_grid("cond_tail_local", uniform_model(8, 1)) == [2.0]
+    # a given grid is checked, not replaced: cond_tail needs a threshold
+    with pytest.raises(ValueError, match="t_grid"):
+        checked_t_grid("cond_tail", uniform_model(8, 16), [])
+
+
 def test_rho_check_warns_on_small_bitsize():
     with pytest.warns(UserWarning, match="bitsize"):
         run_rho_check(uniform_model(8, 4), 5, seed=8)
@@ -234,13 +253,21 @@ def test_write_outputs(tmp_path):
         assert fh.read() == report.csv_text()
 
 
-def test_infinity_serialized_as_string():
+def test_infinity_serialized_as_string(strict_loads):
     report = run_cond_tail(
         uniform_model(8, 16), 5, [4.0], seed=2, max_grid=1 << 8
     )
     import json
 
     json.dumps(report.json_summary(), allow_nan=False)  # must not raise
+    # that run is finite throughout; this one samples a double root in
+    # [-1, 1] (trial 4), whose infinite condition reads null
+    singular = run_cond_tail(uniform_model(2, 1), 5, [4.0], seed=2, max_grid=1 << 8)
+    assert [row.trial_index for row in singular.rows if row.cond_lower == math.inf] == [4]
+    summary = singular.json_summary()
+    assert strict_loads(json.dumps(summary, allow_nan=False)) == summary
+    stats = summary["aggregates"]["2"]["cond_lower"]
+    assert stats["max"] is None and stats["median"] is None and stats["finite_count"] == 4
 
 
 def _reference_stats(values) -> dict:

@@ -20,6 +20,7 @@ import pytest
 import rootiso.polynomial as polynomial
 import rootiso.regions as regions
 import rootiso.solver as solver
+from rootiso import _json
 from rootiso.condition import global_condition_bracket
 from rootiso.models import uniform_model
 from rootiso.polynomial import IntPolynomial
@@ -249,7 +250,7 @@ _MAIN = {
 
 
 @pytest.mark.parametrize("name", sorted(_MAIN))
-def test_main_stores_two_runs(load, monkeypatch, tmp_path, capsys, name):
+def test_main_stores_two_runs(load, monkeypatch, tmp_path, capsys, strict_loads, name):
     plan, sections = _MAIN[name]
     bench = load(name)
     for attr, value in plan.items():
@@ -270,7 +271,7 @@ def test_main_stores_two_runs(load, monkeypatch, tmp_path, capsys, name):
     assert bench.main(["--label", "third", "--out", str(out)]) == 0
     printed = capsys.readouterr().out
     assert "equal to run 'first'" in printed and "run 'second'" not in printed and "DIFFER" not in printed
-    stored = json.loads(out.read_text())
+    stored = strict_loads(out.read_text())
     runs = stored["runs"]
     assert set(runs) == {"first", "second", "third"} and stored["baseline"] == "first"
     del runs["second"]
@@ -283,3 +284,13 @@ def test_main_stores_two_runs(load, monkeypatch, tmp_path, capsys, name):
             assert {k: e[hash_key] for k, e in record[section].items()} == {
                 k: e[hash_key] for k, e in runs["first"][section].items()
             }
+
+
+def test_committed_bench_files_are_strict_json(strict_loads):
+    # each committed BENCH_*.json is RFC 8259 JSON, and run_and_store's
+    # writer gives back its bytes
+    paths = sorted(SCRIPTS.parent.glob("BENCH_*.json"))
+    assert [p.stem for p in paths] == ["BENCH_bracket", "BENCH_isolate", "BENCH_oracle", "BENCH_sqfree", "BENCH_trial"]
+    for path in paths:
+        text = path.read_text()
+        assert _json.dumps(_json.strict(strict_loads(text)), sort_keys=True) == text, path.name

@@ -535,7 +535,7 @@ class TestReciprocalRefinement:
         assert refined > 0 and whole_leaves > 0
         assert {Dyadic(c) for c in powers} <= exact
 
-    def test_golden_isolate_output(self, capsys):
+    def test_golden_isolate_output(self, capsys, strict_loads):
         # `rootiso isolate --input` on a fixed structured corpus, one
         # polynomial per line: Chebyshev T_n, 4^n T_n(x/4), Mignotte
         # x^n - 2(ax - 1)^2, products with dyadic and +-1 roots, squares
@@ -544,8 +544,11 @@ class TestReciprocalRefinement:
         # subdivision kernel must leave this digest unchanged.
         corpus = Path(__file__).parent / "data" / "golden_isolate.txt"
         assert main(["isolate", "--input", str(corpus)]) == 0
-        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        out = capsys.readouterr().out
+        digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "7290fb2319ffd25465b676a854b7c12fc394ee337d7d49268929fdd0047deddd"
+        # RFC 8259 JSON, one result per input line
+        assert len(strict_loads(out)["results"]) == len(corpus.read_text().splitlines())
 
     def test_golden_isolate_unit_only_output(self, capsys):
         # the same corpus through `rootiso isolate --unit-only`: the roots in
